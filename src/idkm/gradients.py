@@ -13,6 +13,16 @@ to the weights being clustered:
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
 
+All three run one matrix-free linearisation of the center update
+(ClusterJacobians): a row vector is contracted with dF/dW and dF/dC in
+O(m*k*d) from the soft assignment the forward solve kept at C*, so a training
+step evaluates distances and attention once per layer for its backward pass
+and never forms a (k*d) x (d*m) block. ``implicit`` also builds the small
+(k*d) x (k*d) dF/dC its adjoint iterates on; ``unrolled`` evaluates one soft
+assignment per recorded iterate. The dense dF/dW, and the dense dC*/dW
+routes built on it (implicit_dC_dW, jfb_dC_dW, unrolled_dC_dW), are oracles
+for gradcheck and the tests.
+
 Flattening conventions: a k x d codebook flattens row-major to length k*d
 (codeword j, coordinate p maps to j*d + p); a d x m weight matrix flattens
 row-major to length d*m (coordinate p, sub-vector i maps to p*m + i). All
@@ -22,12 +32,21 @@ Jacobians in this module are laid out over those flattenings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import AdjointDivergence, NumericsError, ParamError, ShapeError
-from .pq import Codebook, DistanceMatrix, WeightMatrix, attention
+from .pq import (
+    SAFE_DIV_EPS,
+    Codebook,
+    DistanceMatrix,
+    SoftAssignment,
+    WeightMatrix,
+    assignment_at,
+    attention,
+)
 from .solver import DEGENERATE_FLOOR, solve_fixed_point
 
 BACKEND_KINDS = ("unrolled", "implicit", "jfb")
@@ -64,63 +83,124 @@ class GradBackend:
             raise ParamError("adjoint_eps must be positive")
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise NumericsError(f"{what} contains non-finite values")
+    return arr
+
+
 @dataclass(frozen=True)
 class ClusterJacobians:
-    """Both partial derivatives of the center-update map at one point.
+    """Linearisation of one center update F(C, W) at one soft assignment.
 
-    j_c: (k*d) x (k*d) derivative with respect to the flattened codebook.
-    j_w: (k*d) x (d*m) derivative with respect to the flattened weights.
+    With a = attention, s_j = max(column sum j, DEGENERATE_FLOOR), the
+    update F_j = sum_i a_ij w_i / s_j and g_ij = (c_j - w_i)/||w_i - c_j||,
+    a row vector v (k x d, flattened) gives
+
+        e_ij = a_ij <v_j, w_i - F_j> / (tau s_j),   E_i = sum_j e_ij,
+        (v dF/dW)_i = sum_j a_ij v_j / s_j + sum_j (e_ij - a_ij E_i) g_ij,
+        (v dF/dC)_l = sum_i (a_il E_i - e_il) g_il,
+
+    all in O(m*k*d), by vjp(). j_c is the small dense dF/dC, built on first
+    use. j_w is the dense (k*d) x (d*m) dF/dW, built from scratch only on
+    request: it is the gradcheck and test oracle, and no backend reads it.
     """
 
-    j_c: np.ndarray
-    j_w: np.ndarray
+    assignment: SoftAssignment
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """Attention column sums, floored as the center update floors them."""
+        return np.maximum(self.assignment.col_sums, DEGENERATE_FLOOR)
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """k x d value of F at this point, before stale-center replacement."""
+        asg = self.assignment
+        return (asg.att @ asg.w.T) / self.scale[:, None]
+
+    def vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v @ dF/dC, v @ dF/dW) for a length-k*d row vector v."""
+        asg = self.assignment
+        a, g = asg.att, asg.directions  # k x m, k x d x m
+        v = np.asarray(v, dtype=np.float64).reshape(self.means.shape)
+        # coef[j, i] = e_ij - a_ij E_i, built in place from <v_j, w_i - F_j>.
+        coef = v @ asg.w
+        coef -= (v * self.means).sum(axis=1)[:, None]
+        coef *= a
+        coef /= (asg.tau * self.scale)[:, None]
+        coef -= a * coef.sum(axis=0)
+        grad_c = -np.einsum("ji,jpi->jp", coef, g)
+        grad_w = (v / self.scale[:, None]).T @ a
+        grad_w += np.einsum("ji,jpi->pi", coef, g)
+        return (
+            _finite(grad_c.ravel(), "v @ dF/dC"),
+            _finite(grad_w.ravel(), "v @ dF/dW"),
+        )
+
+    @cached_property
+    def j_c(self) -> np.ndarray:
+        """(k*d) x (k*d) dF/dC from one (k*d) x m GEMM plus k diagonal blocks."""
+        asg = self.assignment
+        a, g = asg.att, asg.directions
+        k, d, m = g.shape
+        # x[j, p, i] = a_ij (w_i - F_j)_p / (tau s_j) and y[l, q, i] = a_il g_ilq.
+        x = (asg.w[None, :, :] - self.means[:, :, None]) * (
+            a / (asg.tau * self.scale)[:, None]
+        )[:, None, :]
+        y = a[:, None, :] * g
+        jc = (x.reshape(k * d, m) @ y.reshape(k * d, m).T).reshape(k, d, k, d)
+        idx = np.arange(k)
+        jc[idx, :, idx, :] -= np.einsum("jpi,jqi->jpq", x, g)
+        return _finite(jc.reshape(k * d, k * d), "dF/dC")
+
+    @cached_property
+    def j_w(self) -> np.ndarray:
+        """Dense (k*d) x (d*m) dF/dW; see dense_weight_jacobian."""
+        asg = self.assignment
+        return dense_weight_jacobian(asg.w, asg.c, asg.tau)
 
 
-def jacobians_of_F(w: WeightMatrix, c_star: Codebook, tau: float) -> ClusterJacobians:
-    """Analytic Jacobians of one center update, evaluated at (c_star, w).
+def dense_weight_jacobian(wd: np.ndarray, cd: np.ndarray, tau: float) -> np.ndarray:
+    """dF/dW at (cd, wd) materialised entry by entry, from a fresh evaluation.
 
-    Valid at any point, not only fixed points; the unrolled sweep evaluates
-    these along the whole trace. Both blocks account for the attention's
-    dependence on distances, with coincident point/center pairs contributing
-    zero direction (the norm is not differentiable there).
+    The oracle the matrix-free vjp() is checked against, O(m*k*d^2) in
+    memory. It shares neither the soft assignment nor the contraction
+    order with vjp(), only the zero-distance rule.
     """
-    if w.d != c_star.d:
-        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c_star.d}")
-    if tau <= 0:
-        raise ParamError(f"tau must be positive, got {tau}")
-    wd = w.data
-    cd = c_star.data
     d, m = wd.shape
     k = cd.shape[0]
-
     diff = cd[None, :, :] - wd.T[:, None, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     a = attention(DistanceMatrix(dist), tau).data
     s = np.maximum(a.sum(axis=0), DEGENERATE_FLOOR)
     f_out = (a.T @ wd.T) / s[:, None]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_dir = np.where(dist[:, :, None] > 0, diff / dist[:, :, None], 0.0)
+    far = (dist > SAFE_DIV_EPS)[:, :, None]
+    g_dir = np.divide(diff, dist[:, :, None], out=np.zeros_like(diff), where=far)
     r_dev = wd.T[:, None, :] - f_out[None, :, :]
-    h_mix = np.einsum("il,ilq->iq", a, g_dir)
-
+    gh = g_dir - np.einsum("il,ilq->iq", a, g_dir)[:, None, :]
     inv_ts = 1.0 / (tau * s)
-    t2 = np.einsum("ij,ijp,il,ilq->jplq", a, r_dev, a, g_dir)
-    t1 = np.einsum("ij,ijq,ijp->jpq", a, g_dir, r_dev)
-    jc4 = t2 * inv_ts[:, None, None, None]
-    idx = np.arange(k)
-    jc4[idx, :, idx, :] -= t1 * inv_ts[:, None, None]
-
-    gh = g_dir - h_mix[:, None, :]
     jw4 = np.einsum("ij,ijp,ijq->jpqi", a, r_dev, gh) * inv_ts[:, None, None, None]
     pidx = np.arange(d)
     jw4[:, pidx, pidx, :] += (a.T / s[:, None])[:, None, :]
+    return _finite(jw4.reshape(k * d, d * m), "dF/dW")
 
-    j_c = jc4.reshape(k * d, k * d)
-    j_w = jw4.reshape(k * d, d * m)
-    if not (np.all(np.isfinite(j_c)) and np.all(np.isfinite(j_w))):
-        raise NumericsError("center-update Jacobians contain non-finite values")
-    return ClusterJacobians(j_c=j_c, j_w=j_w)
+
+def jacobians_of_F(
+    w: WeightMatrix,
+    c_star: Codebook,
+    tau: float,
+    assignment: SoftAssignment | None = None,
+) -> ClusterJacobians:
+    """Linearisation of one center update, evaluated at (c_star, w).
+
+    Valid at any point, not only fixed points; the unrolled sweep evaluates
+    it along the whole trace. `assignment`, the soft assignment the solver
+    kept at c_star, saves a distance and attention pass. Coincident
+    point/center pairs (distance at most SAFE_DIV_EPS) contribute zero
+    direction, since the norm is not differentiable there.
+    """
+    return ClusterJacobians(assignment_at(w, c_star, tau, assignment))
 
 
 def _averaged_solve(
@@ -224,12 +304,15 @@ def vjp_dC_dW(
     c_star: Codebook,
     tau: float,
     backend: GradBackend,
+    assignment: SoftAssignment | None = None,
 ) -> np.ndarray:
     """Row-contracted form: upstream @ dC*/dW without materializing M*.
 
     Solves v = upstream + v j_c by the same averaged iteration (or takes
-    v = upstream for the jfb backend) and returns v @ j_w. The unrolled
-    backend needs the forward trace and is served by vjp_through_trace.
+    v = upstream for the jfb backend) and returns v @ dF/dW, matrix-free.
+    `assignment` is the solver's soft assignment at c_star; with it, no
+    distance or attention pass runs here. The unrolled backend needs the
+    forward trace and is served by vjp_through_trace.
     """
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     if upstream.size != c_star.k * c_star.d:
@@ -239,13 +322,14 @@ def vjp_dC_dW(
     if backend.kind == "unrolled":
         raise ParamError("unrolled VJPs require the forward trace; "
                          "use vjp_through_trace")
-    jac = jacobians_of_F(w, c_star, tau)
+    jac = jacobians_of_F(w, c_star, tau, assignment=assignment)
     if backend.kind == "jfb":
-        return upstream @ jac.j_w
+        return jac.vjp(upstream)[1]
+    j_c = jac.j_c
     v = _averaged_solve(
-        lambda x: upstream + x @ jac.j_c, upstream, backend, "adjoint VJP"
+        lambda x: upstream + x @ j_c, upstream, backend, "adjoint VJP"
     )
-    return v @ jac.j_w
+    return jac.vjp(v)[1]
 
 
 def vjp_through_trace(
@@ -254,12 +338,13 @@ def vjp_through_trace(
     trace: tuple[Codebook, ...],
     tau: float,
 ) -> np.ndarray:
-    """Reverse sweep of the recorded solve, contracted with one upstream row."""
-    upstream = np.asarray(upstream, dtype=np.float64).ravel()
+    """Reverse sweep of the recorded solve, contracted with one upstream row.
+
+    One soft assignment and one matrix-free VJP per recorded iterate.
+    """
     total = np.zeros(w.d * w.m)
-    v = upstream
+    v = np.asarray(upstream, dtype=np.float64).ravel()
     for step_input in reversed(trace):
-        jac = jacobians_of_F(w, step_input, tau)
-        total += v @ jac.j_w
-        v = v @ jac.j_c
+        v, grad_w = jacobians_of_F(w, step_input, tau).vjp(v)
+        total += grad_w
     return total

@@ -12,12 +12,21 @@ Conventions used throughout the package:
 * codebooks are k x d with row j holding codeword c_j,
 * distances are plain 2-norms (never squared inside the attention),
 * attention rows are softmax(-distances / tau) with row-max subtraction,
-  so temperatures as small as 5e-4 cannot overflow.
+  so temperatures as small as 5e-4 cannot overflow,
+* a distance at most SAFE_DIV_EPS has no direction: the norm is not
+  differentiable there, and every derivative drops that pair's direction term.
+
+The validating wrappers (WeightMatrix, Codebook, DistanceMatrix,
+AttentionMatrix) guard the public entry and exit points. Inside a solve and a
+training step, one unvalidated SoftAssignment per layer carries the
+distances, attention and column sums at the converged codebook, and every
+consumer of the soft assignment reuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +144,96 @@ class AttentionMatrix:
         object.__setattr__(self, "data", data)
 
 
+@dataclass(frozen=True)
+class SoftAssignment:
+    """One evaluation of the soft assignment of sub-vectors to codewords.
+
+    Raw, unvalidated arrays, made by soft_assign. The solver keeps the one
+    taken at its returned codebook, and soft_quantize, soft_quantize_vjp and
+    the cluster backward all reuse it instead of recomputing it.
+
+    The m x k matrices are stored codeword-major, as k x m arrays: entry
+    [j, i] pairs codeword j with sub-vector i. Reductions over the k
+    codewords and contractions over the m sub-vectors then both run along
+    contiguous memory, where an m x k layout with small k does not.
+
+    Attributes:
+        w: d x m sub-vectors and c: k x d codewords it was evaluated at.
+        dist: k x m distances ||w_i - c_j||.
+        att: k x m attention, each column softmax(-dist[:, i] / tau).
+        col_sums: length-k attention sums over the sub-vectors.
+    """
+
+    w: np.ndarray
+    c: np.ndarray
+    tau: float
+    dist: np.ndarray
+    att: np.ndarray
+    col_sums: np.ndarray
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """k x d x m unit vectors g[j, :, i] = (c_j - w_i) / ||w_i - c_j||.
+
+        Derived on first use and kept: each backward route of a layer needs
+        them. Zero where the distance is at most SAFE_DIV_EPS.
+        """
+        g = self.c[:, :, None] - self.w[None, :, :]
+        dist = self.dist[:, None, :]
+        far = dist > SAFE_DIV_EPS
+        np.divide(g, dist, out=g, where=far)
+        np.copyto(g, 0.0, where=~far)
+        return g
+
+    def check(self, w: WeightMatrix, c: Codebook, tau: float) -> "SoftAssignment":
+        """Reject an evaluation taken for another layer size, k or tau."""
+        if self.w.shape != w.data.shape or self.c.shape != c.data.shape:
+            raise ShapeError(
+                f"soft assignment is for weights {self.w.shape} and codebook "
+                f"{self.c.shape}, not {w.data.shape} and {c.data.shape}"
+            )
+        if self.tau != tau:
+            raise ParamError(f"soft assignment is at tau={self.tau}, not {tau}")
+        return self
+
+
+def _distances(wd: np.ndarray, cd: np.ndarray) -> np.ndarray:
+    """k x m 2-norms between the rows of cd and the columns of wd.
+
+    Accumulates in place, coordinate by coordinate: a fresh m x k array
+    costs more here than the arithmetic done on it.
+    """
+    sq = wd[0] - cd[:, 0, None]
+    np.square(sq, out=sq)
+    for p in range(1, wd.shape[0]):
+        diff = wd[p] - cd[:, p, None]
+        sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
+
+
+def soft_assign(wd: np.ndarray, cd: np.ndarray, tau: float) -> SoftAssignment:
+    """Distances, attention and column sums of raw d x m sub-vectors wd
+    against raw k x d codewords cd: the kernel every solve iteration runs."""
+    dist = _distances(wd, cd)
+    att = attention(dist, tau)
+    return SoftAssignment(wd, cd, tau, dist, att, att.sum(axis=1))
+
+
+def assignment_at(
+    w: WeightMatrix,
+    c: Codebook,
+    tau: float,
+    assignment: SoftAssignment | None = None,
+) -> SoftAssignment:
+    """The soft assignment of w against c: `assignment`, once checked to
+    have been taken there, else a fresh evaluation."""
+    if assignment is not None:
+        return assignment.check(w, c, tau)
+    if w.d != c.d:
+        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
+    return soft_assign(w.data, c.data, tau)
+
+
 def partition_weights(flat, d: int, allow_pad: bool = False) -> WeightMatrix:
     """Split a flat vector into d x m column sub-vectors.
 
@@ -170,25 +269,31 @@ def distance_matrix(w: WeightMatrix, c: Codebook) -> DistanceMatrix:
     """Entry (i, j) is the 2-norm ||w_i - c_j||."""
     if w.d != c.d:
         raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
-    diff = w.data.T[:, None, :] - c.data[None, :, :]
-    return DistanceMatrix(np.sqrt((diff * diff).sum(axis=2)))
+    return DistanceMatrix(_distances(w.data, c.data).T)
 
 
-def attention(dmat: DistanceMatrix, tau: float) -> AttentionMatrix:
+def attention(dmat: DistanceMatrix | np.ndarray, tau: float):
     """Row-wise softmax of -distances/tau, computed with max subtraction.
 
     The subtraction keeps the largest exponent at exactly 0, so sharp
     temperatures produce hard assignments instead of overflow.
+
+    A DistanceMatrix gives a validated m x k AttentionMatrix. A raw array is
+    the codeword-major k x m distances soft_assign computes on every solve
+    iteration; it gives the k x m attention, with no validation or copy.
     """
     if tau <= 0:
         raise ParamError(f"tau must be positive, got {tau}")
-    logits = -dmat.data / tau
-    logits = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(logits)
-    rows = expd / expd.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(rows)):
+    raw = isinstance(dmat, np.ndarray)
+    att = np.divide(dmat if raw else dmat.data.T, -tau)
+    att -= att.max(axis=0)
+    np.exp(att, out=att)
+    att /= att.sum(axis=0)
+    if raw:
+        return att
+    if not np.all(np.isfinite(att)):
         raise NumericsError("attention produced non-finite entries")
-    return AttentionMatrix(data=rows, tau=tau)
+    return AttentionMatrix(data=att.T, tau=tau)
 
 
 def nearest_indices(w: WeightMatrix, c: Codebook) -> np.ndarray:
@@ -202,18 +307,28 @@ def hard_quantize(w: WeightMatrix, c: Codebook) -> WeightMatrix:
     return WeightMatrix(data=c.data[idx].T, n=w.n, pad_count=w.pad_count)
 
 
-def soft_quantize(w: WeightMatrix, c: Codebook, tau: float) -> WeightMatrix:
+def soft_quantize(
+    w: WeightMatrix,
+    c: Codebook,
+    tau: float,
+    assignment: SoftAssignment | None = None,
+) -> WeightMatrix:
     """Replace every sub-vector with its attention-weighted codeword mix.
 
     Column i of the output is sum_j A_ij c_j, a convex combination, so each
     output coordinate stays inside the codeword range for that dimension.
+    `assignment`, the solver's evaluation at (w, c), saves recomputing it.
     """
-    a = attention(distance_matrix(w, c), tau)
-    return WeightMatrix(data=(a.data @ c.data).T, n=w.n, pad_count=w.pad_count)
+    a = assignment_at(w, c, tau, assignment).att
+    return WeightMatrix(data=c.data.T @ a, n=w.n, pad_count=w.pad_count)
 
 
 def soft_quantize_vjp(
-    upstream: np.ndarray, w: WeightMatrix, c: Codebook, tau: float
+    upstream: np.ndarray,
+    w: WeightMatrix,
+    c: Codebook,
+    tau: float,
+    assignment: SoftAssignment | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact vector-Jacobian products of the soft quantizer.
 
@@ -222,6 +337,7 @@ def soft_quantize_vjp(
 
     Args:
         upstream: gradient with respect to the soft-quantized output, d x m.
+        assignment: the solver's evaluation at (w, c), reused if given.
 
     Returns:
         (grad_w, grad_c): gradients with respect to the sub-vectors (d x m)
@@ -232,19 +348,16 @@ def soft_quantize_vjp(
         raise ShapeError(
             f"upstream shape {upstream.shape} != weight shape {w.data.shape}"
         )
-    dmat = distance_matrix(w, c).data
-    a = attention(DistanceMatrix(dmat), tau).data
+    asg = assignment_at(w, c, tau, assignment)
+    a, g = asg.att, asg.directions
 
-    # t_ij = <upstream column i, codeword j>; s_i contracts it with row i of A.
-    t = upstream.T @ c.data.T
-    s = (t * a).sum(axis=1, keepdims=True)
-    # b_il carries d(attention)/d(distance) with the 1/distance direction factor;
-    # coincident points (distance 0) contribute nothing.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(dmat > SAFE_DIV_EPS, -(a * (t - s)) / (tau * dmat), 0.0)
+    # t[j, i] = <upstream column i, codeword j>. coef[j, i] is the loss
+    # gradient with respect to distance (i, j), negated.
+    t = c.data @ upstream
+    coef = a * (t - (t * a).sum(axis=0)) / tau
 
-    grad_w = w.data * b.sum(axis=1) - c.data.T @ b.T
-    grad_c = (upstream @ a).T + c.data * b.sum(axis=0)[:, None] - b.T @ w.data.T
+    grad_w = np.einsum("ji,jpi->pi", coef, g)
+    grad_c = a @ upstream.T - np.einsum("ji,jpi->jp", coef, g)
     if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_c))):
         raise NumericsError("soft-quantizer VJP produced non-finite values")
     return grad_w, grad_c

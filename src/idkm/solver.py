@@ -6,6 +6,11 @@ solver iterates F until the Frobenius change drops below a tolerance, with an
 optional recorded trace of every intermediate codebook. The trace is what an
 unrolled backward pass must retain, so its length is the quantity measured by
 the memory instrumentation; all other backends keep exactly one codebook.
+
+The loop, the final residual pass and fixed_point_map_F run one raw-array
+kernel, with validation only on entry and on the returned codebook. The
+residual pass's soft assignment at the returned codebook is kept on the
+result for the training step's soft quantizer and backward pass to reuse.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ParamError, ShapeError
-from .pq import AttentionMatrix, Codebook, DistanceMatrix, WeightMatrix, attention, distance_matrix
+# attention stays a name of this module: perfbench traces it as solver.attention.
+from .pq import Codebook, SoftAssignment, WeightMatrix, attention, soft_assign  # noqa: F401
 
 DEGENERATE_FLOOR = 1e-12
 
@@ -48,8 +54,10 @@ class FixedPointResult:
 
     `residual` is the Frobenius gap ||F(C*) - C*|| evaluated at the returned
     codebook, so a converged result satisfies the fixed-point condition to
-    within eps by construction. `trace` holds the codebook entering each
-    update, in order, and only when recording was requested.
+    within eps by construction. `assignment` is the soft assignment that
+    residual pass computed at the returned codebook. `trace` holds the
+    codebook entering each update, in order, and only when recording was
+    requested.
     """
 
     codebook: Codebook
@@ -58,6 +66,7 @@ class FixedPointResult:
     converged: bool
     trace: tuple[Codebook, ...] | None = None
     degenerate_clusters: int = field(default=0)
+    assignment: SoftAssignment | None = field(default=None, repr=False)
 
     @property
     def retained_codebooks(self) -> int:
@@ -106,26 +115,24 @@ def init_codebook(w: WeightMatrix, k: int, strategy: InitStrategy) -> Codebook:
     return Codebook(points[chosen])
 
 
-def _update(wd: np.ndarray, cd: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+def _update(
+    wd: np.ndarray, cd: np.ndarray, tau: float
+) -> tuple[np.ndarray, int, SoftAssignment]:
     """One soft k-means center update on raw arrays.
 
-    Returns the new k x d centers and the number of degenerate clusters
+    Returns the new k x d centers, the number of degenerate clusters
     (attention column sums below the floor), whose centers are kept stale
-    instead of dividing by zero.
+    instead of dividing by zero, and the soft assignment at cd.
     """
-    a = attention(
-        DistanceMatrix(np.sqrt(((wd.T[:, None, :] - cd[None, :, :]) ** 2).sum(axis=2))),
-        tau,
-    ).data
-    col_sums = a.sum(axis=0)
-    denom = np.maximum(col_sums, DEGENERATE_FLOOR)
-    new_cd = (a.T @ wd.T) / denom[:, None]
-    degenerate = col_sums < DEGENERATE_FLOOR
+    asg = soft_assign(wd, cd, tau)
+    denom = np.maximum(asg.col_sums, DEGENERATE_FLOOR)
+    new_cd = (asg.att @ wd.T) / denom[:, None]
+    degenerate = asg.col_sums < DEGENERATE_FLOOR
     if degenerate.any():
         new_cd[degenerate] = cd[degenerate]
     if not np.all(np.isfinite(new_cd)):
         raise NumericsError("center update produced non-finite values")
-    return new_cd, int(degenerate.sum())
+    return new_cd, int(degenerate.sum()), asg
 
 
 def fixed_point_map_F(w: WeightMatrix, c: Codebook, tau: float) -> Codebook:
@@ -134,8 +141,7 @@ def fixed_point_map_F(w: WeightMatrix, c: Codebook, tau: float) -> Codebook:
         raise ParamError(f"tau must be positive, got {tau}")
     if w.d != c.d:
         raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
-    new_cd, _ = _update(w.data, c.data, tau)
-    return Codebook(new_cd)
+    return Codebook(_update(w.data, c.data, tau)[0])
 
 
 def solve_fixed_point(
@@ -150,7 +156,8 @@ def solve_fixed_point(
 
     The reported residual is the fixed-point gap of the returned codebook
     itself, obtained with one extra (never recorded) evaluation of F, so
-    `converged` certifies ||F(C*) - C*|| < eps exactly.
+    `converged` certifies ||F(C*) - C*|| < eps exactly. That evaluation's
+    soft assignment is returned with the result.
     """
     if tau <= 0:
         raise ParamError(f"tau must be positive, got {tau}")
@@ -168,7 +175,7 @@ def solve_fixed_point(
     degenerate = 0
     iterations = 0
     for _ in range(max_iters):
-        nxt, deg = _update(w.data, cur, tau)
+        nxt, deg, _ = _update(w.data, cur, tau)
         degenerate += deg
         if record_trace:
             trace.append(Codebook(cur))
@@ -178,7 +185,7 @@ def solve_fixed_point(
         if gap < eps:
             break
 
-    final_map, _ = _update(w.data, cur, tau)
+    final_map, _, assignment = _update(w.data, cur, tau)
     residual = float(np.linalg.norm(final_map - cur))
     return FixedPointResult(
         codebook=Codebook(cur),
@@ -187,4 +194,5 @@ def solve_fixed_point(
         converged=residual < eps,
         trace=tuple(trace) if record_trace else None,
         degenerate_clusters=degenerate,
+        assignment=assignment,
     )

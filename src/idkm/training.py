@@ -6,9 +6,19 @@ the float weights along two routes: the direct path (codebook held fixed)
 and the cluster path through dC*/dW via the configured gradient backend.
 Plain SGD, no momentum. Biases are never quantized.
 
+The solver evaluates each layer's distances, attention and column sums once
+per iteration and once more at C*, in its residual pass. The soft quantizer,
+its VJP and the cluster backward (including a jfb retry after a failed
+adjoint) all reuse that last evaluation. Beyond the network's own arrays, a step therefore holds per
+layer one m x k distance and one m x k attention matrix (float64), and,
+during that layer's backward pass, its m x k x d unit distance directions.
+For the 100,352-weight layer at k=4, d=1 each is 401,408 entries, 3.2 MB.
+No backend forms a dense (k*d) x (d*m) Jacobian.
+
 StepMetrics.retained_iterate_count records how many codebook snapshots a
 step held for backward: 1 for the implicit and jfb backends regardless of
-how many cluster iterations ran, and the full iteration count for unrolled.
+how many cluster iterations ran, and the full iteration count for unrolled,
+which also evaluates one soft assignment per snapshot in its backward sweep.
 That counter is the package's memory claim, asserted exactly in the tests.
 """
 
@@ -166,7 +176,9 @@ def quantized_train_step(
     for index, key in enumerate(qkeys):
         wm, result = _solve_layer(key, index, state.weights[key], state, cfg, record)
         solved[key] = (wm, result)
-        soft = soft_quantize(wm, result.codebook, cfg.tau)
+        soft = soft_quantize(
+            wm, result.codebook, cfg.tau, assignment=result.assignment
+        )
         run_weights[key] = flatten_weights(soft).reshape(state.weights[key].shape)
     loss, grads = loss_and_grad(net, run_weights, x, y, cfg.loss_kind)
     t_forward = time.perf_counter() - t0
@@ -178,7 +190,8 @@ def quantized_train_step(
         if name not in solved:
             new_weights[name] = tensor - cfg.learning_rate * grads[name]
             continue
-        wm, result = solved[name]
+        # Popped, so the layer's soft assignment is freed after its backward.
+        wm, result = solved.pop(name)
         stats = {
             "iters": result.iterations,
             "residual": result.residual,
@@ -188,7 +201,8 @@ def quantized_train_step(
         }
         upstream = partition_weights(grads[name].ravel(), wm.d, allow_pad=True)
         grad_direct, grad_book = soft_quantize_vjp(
-            upstream.data, wm, result.codebook, cfg.tau
+            upstream.data, wm, result.codebook, cfg.tau,
+            assignment=result.assignment,
         )
         total = np.zeros_like(wm.data)
         if cfg.direct_path:
@@ -200,7 +214,8 @@ def quantized_train_step(
             else:
                 try:
                     flat_grad = vjp_dC_dW(
-                        u_vec, wm, result.codebook, cfg.tau, cfg.backend
+                        u_vec, wm, result.codebook, cfg.tau, cfg.backend,
+                        assignment=result.assignment,
                     )
                 except AdjointDivergence as exc:
                     if not cfg.fallback_jfb:
@@ -208,7 +223,8 @@ def quantized_train_step(
                     stats["fallback"] = True
                     fallback = dataclasses.replace(cfg.backend, kind="jfb")
                     flat_grad = vjp_dC_dW(
-                        u_vec, wm, result.codebook, cfg.tau, fallback
+                        u_vec, wm, result.codebook, cfg.tau, fallback,
+                        assignment=result.assignment,
                     )
             total += flat_grad.reshape(wm.d, wm.m)
         flat = total.T.ravel()[: tensor.size]

@@ -7,6 +7,7 @@ from idkm.errors import AdjointDivergence, ParamError, ShapeError
 from idkm.gradcheck import (
     FORWARD_EPS,
     FORWARD_MAX_ITERS,
+    TOL_FD_BLOCKS,
     GradInstance,
     check_oracle_equivalence,
     check_update_blocks,
@@ -24,7 +25,14 @@ from idkm.gradients import (
     vjp_dC_dW,
     vjp_through_trace,
 )
-from idkm.pq import Codebook, partition_weights
+from idkm.pq import (
+    Codebook,
+    WeightMatrix,
+    partition_weights,
+    soft_assign,
+    soft_quantize,
+    soft_quantize_vjp,
+)
 from idkm.solver import InitStrategy, init_codebook, solve_fixed_point
 
 TIGHT = GradBackend(adjoint_eps=1e-12, max_adjoint_iters=4000)
@@ -75,6 +83,83 @@ class TestJacobiansOfF:
             jacobians_of_F(w, Codebook([[0.0]]), tau=0.5)
         with pytest.raises(ParamError):
             jacobians_of_F(w, Codebook([[0.0, 0.0]]), tau=0.0)
+
+
+def _assert_vjp_matches_dense(w, c, tau, seed):
+    jac = jacobians_of_F(w, c, tau)
+    v = np.random.default_rng(seed).normal(size=c.k * c.d)
+    grad_c, grad_w = jac.vjp(v)
+    assert rel_err(grad_c, v @ jac.j_c) <= 1e-12
+    assert rel_err(grad_w, v @ jac.j_w) <= 1e-12
+
+
+class TestMatrixFreeVjp:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_dense_blocks_on_gradcheck_instances(self, seed):
+        inst = make_instance(seed)
+        _assert_vjp_matches_dense(inst.w, inst.c_star, inst.tau, seed)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0, 3.0])
+    def test_matches_the_dense_blocks_at_k16_d4(self, tau):
+        rng = np.random.default_rng(int(100 * tau))
+        w = partition_weights(rng.normal(size=40 * 4), 4)
+        c = Codebook(rng.normal(size=(16, 4)))
+        _assert_vjp_matches_dense(w, c, tau, seed=int(100 * tau))
+
+    def test_shared_assignment_gives_the_same_linearisation(self):
+        inst = make_instance(3)
+        shared = soft_assign(inst.w.data, inst.c_star.data, inst.tau)
+        fresh = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        reused = jacobians_of_F(inst.w, inst.c_star, inst.tau, assignment=shared)
+        np.testing.assert_array_equal(reused.j_c, fresh.j_c)
+
+    def test_assignment_for_another_point_is_refused(self):
+        inst = make_instance(3)
+        shared = soft_assign(inst.w.data, inst.c_star.data, inst.tau)
+        with pytest.raises(ParamError):
+            jacobians_of_F(inst.w, inst.c_star, 2 * inst.tau, assignment=shared)
+        fewer = Codebook(inst.c_star.data[:1])
+        with pytest.raises(ShapeError):
+            jacobians_of_F(inst.w, fewer, inst.tau, assignment=shared)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-301])
+def test_sub_vector_on_a_codeword_has_one_zero_distance_rule(offset):
+    # A sub-vector at (or within SAFE_DIV_EPS of) a codeword has no distance
+    # direction. Central differences straddle the kink symmetrically, so they
+    # see that pair's direction term as zero: both derivative routes must too.
+    # (The squared offset 1e-301 underflows, so its distance computes as 0.)
+    rng = np.random.default_rng(21)
+    flat = rng.normal(size=7)
+    flat[3] = offset
+    w = partition_weights(flat, 1)
+    c = Codebook([[-1.0], [0.0], [1.5]])
+    tau = 0.5
+    _assert_vjp_matches_dense(w, c, tau, seed=21)
+    err_c, err_w = check_update_blocks(
+        GradInstance(seed=21, w=w, c0=c, c_star=c, k=3, tau=tau)
+    )
+    assert err_c <= TOL_FD_BLOCKS and err_w <= TOL_FD_BLOCKS
+
+    upstream = rng.normal(size=(1, 7))
+
+    def phi(wd, cd):
+        q = soft_quantize(WeightMatrix(data=wd, n=7, pad_count=0), Codebook(cd), tau)
+        return float((upstream * q.data).sum())
+
+    grad_w, grad_c = soft_quantize_vjp(upstream, w, c, tau)
+    fd = []
+    for base, other, at_w in ((w.data, c.data, True), (c.data, w.data, False)):
+        for idx in np.ndindex(base.shape):
+            h = 1e-6 * (1.0 + abs(base[idx]))
+            up, dn = base.copy(), base.copy()
+            up[idx] += h
+            dn[idx] -= h
+            pair = ((up, other), (dn, other)) if at_w else ((other, up), (other, dn))
+            fd.append((phi(*pair[0]) - phi(*pair[1])) / (2 * h))
+    got = np.concatenate([grad_w.ravel(), grad_c.ravel()])
+    assert np.all(np.isfinite(got))
+    assert rel_err(got, np.array(fd)) <= 1e-5
 
 
 class TestNeumannInverse:

@@ -1,8 +1,13 @@
 """Quantization-aware training loop: gradients, instrumentation, reports."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import idkm.gradients as gradients
+import idkm.pq as pq
+import idkm.solver as solver
 import idkm.training as training
 from idkm.data import synthetic_blobs
 from idkm.errors import AdjointDivergence, ParamError, ShapeError
@@ -213,10 +218,10 @@ class TestQuantizedStep:
     def test_divergence_surfaces_the_layer_name(self, monkeypatch):
         real = training.vjp_dC_dW
 
-        def flaky(upstream, w, c_star, tau, backend):
+        def flaky(upstream, w, c_star, tau, backend, **kwargs):
             if backend.kind == "implicit":
                 raise AdjointDivergence("synthetic failure")
-            return real(upstream, w, c_star, tau, backend)
+            return real(upstream, w, c_star, tau, backend, **kwargs)
 
         monkeypatch.setattr(training, "vjp_dC_dW", flaky)
         net, weights, data = blob_task(7)
@@ -229,10 +234,10 @@ class TestQuantizedStep:
     def test_divergence_falls_back_to_jfb_when_asked(self, monkeypatch):
         real = training.vjp_dC_dW
 
-        def flaky(upstream, w, c_star, tau, backend):
+        def flaky(upstream, w, c_star, tau, backend, **kwargs):
             if backend.kind == "implicit":
                 raise AdjointDivergence("synthetic failure")
-            return real(upstream, w, c_star, tau, backend)
+            return real(upstream, w, c_star, tau, backend, **kwargs)
 
         monkeypatch.setattr(training, "vjp_dC_dW", flaky)
         net, weights, data = blob_task(7)
@@ -242,6 +247,87 @@ class TestQuantizedStep:
             small_cfg(fallback_jfb=True),
         )
         assert all(s["fallback"] for s in metrics.per_layer.values())
+
+
+def count_soft_assignments(monkeypatch):
+    """Count distance and attention passes per layer size m, as perfbench does,
+    by patching the names each module looks them up by.
+
+    Returns the live counters, a snapshot of them taken right after each
+    layer's solve (keyed by m), and the list of dense dF/dW builds.
+    """
+    passes = {"distances": Counter(), "attention": Counter()}
+    after_solve = {}
+    dense_builds = []
+    distances, attention = pq._distances, pq.attention
+
+    def counted_distances(wd, cd):
+        passes["distances"][wd.shape[1]] += 1
+        return distances(wd, cd)
+
+    def counted_attention(dist, tau):
+        m = dist.shape[1] if isinstance(dist, np.ndarray) else dist.data.shape[0]
+        passes["attention"][m] += 1
+        return attention(dist, tau)
+
+    real_solve = training.solve_fixed_point
+
+    def solve(w, *args, **kwargs):
+        result = real_solve(w, *args, **kwargs)
+        after_solve[w.m] = {kind: count[w.m] for kind, count in passes.items()}
+        return result
+
+    monkeypatch.setattr(pq, "_distances", counted_distances)
+    for module in (pq, solver, gradients):
+        monkeypatch.setattr(module, "attention", counted_attention)
+    monkeypatch.setattr(training, "solve_fixed_point", solve)
+    monkeypatch.setattr(gradients, "dense_weight_jacobian",
+                        lambda *args: dense_builds.append(args))
+    return passes, after_solve, dense_builds
+
+
+class TestOneSoftAssignmentPerStep:
+    def test_implicit_with_jfb_retry_reuses_the_solvers_evaluation(self, monkeypatch):
+        passes, after_solve, dense_builds = count_soft_assignments(monkeypatch)
+        real = training.vjp_dC_dW
+
+        def adjoint_then_fail(upstream, w, c_star, tau, backend, **kwargs):
+            out = real(upstream, w, c_star, tau, backend, **kwargs)
+            if backend.kind == "implicit":
+                raise AdjointDivergence("synthetic failure")
+            return out
+
+        monkeypatch.setattr(training, "vjp_dC_dW", adjoint_then_fail)
+        net, weights, data = blob_task(7)
+        x, y = data.inputs[:16], data.labels[:16]
+        _, metrics = quantized_train_step(
+            net, x, y, TrainState(weights=dict(weights)),
+            small_cfg(fallback_jfb=True),
+        )
+        assert len(metrics.per_layer) == 2
+        for name, stats in metrics.per_layer.items():
+            m = weights[name].size
+            assert stats["fallback"]
+            assert passes["attention"][m] <= stats["iters"] + 1
+            assert passes["distances"][m] == passes["attention"][m]
+            # soft-quantize, its VJP, the adjoint and the retry add no pass.
+            assert after_solve[m] == {k: count[m] for k, count in passes.items()}
+        assert dense_builds == []
+
+    def test_unrolled_evaluates_once_per_recorded_iterate(self, monkeypatch):
+        passes, after_solve, dense_builds = count_soft_assignments(monkeypatch)
+        net, weights, data = blob_task(7)
+        x, y = data.inputs[:16], data.labels[:16]
+        _, metrics = quantized_train_step(
+            net, x, y, TrainState(weights=dict(weights)),
+            small_cfg(backend=GradBackend(kind="unrolled")),
+        )
+        for name, stats in metrics.per_layer.items():
+            m = weights[name].size
+            assert after_solve[m]["attention"] <= stats["iters"] + 1
+            assert passes["attention"][m] - after_solve[m]["attention"] == stats["iters"]
+            assert passes["distances"][m] == passes["attention"][m]
+        assert dense_builds == []
 
 
 class TestQuantizeAndEvaluate:
