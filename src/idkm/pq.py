@@ -272,7 +272,9 @@ def distance_matrix(w: WeightMatrix, c: Codebook) -> DistanceMatrix:
     return DistanceMatrix(_distances(w.data, c.data).T)
 
 
-def attention(dmat: DistanceMatrix | np.ndarray, tau: float):
+def attention(
+    dmat: DistanceMatrix | np.ndarray, tau: float
+) -> AttentionMatrix | np.ndarray:
     """Row-wise softmax of -distances/tau, computed with max subtraction.
 
     The subtraction keeps the largest exponent at exactly 0, so sharp

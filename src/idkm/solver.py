@@ -66,7 +66,7 @@ class FixedPointResult:
     converged: bool
     trace: tuple[Codebook, ...] | None = None
     degenerate_clusters: int = field(default=0)
-    assignment: SoftAssignment | None = field(default=None, repr=False)
+    assignment: SoftAssignment | None = field(default=None, repr=False, compare=False)
 
     @property
     def retained_codebooks(self) -> int:
