@@ -165,7 +165,6 @@ _QUANTIZE_OVERRIDES = (
     ("alpha0", "alpha0"),
     ("seed", "seed"),
     ("fallback_jfb", "fallback_jfb"),
-    ("record_trace", "record_trace"),
 )
 
 
@@ -341,8 +340,6 @@ def _add_run_flags(sp, include_quantize: bool):
         sp.add_argument("--eps", type=float, default=None)
         sp.add_argument("--alpha0", type=float, default=None)
         sp.add_argument("--fallback-jfb", dest="fallback_jfb",
-                        action="store_const", const=True, default=None)
-        sp.add_argument("--record-trace", dest="record_trace",
                         action="store_const", const=True, default=None)
 
 

@@ -47,7 +47,6 @@ SECTION_KEYS = {
         "max_restarts",
         "adjoint_eps",
         "fallback_jfb",
-        "record_trace",
         "init",
         "seed",
     },
@@ -152,7 +151,6 @@ _QUANTIZE_TYPES = {
     "max_restarts": int,
     "adjoint_eps": float,
     "fallback_jfb": bool,
-    "record_trace": bool,
     "init": str,
     "seed": int,
 }
@@ -305,7 +303,6 @@ def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainCo
             init=init,
             seed=merged.get("seed", cfg.seed),
             fallback_jfb=merged.get("fallback_jfb", False),
-            record_trace=merged.get("record_trace", False),
         )
     except Exception as exc:
         raise ConfigError(str(exc)) from exc

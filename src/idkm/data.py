@@ -261,10 +261,10 @@ class Checkpoint:
         return Network(layers=specs)
 
     def bits_per_weight(self) -> dict[str, float]:
-        """Effective bits per weight for each stored codebook."""
+        """Effective bits per weight for each stored codebook, from its shape."""
         return {
-            entry["layer"]: entry["bits_per_weight"]
-            for entry in self.manifest.get("codebooks", [])
+            layer: math.log2(book.k) / book.d
+            for layer, book in self.codebooks.items()
         }
 
 
@@ -348,38 +348,62 @@ def _decode_tensor(payload: bytes, entry: dict, path) -> np.ndarray:
     return flat.reshape(shape).astype(np.float64)
 
 
+def _manifest_entries(manifest: dict, key: str, label: str, path) -> list:
+    """The manifest's `key` list, each entry checked to be decodable."""
+    entries = manifest.get(key, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: manifest {key!r} is not a list")
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get(label), str)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(s, int) and s >= 0 for s in entry["shape"])
+            and isinstance(entry.get("offset"), int)
+        ):
+            raise FormatError(
+                f"{path}: {key} entry {entry!r} needs a {label!r} string, "
+                f"a 'shape' list of sizes and an integer 'offset'"
+            )
+    return entries
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; tensors come back as float64."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        try:
-            manifest = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
-        payload = fh.read()
+        size_field = fh.read(8)
+        body = fh.read()
+    if len(size_field) != 8:
+        raise FormatError(f"{path}: truncated header ({len(size_field)} of 8 bytes)")
+    (header_len,) = struct.unpack("<Q", size_field)
+    try:
+        manifest = json.loads(body[:header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
+    payload = body[header_len:]
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(
             f"{path}: format version {version!r}, expected {CHECKPOINT_VERSION}"
         )
-    expected = sum(
-        int(np.prod(e["shape"])) * 4
-        for e in manifest["tensors"] + manifest.get("codebooks", [])
-    )
+    if "tensors" not in manifest:
+        raise FormatError(f"{path}: manifest lists no 'tensors'")
+    tensors = _manifest_entries(manifest, "tensors", "name", path)
+    books = _manifest_entries(manifest, "codebooks", "layer", path)
+    expected = sum(int(np.prod(e["shape"])) * 4 for e in tensors + books)
     if expected != len(payload):
         raise FormatError(
             f"{path}: manifest describes {expected} payload bytes, "
             f"file holds {len(payload)}"
         )
-    weights = {
-        e["name"]: _decode_tensor(payload, e, path) for e in manifest["tensors"]
-    }
+    weights = {e["name"]: _decode_tensor(payload, e, path) for e in tensors}
     codebooks = {
-        e["layer"]: Codebook(_decode_tensor(payload, e, path))
-        for e in manifest.get("codebooks", [])
+        e["layer"]: Codebook(_decode_tensor(payload, e, path)) for e in books
     }
     return Checkpoint(manifest=manifest, weights=weights, codebooks=codebooks)
 

@@ -7,8 +7,8 @@ to the weights being clustered:
   Exact for the computed iterate, but must retain the whole trace, so its
   memory and time grow linearly with the iteration count.
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
-  solution only. The inverse (I - dF/dC*)^-1 is obtained by an averaged
-  fixed-point iteration with alpha-halving restarts on divergence.
+  solution only. The adjoint row u (I - dF/dC*)^-1 is obtained by an
+  averaged fixed-point iteration with alpha-halving restarts on divergence.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
@@ -19,9 +19,11 @@ O(m*k*d) from the soft assignment the forward solve kept at C*, so a training
 step evaluates distances and attention once per layer for its backward pass
 and never forms a (k*d) x (d*m) block. ``implicit`` also builds the small
 (k*d) x (k*d) dF/dC its adjoint iterates on; ``unrolled`` evaluates one soft
-assignment per recorded iterate. The dense dF/dW, and the dense dC*/dW
-routes built on it (implicit_dC_dW, jfb_dC_dW, unrolled_dC_dW), are oracles
-for gradcheck and the tests.
+assignment per recorded iterate. Each backend has this one implementation:
+vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). A dense dC*/dW
+exists only in gradcheck, which stacks these VJPs over basis rows, and the
+dense dF/dW (dense_weight_jacobian) is the independent oracle they are
+checked against.
 
 Flattening conventions: a k x d codebook flattens row-major to length k*d
 (codeword j, coordinate p maps to j*d + p); a d x m weight matrix flattens
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .pq import (
     assignment_at,
     attention,
 )
-from .solver import DEGENERATE_FLOOR, solve_fixed_point
+from .solver import DEGENERATE_FLOOR
 
 BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
@@ -204,26 +205,25 @@ def jacobians_of_F(
 
 
 def _averaged_solve(
-    apply_map: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    backend: GradBackend,
-    label: str,
+    upstream: np.ndarray, j_c: np.ndarray, backend: GradBackend
 ) -> np.ndarray:
-    """Averaged fixed-point iteration x <- alpha*g(x) + (1-alpha)*x.
+    """Adjoint row v = upstream + v j_c by averaged iteration from upstream.
 
-    Divergence (ten consecutive residual increases, a residual above the cap,
-    or non-finite values) restarts from `start` with alpha halved. Returns an
-    iterate whose residual ||g(x) - x|| is below backend.adjoint_eps.
+    Each step maps x to g(x) = upstream + x j_c and moves to
+    alpha*g(x) + (1-alpha)*x. Divergence (ten consecutive residual increases,
+    a residual above the cap, or non-finite values) restarts from upstream
+    with alpha halved. Returns an iterate whose residual ||g(x) - x|| is
+    below backend.adjoint_eps, i.e. upstream (I - j_c)^-1 to that accuracy.
     """
     alpha = backend.alpha0
     attempts = backend.max_restarts + 1
     for attempt in range(attempts):
-        x = start.copy()
+        x = upstream.copy()
         prev_res = np.inf
         growth = 0
         diverged = False
         for _ in range(backend.max_adjoint_iters):
-            mapped = apply_map(x)
+            mapped = upstream + x @ j_c
             res = float(np.linalg.norm(mapped - x))
             if not np.isfinite(res) or res > DIVERGENCE_CAP:
                 diverged = True
@@ -238,64 +238,21 @@ def _averaged_solve(
             prev_res = res
         if not diverged:
             raise AdjointDivergence(
-                f"{label}: residual still above {backend.adjoint_eps:g} after "
+                f"adjoint: residual still above {backend.adjoint_eps:g} after "
                 f"{backend.max_adjoint_iters} iterations at alpha={alpha:g}"
             )
         alpha *= 0.5
     raise AdjointDivergence(
-        f"{label}: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"
+        f"adjoint: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"
     )
 
 
 def neumann_inverse(j_c: np.ndarray, backend: GradBackend) -> np.ndarray:
-    """Solve M = j_c M + I by averaged iteration, yielding (I - j_c)^-1."""
+    """(I - j_c)^-1, row r being the adjoint solve vjp_dC_dW runs for e_r."""
     j_c = np.asarray(j_c, dtype=np.float64)
     if j_c.ndim != 2 or j_c.shape[0] != j_c.shape[1]:
         raise ShapeError(f"j_c must be square, got {j_c.shape}")
-    eye = np.eye(j_c.shape[0])
-    return _averaged_solve(lambda m: j_c @ m + eye, eye, backend, "adjoint inverse")
-
-
-def implicit_dC_dW(
-    w: WeightMatrix, c_star: Codebook, tau: float, backend: GradBackend
-) -> np.ndarray:
-    """Derivative of the fixed point with respect to the weights.
-
-    Computed from the solution alone as (I - dF/dC*)^-1 dF/dW, so nothing
-    from the forward solve needs to be retained.
-    """
-    jac = jacobians_of_F(w, c_star, tau)
-    m_star = neumann_inverse(jac.j_c, backend)
-    return m_star @ jac.j_w
-
-
-def jfb_dC_dW(w: WeightMatrix, c_star: Codebook, tau: float) -> np.ndarray:
-    """Jacobian-free approximation: the weight block of one update alone."""
-    return jacobians_of_F(w, c_star, tau).j_w
-
-
-def unrolled_dC_dW(
-    w: WeightMatrix,
-    c0: Codebook,
-    tau: float,
-    eps: float,
-    max_iters: int,
-) -> np.ndarray:
-    """Exact derivative of the final iterate by a reverse sweep of the trace.
-
-    Runs the forward solve with trace recording, then accumulates the chain
-    rule backwards through every recorded update. The initial codebook is
-    treated as a constant.
-    """
-    result = solve_fixed_point(w, c0, tau, eps, max_iters, record_trace=True)
-    k_d = c0.k * c0.d
-    total = np.zeros((k_d, w.d * w.m))
-    carry = np.eye(k_d)
-    for step_input in reversed(result.trace):
-        jac = jacobians_of_F(w, step_input, tau)
-        total += carry @ jac.j_w
-        carry = carry @ jac.j_c
-    return total
+    return np.stack([_averaged_solve(e, j_c, backend) for e in np.eye(len(j_c))])
 
 
 def vjp_dC_dW(
@@ -308,7 +265,7 @@ def vjp_dC_dW(
 ) -> np.ndarray:
     """Row-contracted form: upstream @ dC*/dW without materializing M*.
 
-    Solves v = upstream + v j_c by the same averaged iteration (or takes
+    Solves v = upstream + v j_c by averaged iteration (or takes
     v = upstream for the jfb backend) and returns v @ dF/dW, matrix-free.
     `assignment` is the solver's soft assignment at c_star; with it, no
     distance or attention pass runs here. The unrolled backend needs the
@@ -325,11 +282,7 @@ def vjp_dC_dW(
     jac = jacobians_of_F(w, c_star, tau, assignment=assignment)
     if backend.kind == "jfb":
         return jac.vjp(upstream)[1]
-    j_c = jac.j_c
-    v = _averaged_solve(
-        lambda x: upstream + x @ j_c, upstream, backend, "adjoint VJP"
-    )
-    return jac.vjp(v)[1]
+    return jac.vjp(_averaged_solve(upstream, jac.j_c, backend))[1]
 
 
 def vjp_through_trace(

@@ -363,19 +363,3 @@ def soft_quantize_vjp(
     if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_c))):
         raise NumericsError("soft-quantizer VJP produced non-finite values")
     return grad_w, grad_c
-
-
-def clustering_cost(
-    w: WeightMatrix, c: Codebook, mode: str = "hard", tau: float | None = None
-) -> float:
-    """Sum of squared 2-norms between sub-vectors and their quantized images."""
-    if mode == "hard":
-        q = hard_quantize(w, c)
-    elif mode == "soft":
-        if tau is None:
-            raise ParamError("soft clustering cost requires tau")
-        q = soft_quantize(w, c, tau)
-    else:
-        raise ParamError(f"unknown cost mode {mode!r}")
-    diff = w.data - q.data
-    return float((diff * diff).sum())

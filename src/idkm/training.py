@@ -63,9 +63,8 @@ def bits_per_weight(k: int, d: int) -> float:
 class TrainConfig:
     """Hyperparameters for quantization training.
 
-    k and d apply to every quantized layer unless per_layer maps a weight
-    key to its own (k, d). epochs=0 is allowed and means: cluster the
-    pretrained weights once, evaluate, update nothing.
+    k and d apply to every quantized layer. epochs=0 is allowed and means:
+    cluster the pretrained weights once, evaluate, update nothing.
     """
 
     k: int = 4
@@ -81,10 +80,6 @@ class TrainConfig:
     init: InitStrategy = field(default_factory=InitStrategy)
     seed: int = 0
     fallback_jfb: bool = False
-    record_trace: bool = False
-    direct_path: bool = True
-    cluster_path: bool = True
-    per_layer: Mapping[str, tuple[int, int]] | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -103,11 +98,6 @@ class TrainConfig:
             raise ParamError("batch_size must be >= 1")
         if self.loss_kind not in LOSS_KINDS:
             raise ParamError(f"unknown loss {self.loss_kind!r}")
-
-    def layer_kd(self, key: str) -> tuple[int, int]:
-        if self.per_layer and key in self.per_layer:
-            return self.per_layer[key]
-        return self.k, self.d
 
 
 @dataclass(frozen=True)
@@ -141,13 +131,12 @@ def _solve_layer(
     record: bool,
 ) -> tuple[WeightMatrix, FixedPointResult]:
     """Partition one weight tensor and run the clustering solve."""
-    k, d = cfg.layer_kd(key)
-    wm = partition_weights(tensor.ravel(), d, allow_pad=True)
+    wm = partition_weights(tensor.ravel(), cfg.d, allow_pad=True)
     if key in state.codebooks:
         strategy = InitStrategy(kind="warm_start", warm_codebook=state.codebooks[key])
     else:
         strategy = dataclasses.replace(cfg.init, seed=cfg.init.seed + index)
-    c0 = init_codebook(wm, k, strategy)
+    c0 = init_codebook(wm, cfg.k, strategy)
     result = solve_fixed_point(
         wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record
     )
@@ -168,7 +157,7 @@ def quantized_train_step(
     solution. Layers without the quantize flag get plain SGD.
     """
     qkeys = net.quantized_keys()
-    record = cfg.backend.kind == "unrolled" or cfg.record_trace
+    record = cfg.backend.kind == "unrolled"
 
     t0 = time.perf_counter()
     solved: dict[str, tuple[WeightMatrix, FixedPointResult]] = {}
@@ -204,29 +193,25 @@ def quantized_train_step(
             upstream.data, wm, result.codebook, cfg.tau,
             assignment=result.assignment,
         )
-        total = np.zeros_like(wm.data)
-        if cfg.direct_path:
-            total += grad_direct
-        if cfg.cluster_path:
-            u_vec = grad_book.ravel()
-            if cfg.backend.kind == "unrolled":
-                flat_grad = vjp_through_trace(u_vec, wm, result.trace, cfg.tau)
-            else:
-                try:
-                    flat_grad = vjp_dC_dW(
-                        u_vec, wm, result.codebook, cfg.tau, cfg.backend,
-                        assignment=result.assignment,
-                    )
-                except AdjointDivergence as exc:
-                    if not cfg.fallback_jfb:
-                        raise AdjointDivergence(f"{name}: {exc}") from exc
-                    stats["fallback"] = True
-                    fallback = dataclasses.replace(cfg.backend, kind="jfb")
-                    flat_grad = vjp_dC_dW(
-                        u_vec, wm, result.codebook, cfg.tau, fallback,
-                        assignment=result.assignment,
-                    )
-            total += flat_grad.reshape(wm.d, wm.m)
+        u_vec = grad_book.ravel()
+        if cfg.backend.kind == "unrolled":
+            flat_grad = vjp_through_trace(u_vec, wm, result.trace, cfg.tau)
+        else:
+            try:
+                flat_grad = vjp_dC_dW(
+                    u_vec, wm, result.codebook, cfg.tau, cfg.backend,
+                    assignment=result.assignment,
+                )
+            except AdjointDivergence as exc:
+                if not cfg.fallback_jfb:
+                    raise AdjointDivergence(f"{name}: {exc}") from exc
+                stats["fallback"] = True
+                fallback = dataclasses.replace(cfg.backend, kind="jfb")
+                flat_grad = vjp_dC_dW(
+                    u_vec, wm, result.codebook, cfg.tau, fallback,
+                    assignment=result.assignment,
+                )
+        total = grad_direct + flat_grad.reshape(wm.d, wm.m)
         flat = total.T.ravel()[: tensor.size]
         new_weights[name] = tensor - cfg.learning_rate * flat.reshape(tensor.shape)
         state.codebooks[name] = result.codebook
@@ -308,7 +293,6 @@ def solve_codebooks(
 
 
 def _epoch_record(epoch, state, loss, last_metrics, cfg, hard_acc, soft_acc):
-    k, d = cfg.k, cfg.d
     return {
         "epoch": epoch,
         "step": state.step,
@@ -316,8 +300,8 @@ def _epoch_record(epoch, state, loss, last_metrics, cfg, hard_acc, soft_acc):
         "top1_hard": hard_acc,
         "top1_soft": soft_acc,
         "backend": cfg.backend.kind,
-        "k": k,
-        "d": d,
+        "k": cfg.k,
+        "d": cfg.d,
         "tau": cfg.tau,
         "cluster_iters": last_metrics.cluster_iters if last_metrics else 0,
         "residual": last_metrics.residual if last_metrics else 0.0,

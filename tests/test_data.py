@@ -3,11 +3,15 @@
 import gzip
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from idkm.cli import EXIT_DATA, main
 from idkm.data import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Dataset,
     append_jsonl,
     as_images,
@@ -25,6 +29,7 @@ from idkm.errors import FormatError, ParamError, ShapeError
 from idkm.nn import LayerSpec, Network
 from idkm.pq import Codebook
 
+REPO = Path(__file__).resolve().parents[1]
 PIXELS = bytes([0, 64, 128, 255, 10, 20, 30, 40])
 
 
@@ -213,6 +218,12 @@ def small_net():
     ))
 
 
+def _with_header(manifest) -> bytes:
+    """Length-prefixed checkpoint header around a manifest (no payload)."""
+    blob = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    return struct.pack("<Q", len(blob)) + blob
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, tmp_path):
         net = small_net()
@@ -246,6 +257,12 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             ckpt.codebooks["layer0.w"].data, books["layer0.w"].data
         )
+
+        def drop_bits(manifest):
+            del manifest["codebooks"][0]["bits_per_weight"]
+
+        self._tamper(path, drop_bits)
+        assert load_checkpoint(path).bits_per_weight() == {"layer0.w": 2.0}
 
     def _tamper(self, path, mutate):
         blob = path.read_bytes()
@@ -287,6 +304,24 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("body", [
+        b"\x05\x00\x00",
+        _with_header(b"[1, 2]"),
+        _with_header({"format_version": CHECKPOINT_VERSION}),
+        _with_header({"format_version": CHECKPOINT_VERSION,
+                      "tensors": [{"name": "layer0.w", "offset": 0}]}),
+    ], ids=["short-header", "manifest-not-object", "no-tensors",
+            "entry-without-shape"])
+    def test_malformed_file_is_a_format_error(self, tmp_path, capsys, body):
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + body)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+        config = str(REPO / "configs" / "blobs.ini")
+        code = main(["eval", "--config", config, "--checkpoint", str(path)])
+        assert code == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
 
 
 def test_jsonl_append_and_read(tmp_path):

@@ -11,19 +11,18 @@ from idkm.gradcheck import (
     GradInstance,
     check_oracle_equivalence,
     check_update_blocks,
+    dense_dC_dW,
     fd_solve_jacobian,
     make_instance,
     rel_err,
+    run_suite,
 )
 from idkm.gradients import (
+    ClusterJacobians,
     GradBackend,
-    implicit_dC_dW,
     jacobians_of_F,
-    jfb_dC_dW,
     neumann_inverse,
-    unrolled_dC_dW,
     vjp_dC_dW,
-    vjp_through_trace,
 )
 from idkm.pq import (
     Codebook,
@@ -36,6 +35,8 @@ from idkm.pq import (
 from idkm.solver import InitStrategy, init_codebook, solve_fixed_point
 
 TIGHT = GradBackend(adjoint_eps=1e-12, max_adjoint_iters=4000)
+JFB = GradBackend(kind="jfb")
+UNROLLED = GradBackend(kind="unrolled")
 
 
 def _converged_instance(seed, m, k, d, tau_factor=0.05):
@@ -121,6 +122,23 @@ class TestMatrixFreeVjp:
         fewer = Codebook(inst.c_star.data[:1])
         with pytest.raises(ShapeError):
             jacobians_of_F(inst.w, fewer, inst.tau, assignment=shared)
+
+
+def test_gradcheck_fails_on_a_planted_weight_vjp_error(monkeypatch):
+    # All three backends train with ClusterJacobians.vjp. A 0.1% error in its
+    # v @ dF/dW scales implicit and unrolled alike, so only the jfb line,
+    # which checks the VJP against the dense dF/dW, can catch it.
+    real = ClusterJacobians.vjp
+
+    def planted(self, v):
+        grad_c, grad_w = real(self, v)
+        return grad_c, 1.001 * grad_w
+
+    assert run_suite(4, with_fd=False).passed
+    monkeypatch.setattr(ClusterJacobians, "vjp", planted)
+    report = run_suite(4, with_fd=False)
+    assert not report.passed
+    assert report.jfb_block_err > 1e-4
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-301])
@@ -239,8 +257,11 @@ class TestImplicit:
     def test_huge_tau_reduces_to_the_weight_block(self):
         inst = _converged_instance(1, m=9, k=2, d=1)
         jac = jacobians_of_F(inst.w, inst.c_star, tau=1e12)
-        out = implicit_dC_dW(inst.w, inst.c_star, 1e12, GradBackend())
-        np.testing.assert_array_equal(out, jac.j_w)
+        out = dense_dC_dW(inst.w, inst.c_star, 1e12, GradBackend())
+        np.testing.assert_array_equal(
+            out, dense_dC_dW(inst.w, inst.c_star, 1e12, JFB)
+        )
+        assert rel_err(out, jac.j_w) <= 1e-12
 
     def test_hard_limit_recovers_cluster_mean_rows(self):
         # Saturated attention: each center is the mean of its members, so the
@@ -251,7 +272,7 @@ class TestImplicit:
             w, Codebook([[-1.0], [1.0]]), tau=1e-3, eps=1e-12, max_iters=200
         )
         assert result.converged
-        out = implicit_dC_dW(w, result.codebook, 1e-3, GradBackend())
+        out = dense_dC_dW(w, result.codebook, 1e-3, GradBackend())
         expected = np.zeros((2, 8))
         expected[0, :4] = 0.25
         expected[1, 4:] = 0.25
@@ -265,7 +286,7 @@ class TestImplicit:
 
     def test_matches_finite_differences_of_the_solve(self):
         inst = make_instance(7)
-        out = implicit_dC_dW(
+        out = dense_dC_dW(
             inst.w, inst.c_star, inst.tau, GradBackend(max_adjoint_iters=4000)
         )
         assert rel_err(out, fd_solve_jacobian(inst)) <= 1e-3
@@ -274,22 +295,21 @@ class TestImplicit:
 class TestJfb:
     def test_is_the_weight_block_by_definition(self):
         inst = _converged_instance(2, m=14, k=4, d=1)
-        np.testing.assert_array_equal(
-            jfb_dC_dW(inst.w, inst.c_star, inst.tau),
-            jacobians_of_F(inst.w, inst.c_star, inst.tau).j_w,
-        )
+        jfb = dense_dC_dW(inst.w, inst.c_star, inst.tau, JFB)
+        block = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_w
+        assert rel_err(jfb, block) <= 1e-12
 
     def test_coincides_with_implicit_when_centers_decouple(self):
         inst = _converged_instance(3, m=8, k=2, d=2)
-        jfb = jfb_dC_dW(inst.w, inst.c_star, tau=1e12)
-        imp = implicit_dC_dW(inst.w, inst.c_star, tau=1e12, backend=GradBackend())
+        jfb = dense_dC_dW(inst.w, inst.c_star, 1e12, JFB)
+        imp = dense_dC_dW(inst.w, inst.c_star, 1e12, GradBackend())
         np.testing.assert_array_equal(jfb, imp)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_keeps_a_descent_direction(self, seed):
         inst = make_instance(seed)
-        jfb = jfb_dC_dW(inst.w, inst.c_star, inst.tau)
-        imp = implicit_dC_dW(
+        jfb = dense_dC_dW(inst.w, inst.c_star, inst.tau, JFB)
+        imp = dense_dC_dW(
             inst.w, inst.c_star, inst.tau, GradBackend(max_adjoint_iters=4000)
         )
         assert float(jfb.ravel() @ imp.ravel()) > 0.0
@@ -298,29 +318,19 @@ class TestJfb:
 class TestUnrolled:
     def test_single_iteration_equals_the_weight_block_at_c0(self):
         inst = _converged_instance(4, m=10, k=3, d=1)
-        out = unrolled_dC_dW(inst.w, inst.c0, inst.tau, eps=1e-30, max_iters=1)
-        np.testing.assert_array_equal(
-            out, jacobians_of_F(inst.w, inst.c0, inst.tau).j_w
+        out = dense_dC_dW(
+            inst.w, inst.c0, inst.tau, UNROLLED, eps=1e-30, max_iters=1
         )
+        block = jacobians_of_F(inst.w, inst.c0, inst.tau).j_w
+        assert rel_err(out, block) <= 1e-12
 
     def test_converged_run_matches_finite_differences(self):
         inst = make_instance(5)
-        out = unrolled_dC_dW(
-            inst.w, inst.c0, inst.tau, FORWARD_EPS, FORWARD_MAX_ITERS
-        )
+        out = dense_dC_dW(inst.w, inst.c0, inst.tau, UNROLLED)
         assert rel_err(out, fd_solve_jacobian(inst)) <= 1e-3
 
 
 class TestVjp:
-    def test_basis_upstream_extracts_one_row(self):
-        inst = _converged_instance(6, m=12, k=3, d=1)
-        dense = implicit_dC_dW(inst.w, inst.c_star, inst.tau, TIGHT)
-        for r in (0, 2):
-            e = np.zeros(3)
-            e[r] = 1.0
-            row = vjp_dC_dW(e, inst.w, inst.c_star, inst.tau, TIGHT)
-            assert rel_err(row, dense[r]) <= 1e-8
-
     def test_zero_upstream_gives_zero(self):
         inst = _converged_instance(6, m=12, k=3, d=1)
         out = vjp_dC_dW(np.zeros(3), inst.w, inst.c_star, inst.tau, GradBackend())
@@ -351,20 +361,6 @@ class TestVjp:
         with pytest.raises(ShapeError):
             vjp_dC_dW(np.zeros(5), inst.w, inst.c_star, inst.tau, GradBackend())
 
-    def test_trace_sweep_matches_the_materialized_unrolled_jacobian(self):
-        inst = make_instance(9)
-        result = solve_fixed_point(
-            inst.w, inst.c0, inst.tau, FORWARD_EPS, FORWARD_MAX_ITERS,
-            record_trace=True,
-        )
-        dense = unrolled_dC_dW(
-            inst.w, inst.c0, inst.tau, FORWARD_EPS, FORWARD_MAX_ITERS
-        )
-        rng = np.random.default_rng(9)
-        upstream = rng.normal(size=inst.k * inst.w.d)
-        swept = vjp_through_trace(upstream, inst.w, result.trace, inst.tau)
-        assert rel_err(swept, upstream @ dense) <= 1e-10
-
 
 def test_implicit_and_jfb_need_no_trace():
     # The forward solve retains a single codebook and both one-shot backends
@@ -375,5 +371,5 @@ def test_implicit_and_jfb_need_no_trace():
     )
     assert result.trace is None
     assert result.retained_codebooks == 1
-    implicit_dC_dW(inst.w, result.codebook, inst.tau, GradBackend())
-    jfb_dC_dW(inst.w, result.codebook, inst.tau)
+    dense_dC_dW(inst.w, result.codebook, inst.tau, GradBackend())
+    dense_dC_dW(inst.w, result.codebook, inst.tau, JFB)

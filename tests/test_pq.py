@@ -11,7 +11,6 @@ from idkm.pq import (
     DistanceMatrix,
     WeightMatrix,
     attention,
-    clustering_cost,
     distance_matrix,
     flatten_weights,
     hard_quantize,
@@ -141,20 +140,6 @@ class TestQuantizers:
         soft = soft_quantize(w, c, tau=0.01)
         hard = hard_quantize(w, c)
         np.testing.assert_allclose(soft.data, hard.data, atol=1e-9, rtol=0)
-
-    def test_hard_cost_sums_squared_distances(self):
-        cost = clustering_cost(
-            _scalar_weights([0.0, 2.0]), _scalar_codebook([1.0]), mode="hard"
-        )
-        assert cost == pytest.approx(2.0, abs=1e-12)
-
-    def test_soft_cost_requires_tau(self):
-        w = _scalar_weights([0.0, 2.0])
-        c = _scalar_codebook([1.0])
-        with pytest.raises(ParamError):
-            clustering_cost(w, c, mode="soft")
-        with pytest.raises(ParamError):
-            clustering_cost(w, c, mode="nearest")
 
     def test_quantized_output_keeps_layout_fields(self):
         w = partition_weights(np.arange(5.0), 2, allow_pad=True)

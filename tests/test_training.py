@@ -86,11 +86,6 @@ class TestTrainConfig:
         with pytest.raises(ParamError):
             small_cfg(loss_kind="hinge")
 
-    def test_per_layer_overrides(self):
-        cfg = small_cfg(per_layer={"layer0.w": (2, 2)})
-        assert cfg.layer_kd("layer0.w") == (2, 2)
-        assert cfg.layer_kd("layer2.w") == (4, 1)
-
 
 class TestQuantizedStep:
     def test_unmarked_layers_get_plain_sgd(self):
@@ -171,32 +166,37 @@ class TestQuantizedStep:
         assert metrics.cluster_iters == forced_t
         assert metrics.retained_iterate_count == forced_t
 
-    def test_record_trace_flag_exposes_the_memory_cost(self):
-        # Tracing with a one-shot backend is a diagnostic: the counter must
-        # report what was actually held, not what the backend needed.
-        net, weights, data = blob_task(4)
-        x, y = data.inputs[:16], data.labels[:16]
-        _, metrics = quantized_train_step(
-            net, x, y, TrainState(weights=dict(weights)),
-            small_cfg(record_trace=True),
-        )
-        assert metrics.retained_iterate_count == metrics.cluster_iters > 1
-
-    def test_both_gradient_paths_are_live(self):
+    def test_both_gradient_paths_are_live(self, monkeypatch):
+        # The direct path (codebook held fixed) is the weight half of
+        # soft_quantize_vjp; the cluster path is vjp_dC_dW. Zeroing either
+        # must change the step.
         net, weights, data = blob_task(5)
         x, y = data.inputs[:16], data.labels[:16]
+        real_cluster = training.vjp_dC_dW
+        real_direct = training.soft_quantize_vjp
 
-        def step(**kw):
+        def no_cluster(*args, **kwargs):
+            return np.zeros_like(real_cluster(*args, **kwargs))
+
+        def no_direct(*args, **kwargs):
+            grad_w, grad_c = real_direct(*args, **kwargs)
+            return np.zeros_like(grad_w), grad_c
+
+        def step():
             out, _ = quantized_train_step(
-                net, x, y, TrainState(weights=dict(weights)), small_cfg(**kw)
+                net, x, y, TrainState(weights=dict(weights)), small_cfg()
             )
             return np.concatenate([out[n].ravel() for n in sorted(out)])
 
         full = step()
-        no_cluster = step(cluster_path=False)
-        no_direct = step(direct_path=False)
-        assert not np.array_equal(full, no_cluster)
-        assert not np.array_equal(full, no_direct)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "vjp_dC_dW", no_cluster)
+            without_cluster = step()
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "soft_quantize_vjp", no_direct)
+            without_direct = step()
+        assert not np.array_equal(full, without_cluster)
+        assert not np.array_equal(full, without_direct)
 
     def test_warm_start_reuses_the_previous_codebook(self):
         net, weights, data = blob_task(6)
