@@ -98,11 +98,9 @@ def run_cell(
     cfg = TrainConfig(
         k=k,
         d=d,
-        tau=5e-4,
         eps=FORCE_ALL_ITERS_EPS,
         max_cluster_iters=t,
         backend=GradBackend(kind=backend_kind),
-        learning_rate=1e-4,
         epochs=1,
         batch_size=len(x),
         seed=seed,

@@ -20,7 +20,13 @@ import urllib.request
 from pathlib import Path
 
 from . import bench as bench_mod
-from .config import RunConfig, build_train_config, parse_config
+from .config import (
+    SECTION_TYPES,
+    RunConfig,
+    build_train_config,
+    parse_config,
+    pretrain_params,
+)
 from .data import (
     MNIST_FILES,
     MNIST_SHA256,
@@ -43,7 +49,13 @@ from .errors import (
 )
 from .gradcheck import run_suite
 from .nn import Network
-from .training import bits_per_weight, evaluate, train, train_float
+from .training import (
+    TrainConfig,
+    bits_per_weight,
+    evaluate,
+    train,
+    train_float,
+)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -121,8 +133,8 @@ def cmd_pretrain(args) -> int:
     out = Path(cfg.out)
     report = _fresh_report(out, "pretrain.jsonl",
                            {"command": "pretrain", **cfg.echo()})
-    params = cfg.pretrain
-    epochs = args.epochs if args.epochs is not None else params.get("epochs", 20)
+    params = pretrain_params(cfg, {"epochs": args.epochs})
+    floor = params.pop("accuracy_floor", 0.0)
 
     def on_epoch(rec):
         append_jsonl(report, {"type": "epoch", **rec})
@@ -134,18 +146,13 @@ def cmd_pretrain(args) -> int:
         net.init_weights(cfg.seed),
         train_set,
         eval_set,
-        learning_rate=params.get("lr", 0.1),
-        epochs=epochs,
-        batch_size=params.get("batch_size", 128),
-        loss_kind=cfg.loss,
-        seed=params.get("seed", cfg.seed),
         on_epoch=on_epoch,
+        **params,
     )
     ckpt_path = out / "pretrained.ckpt"
     save_checkpoint(ckpt_path, net, weights, config=cfg.echo())
     final = history[-1]["top1"] if history else evaluate(net, weights, eval_set)
     print(f"saved {ckpt_path}  final top1 {final:.4f}")
-    floor = params.get("accuracy_floor", 0.0)
     if final < floor:
         print(f"error: accuracy {final:.4f} is below the configured floor "
               f"{floor}", file=sys.stderr)
@@ -153,26 +160,10 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-_QUANTIZE_OVERRIDES = (
-    ("k", "k"),
-    ("d", "d"),
-    ("tau", "tau"),
-    ("lr", "lr"),
-    ("epochs", "epochs"),
-    ("max_cluster_iters", "max_cluster_iters"),
-    ("eps", "eps"),
-    ("backend", "backend"),
-    ("alpha0", "alpha0"),
-    ("seed", "seed"),
-    ("fallback_jfb", "fallback_jfb"),
-)
-
-
 def cmd_quantize(args) -> int:
     cfg = _config_with_overrides(args)
     net = cfg.network()
-    overrides = {key: getattr(args, attr) for key, attr in _QUANTIZE_OVERRIDES}
-    tcfg = build_train_config(cfg, overrides)
+    tcfg = build_train_config(cfg, vars(args))
     ckpt_path = Path(args.checkpoint) if args.checkpoint else (
         Path(cfg.out) / "pretrained.ckpt"
     )
@@ -224,7 +215,9 @@ def cmd_eval(args) -> int:
     _check_arch(net, ckpt)
     _, eval_set = _datasets(cfg)
     mode = args.mode or ("hard" if ckpt.codebooks else "float")
-    tau = args.tau if args.tau is not None else cfg.quantize.get("tau", 5e-4)
+    tau = args.tau if args.tau is not None else (
+        cfg.quantize.get("tau", TrainConfig.tau)
+    )
     acc = evaluate(net, ckpt.weights, eval_set,
                    codebooks=ckpt.codebooks or None, mode=mode, tau=tau)
     print(f"top1 {acc:.4f}  mode {mode}")
@@ -323,24 +316,23 @@ def cmd_fetch_mnist(args) -> int:
     return EXIT_OK
 
 
-def _add_run_flags(sp, include_quantize: bool):
+def _add_run_flags(sp):
     sp.add_argument("--config", required=True, help="INI run configuration")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None, help="output directory override")
-    if include_quantize:
-        sp.add_argument("--backend", choices=("unrolled", "implicit", "jfb"),
-                        default=None)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--d", type=int, default=None)
-        sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--lr", type=float, default=None)
-        sp.add_argument("--epochs", type=int, default=None)
-        sp.add_argument("--max-cluster-iters", dest="max_cluster_iters",
-                        type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--alpha0", type=float, default=None)
-        sp.add_argument("--fallback-jfb", dest="fallback_jfb",
-                        action="store_const", const=True, default=None)
+
+
+def _add_key_flags(sp, section: str, keys) -> None:
+    """One flag per INI key, typed as the key; an unset flag is None."""
+    for key in keys:
+        kind = SECTION_TYPES[section][key]
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            sp.add_argument(flag, action="store_const", const=True)
+        elif isinstance(kind, tuple):
+            sp.add_argument(flag, choices=kind)
+        else:
+            sp.add_argument(flag, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,21 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pretrain", help="train the float baseline")
-    _add_run_flags(sp, include_quantize=False)
-    sp.add_argument("--epochs", type=int, default=None)
+    _add_run_flags(sp)
+    _add_key_flags(sp, "pretrain", ("epochs",))
     sp.set_defaults(func=cmd_pretrain)
 
     sp = sub.add_parser("quantize", help="quantization-aware training")
-    _add_run_flags(sp, include_quantize=True)
+    _add_run_flags(sp)
+    # Each flag overrides its [quantize] key, and so does --seed.
+    _add_key_flags(sp, "quantize", ("backend", "k", "d", "tau", "lr", "epochs",
+                                    "max_cluster_iters", "eps", "fallback_jfb"))
     sp.add_argument("--checkpoint", default=None,
                     help="pretrained checkpoint (default: <out>/pretrained.ckpt)")
     sp.set_defaults(func=cmd_quantize)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_run_flags(sp, include_quantize=False)
+    _add_run_flags(sp)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--mode", choices=("hard", "soft", "float"), default=None)
-    sp.add_argument("--tau", type=float, default=None)
+    _add_key_flags(sp, "quantize", ("tau",))
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="verify the gradient backends")

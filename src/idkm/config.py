@@ -4,7 +4,8 @@ Sections: [run] names the dataset and output directory, [data] parameterizes
 synthetic data, [model] holds the loss, [layer.N] sections define the
 network in order, [pretrain] and [quantize] hold the two training phases.
 Unknown sections or keys fail fast with the offending name; command-line
-flags override file values, which override the defaults baked in here.
+flags override file values. A key that neither sets keeps the default of the
+dataclass or function that takes it, so no default is restated here.
 """
 
 from __future__ import annotations
@@ -13,58 +14,65 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParamError
 from .gradients import BACKEND_KINDS, GradBackend
 from .nn import LAYER_KINDS, LOSS_KINDS, LayerSpec, Network
 from .solver import INIT_KINDS, InitStrategy
 from .training import TrainConfig
 
-SECTION_KEYS = {
-    "run": {"dataset", "data_dir", "out", "seed"},
-    "data": {
-        "classes",
-        "points_per_class",
-        "dim",
-        "separation",
-        "image_channels",
-        "image_height",
-        "image_width",
-    },
-    "model": {"loss"},
-    "pretrain": {"lr", "epochs", "batch_size", "accuracy_floor", "seed"},
-    "quantize": {
-        "k",
-        "d",
-        "tau",
-        "lr",
-        "epochs",
-        "batch_size",
-        "max_cluster_iters",
-        "eps",
-        "backend",
-        "alpha0",
-        "max_adjoint_iters",
-        "max_restarts",
-        "adjoint_eps",
-        "fallback_jfb",
-        "init",
-        "seed",
-    },
-}
-
-LAYER_SECTION_KEYS = {
-    "kind",
-    "in_features",
-    "out_features",
-    "in_channels",
-    "out_channels",
-    "kernel",
-    "stride",
-    "padding",
-    "quantize",
-}
-
 DATASET_KINDS = ("blobs", "mnist")
+
+# The keys of each section, with the type of each value; a tuple of strings
+# lists the values the key accepts.
+SECTION_TYPES = {
+    "run": {"dataset": DATASET_KINDS, "data_dir": str, "out": str, "seed": int},
+    "data": {
+        "classes": int,
+        "points_per_class": int,
+        "dim": int,
+        "separation": float,
+        "image_channels": int,
+        "image_height": int,
+        "image_width": int,
+    },
+    "model": {"loss": LOSS_KINDS},
+    "pretrain": {
+        "lr": float,
+        "epochs": int,
+        "batch_size": int,
+        "accuracy_floor": float,
+        "seed": int,
+    },
+    "quantize": {
+        "k": int,
+        "d": int,
+        "tau": float,
+        "lr": float,
+        "epochs": int,
+        "batch_size": int,
+        "max_cluster_iters": int,
+        "eps": float,
+        "backend": BACKEND_KINDS,
+        "fallback_jfb": bool,
+        "init": INIT_KINDS,
+        "seed": int,
+    },
+}
+
+_LAYER_TYPES = {
+    "kind": LAYER_KINDS,
+    "in_features": int,
+    "out_features": int,
+    "in_channels": int,
+    "out_channels": int,
+    "kernel": int,
+    "stride": int,
+    "padding": str,
+    "quantize": bool,
+}
+
+# Keys whose parameter has another name in train_float and TrainConfig.
+_PARAM_NAMES = {"lr": "learning_rate"}
 
 
 @dataclass
@@ -102,7 +110,13 @@ class RunConfig:
         }
 
 
-def _typed(section: str, key: str, raw: str, kind: type):
+def _typed(section: str, key: str, raw: str, kind):
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(
+                f"[{section}] {key} = {raw!r}, expected one of {kind}"
+            )
+        return raw
     try:
         if kind is bool:
             lowered = raw.strip().lower()
@@ -118,61 +132,15 @@ def _typed(section: str, key: str, raw: str, kind: type):
         ) from None
 
 
-_DATA_TYPES = {
-    "classes": int,
-    "points_per_class": int,
-    "dim": int,
-    "separation": float,
-    "image_channels": int,
-    "image_height": int,
-    "image_width": int,
-}
-
-_PRETRAIN_TYPES = {
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "accuracy_floor": float,
-    "seed": int,
-}
-
-_QUANTIZE_TYPES = {
-    "k": int,
-    "d": int,
-    "tau": float,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "max_cluster_iters": int,
-    "eps": float,
-    "backend": str,
-    "alpha0": float,
-    "max_adjoint_iters": int,
-    "max_restarts": int,
-    "adjoint_eps": float,
-    "fallback_jfb": bool,
-    "init": str,
-    "seed": int,
-}
-
-_LAYER_TYPES = {
-    "kind": str,
-    "in_features": int,
-    "out_features": int,
-    "in_channels": int,
-    "out_channels": int,
-    "kernel": int,
-    "stride": int,
-    "padding": str,
-    "quantize": bool,
-}
-
-
-def _typed_section(parser, section: str, types: dict[str, type]) -> dict:
-    out = {}
-    for key, raw in parser.items(section):
-        out[key] = _typed(section, key, raw, types[key])
-    return out
+def _typed_section(parser, section: str, types: dict) -> dict:
+    """The section's values, typed; an unknown key fails with its name."""
+    for key in parser.options(section):
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+    return {
+        key: _typed(section, key, raw, types[key])
+        for key, raw in parser.items(section)
+    }
 
 
 def _layer_sections(parser) -> tuple[LayerSpec, ...]:
@@ -194,16 +162,9 @@ def _layer_sections(parser) -> tuple[LayerSpec, ...]:
     specs = []
     for i in indices:
         section = f"layer.{i}"
-        for key in parser.options(section):
-            if key not in LAYER_SECTION_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
         fields = _typed_section(parser, section, _LAYER_TYPES)
         if "kind" not in fields:
             raise ConfigError(f"[{section}] is missing 'kind'")
-        if fields["kind"] not in LAYER_KINDS:
-            raise ConfigError(
-                f"[{section}] kind = {fields['kind']!r}, expected one of {LAYER_KINDS}"
-            )
         try:
             specs.append(LayerSpec(**fields))
         except Exception as exc:
@@ -227,82 +188,60 @@ def parse_config(path) -> RunConfig:
     for section in parser.sections():
         if section.startswith("layer."):
             continue
-        if section not in SECTION_KEYS:
+        if section not in SECTION_TYPES:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        for key in parser.options(section):
-            if key not in SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    if parser.has_section("run"):
-        run = dict(parser.items("run"))
-        cfg.dataset = run.get("dataset", cfg.dataset)
-        if cfg.dataset not in DATASET_KINDS:
-            raise ConfigError(
-                f"[run] dataset = {cfg.dataset!r}, expected one of {DATASET_KINDS}"
-            )
-        cfg.data_dir = run.get("data_dir", cfg.data_dir)
-        cfg.out = run.get("out", cfg.out)
-        if "seed" in run:
-            cfg.seed = _typed("run", "seed", run["seed"], int)
-    if parser.has_section("data"):
-        cfg.data = _typed_section(parser, "data", _DATA_TYPES)
-    if parser.has_section("model"):
-        model = dict(parser.items("model"))
-        cfg.loss = model.get("loss", cfg.loss)
-        if cfg.loss not in LOSS_KINDS:
-            raise ConfigError(
-                f"[model] loss = {cfg.loss!r}, expected one of {LOSS_KINDS}"
-            )
+        values = _typed_section(parser, section, SECTION_TYPES[section])
+        if section in ("run", "model"):  # their keys are RunConfig fields
+            for key, value in values.items():
+                setattr(cfg, key, value)
+        else:
+            setattr(cfg, section, values)
     cfg.layers = _layer_sections(parser)
-    if parser.has_section("pretrain"):
-        cfg.pretrain = _typed_section(parser, "pretrain", _PRETRAIN_TYPES)
-    if parser.has_section("quantize"):
-        cfg.quantize = _typed_section(parser, "quantize", _QUANTIZE_TYPES)
-        backend = cfg.quantize.get("backend")
-        if backend is not None and backend not in BACKEND_KINDS:
-            raise ConfigError(
-                f"[quantize] backend = {backend!r}, expected one of {BACKEND_KINDS}"
-            )
-        init = cfg.quantize.get("init")
-        if init is not None and init not in INIT_KINDS:
-            raise ConfigError(
-                f"[quantize] init = {init!r}, expected one of {INIT_KINDS}"
-            )
     return cfg
 
 
-def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainConfig:
-    """Merge [quantize] values with flag overrides into a TrainConfig."""
-    merged = dict(cfg.quantize)
+def _params(section: str, values: dict, overrides: dict | None) -> dict:
+    """A section's values, with the set overrides laid over them.
+
+    Only the section's keys are read from `overrides`, and a None value is
+    an unset flag, so an argparse namespace can be passed as it is. The
+    result is keyed by parameter name.
+    """
+    given = dict(values)
     for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    backend = GradBackend(
-        kind=merged.get("backend", "implicit"),
-        alpha0=merged.get("alpha0", 0.25),
-        max_adjoint_iters=merged.get("max_adjoint_iters", 500),
-        max_restarts=merged.get("max_restarts", 5),
-        adjoint_eps=merged.get("adjoint_eps", 1e-8),
-    )
-    init = InitStrategy(
-        kind=merged.get("init", "kmeans_pp"),
-        seed=merged.get("seed", cfg.seed),
-    )
+        if key in SECTION_TYPES[section] and value is not None:
+            given[key] = value
+    return {_PARAM_NAMES.get(key, key): value for key, value in given.items()}
+
+
+def pretrain_params(cfg: RunConfig, overrides: dict | None = None) -> dict:
+    """Merge [pretrain] values with flag overrides into train_float arguments.
+
+    The run seed is the default seed. accuracy_floor, which train_float does
+    not take, is passed on when set, for the caller to take out.
+    """
+    params = _params("pretrain", cfg.pretrain, overrides)
+    params.setdefault("seed", cfg.seed)
+    return {**params, "loss_kind": cfg.loss}
+
+
+def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainConfig:
+    """Merge [quantize] values with flag overrides into a TrainConfig.
+
+    Only the keys that the file or a flag set are passed on. backend and
+    init set the kind of GradBackend and InitStrategy, and the run seed is
+    the default seed of both the run and its init.
+    """
+    params = _params("quantize", cfg.quantize, overrides)
+    seed = params.setdefault("seed", cfg.seed)
+    backend = {"kind": params.pop("backend")} if "backend" in params else {}
+    init = {"kind": params.pop("init")} if "init" in params else {}
     try:
         return TrainConfig(
-            k=merged.get("k", 4),
-            d=merged.get("d", 1),
-            tau=merged.get("tau", 5e-4),
-            eps=merged.get("eps", 1e-6),
-            max_cluster_iters=merged.get("max_cluster_iters", 30),
-            backend=backend,
-            learning_rate=merged.get("lr", 1e-4),
-            epochs=merged.get("epochs", 100),
-            batch_size=merged.get("batch_size", 128),
+            backend=GradBackend(**backend),
+            init=InitStrategy(seed=seed, **init),
             loss_kind=cfg.loss,
-            init=init,
-            seed=merged.get("seed", cfg.seed),
-            fallback_jfb=merged.get("fallback_jfb", False),
+            **params,
         )
-    except Exception as exc:
+    except ParamError as exc:
         raise ConfigError(str(exc)) from exc

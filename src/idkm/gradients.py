@@ -33,6 +33,7 @@ Jacobians in this module are laid out over those flattenings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,8 +81,10 @@ class GradBackend:
             raise ParamError("max_restarts must be >= 0")
         if self.max_adjoint_iters < 1:
             raise ParamError("max_adjoint_iters must be >= 1")
-        if self.adjoint_eps <= 0:
-            raise ParamError("adjoint_eps must be positive")
+        if not 0 < self.adjoint_eps < math.inf:
+            raise ParamError(
+                f"adjoint_eps must be positive and finite, got {self.adjoint_eps}"
+            )
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:

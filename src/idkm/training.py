@@ -82,14 +82,14 @@ class TrainConfig:
     fallback_jfb: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParamError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "tau", "eps"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ParamError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.epochs < 0:
             raise ParamError(f"epochs must be >= 0, got {self.epochs}")
-        if self.tau <= 0:
-            raise ParamError(f"tau must be positive, got {self.tau}")
-        if self.eps <= 0:
-            raise ParamError(f"eps must be positive, got {self.eps}")
         if self.k < 1 or self.d < 1:
             raise ParamError(f"k and d must be >= 1, got k={self.k}, d={self.d}")
         if self.max_cluster_iters < 1:
@@ -373,7 +373,7 @@ def train_float(
     on_epoch: Callable[[dict], None] | None = None,
 ) -> tuple[list[dict], dict[str, np.ndarray]]:
     """Plain-SGD float pretraining used to produce the starting checkpoint."""
-    if learning_rate <= 0 or epochs < 0 or batch_size < 1:
+    if not 0 < learning_rate < math.inf or epochs < 0 or batch_size < 1:
         raise ParamError("bad pretraining hyperparameters")
     eval_set = eval_set if eval_set is not None else train_set
     weights = {k: np.array(v) for k, v in weights.items()}

@@ -1,6 +1,8 @@
 """Config parsing and the command-line entry point, end to end on blobs."""
 
+import dataclasses
 import json
+import re
 import urllib.error
 
 import numpy as np
@@ -11,10 +13,14 @@ from idkm.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    build_parser,
     main,
 )
 from idkm.config import ConfigError, build_train_config, parse_config
 from idkm.data import load_checkpoint, read_jsonl
+from idkm.gradients import GradBackend
+from idkm.solver import InitStrategy
+from idkm.training import TrainConfig
 
 TINY_INI = """\
 [run]
@@ -65,6 +71,21 @@ backend = implicit
 """
 
 
+# Each `quantize` flag, and the TrainConfig fields it sets.
+FLAG_OVERRIDES = [
+    (["--backend", "jfb"], {"backend": GradBackend(kind="jfb")}),
+    (["--k", "8"], {"k": 8}),
+    (["--d", "2"], {"d": 2}),
+    (["--tau", "0.002"], {"tau": 0.002}),
+    (["--lr", "0.5"], {"learning_rate": 0.5}),
+    (["--epochs", "5"], {"epochs": 5}),
+    (["--max-cluster-iters", "7"], {"max_cluster_iters": 7}),
+    (["--eps", "1e-5"], {"eps": 1e-5}),
+    (["--fallback-jfb"], {"fallback_jfb": True}),
+    (["--seed", "9"], {"seed": 9, "init": InitStrategy(seed=9)}),
+]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     def write(floor=0.9, **edits):
@@ -95,10 +116,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"unknown section \[optimizer\]"):
             parse_config(path)
 
-    def test_unknown_key_is_named(self, tiny_config):
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ("separation", "spread", "spread"),
+            # Removed [quantize] keys: GradBackend's adjoint controls.
+            ("backend = implicit", "backend = implicit\nalpha0 = 0.25", "alpha0"),
+            ("backend = implicit", "backend = implicit\nmax_adjoint_iters = 500",
+             "max_adjoint_iters"),
+        ],
+        ids=["spread", "alpha0", "max_adjoint_iters"],
+    )
+    def test_unknown_key_is_named(self, tiny_config, old, new, name):
         path = tiny_config()
-        path.write_text(path.read_text().replace("separation", "spread"))
-        with pytest.raises(ConfigError, match="'spread'"):
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=f"'{name}'"):
             parse_config(path)
 
     def test_layer_sections_must_be_contiguous(self, tiny_config):
@@ -118,6 +150,59 @@ class TestParseConfig:
         assert over.k == 8
         assert over.epochs == 2          # None-valued flags never override
         assert over.backend.kind == "jfb"
+
+    @pytest.mark.parametrize(
+        "argv, changed", FLAG_OVERRIDES, ids=[a[0][2:] for a, _ in FLAG_OVERRIDES]
+    )
+    def test_override_precedence_per_flag(self, tiny_config, argv, changed):
+        # The file sets every key a flag overrides.
+        path = tiny_config()
+        path.write_text(path.read_text() + "fallback_jfb = false\nseed = 3\n")
+        cfg = parse_config(path)
+        command = ["quantize", "--config", str(path)]
+
+        def built(args):
+            namespace = build_parser().parse_args(command + args)
+            return build_train_config(cfg, vars(namespace))
+
+        base = built([])
+        assert base == build_train_config(cfg)
+        assert all(getattr(base, name) != value for name, value in changed.items())
+        assert built(argv) == dataclasses.replace(base, **changed)
+
+    def test_empty_quantize_section_keeps_the_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("[run]\nseed = 7\n\n[quantize]\n")
+        assert build_train_config(parse_config(path)) == dataclasses.replace(
+            TrainConfig(), seed=7, init=InitStrategy(seed=7)
+        )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("quantize", "tau", "nan"),
+            ("quantize", "tau", "inf"),
+            ("quantize", "lr", "nan"),
+            ("quantize", "lr", "inf"),
+            ("quantize", "eps", "nan"),
+            ("quantize", "eps", "inf"),
+            ("pretrain", "lr", "nan"),
+        ],
+    )
+    def test_non_finite_setting_exits_three(
+        self, tiny_config, capsys, section, key, value
+    ):
+        path = tiny_config()
+        head, body = path.read_text().split(f"[{section}]")
+        line = re.compile(rf"^{key} = .*$", re.MULTILINE)
+        assert line.search(body)
+        path.write_text(f"{head}[{section}]" + line.sub(f"{key} = {value}", body, 1))
+        assert main([section, "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        if section == "quantize":
+            code = main(["quantize", "--config", str(tiny_config()),
+                         f"--{key}", value])
+            assert code == EXIT_CONFIG
 
 
 class TestPipeline:

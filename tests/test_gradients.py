@@ -251,6 +251,8 @@ class TestNeumannInverse:
             GradBackend(max_restarts=-1)
         with pytest.raises(ParamError):
             GradBackend(adjoint_eps=0.0)
+        with pytest.raises(ParamError):
+            GradBackend(adjoint_eps=float("nan"))
 
 
 class TestImplicit:
