@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import urllib.error
@@ -135,6 +136,8 @@ def cmd_pretrain(args) -> int:
                            {"command": "pretrain", **cfg.echo()})
     params = pretrain_params(cfg, {"epochs": args.epochs})
     floor = params.pop("accuracy_floor", 0.0)
+    if not math.isfinite(floor):
+        raise ConfigError(f"[pretrain] accuracy_floor must be finite, got {floor}")
 
     def on_epoch(rec):
         append_jsonl(report, {"type": "epoch", **rec})

@@ -137,35 +137,44 @@ def check_oracle_equivalence(inst: GradInstance, backend: GradBackend,
     return rel_err(candidate, reference)
 
 
+def central_differences(f, x: np.ndarray, h_scale: float) -> np.ndarray:
+    """Jacobian of f at x by central differences, one column per entry of x.
+
+    Entries are taken in row-major order. Entry idx is moved by
+    h = h_scale * (1 + |x[idx]|), first up, then down; its column is
+    (f(x + h) - f(x - h)) / 2h, with f's output raveled.
+    """
+    cols = []
+    for idx in np.ndindex(x.shape):
+        h = h_scale * (1.0 + abs(x[idx]))
+        outs = []
+        for sign in (1.0, -1.0):
+            bumped = x.copy()
+            bumped[idx] += sign * h
+            outs.append(np.ravel(f(bumped)))
+        cols.append((outs[0] - outs[1]) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def _moved(w: WeightMatrix, wd: np.ndarray) -> WeightMatrix:
+    return WeightMatrix(data=wd, n=w.n, pad_count=w.pad_count)
+
+
 def fd_solve_jacobian(inst: GradInstance, h_scale: float = 1e-5) -> np.ndarray:
     """Central differences of the converged solve, column by column.
 
     Each perturbed solve warm-starts from the unperturbed solution so every
     column tracks the same fixed-point branch.
     """
-    wd = inst.w.data
-    d, m = wd.shape
-    k = inst.c_star.k
-    jac = np.empty((k * d, d * m))
-    for p in range(d):
-        for i in range(m):
-            h = h_scale * (1.0 + abs(wd[p, i]))
-            shifted = {}
-            for sign in (1.0, -1.0):
-                bumped = wd.copy()
-                bumped[p, i] += sign * h
-                w2 = WeightMatrix(data=bumped, n=inst.w.n,
-                                  pad_count=inst.w.pad_count)
-                res = solve_fixed_point(
-                    w2, inst.c_star, inst.tau, 1e-12, FORWARD_MAX_ITERS
-                )
-                if not res.converged:
-                    raise NumericsError(
-                        f"perturbed solve stalled at entry ({p}, {i})"
-                    )
-                shifted[sign] = res.codebook.data.ravel()
-            jac[:, p * m + i] = (shifted[1.0] - shifted[-1.0]) / (2 * h)
-    return jac
+    def solve(wd):
+        res = solve_fixed_point(
+            _moved(inst.w, wd), inst.c_star, inst.tau, 1e-12, FORWARD_MAX_ITERS
+        )
+        if not res.converged:
+            raise NumericsError("a perturbed solve stalled")
+        return res.codebook.data
+
+    return central_differences(solve, inst.w.data, h_scale)
 
 
 def check_fd_solve(inst: GradInstance, backend: GradBackend) -> float:
@@ -175,38 +184,14 @@ def check_fd_solve(inst: GradInstance, backend: GradBackend) -> float:
 
 def fd_update_blocks(inst: GradInstance, h_scale: float = 1e-6):
     """Finite differences of a single update in both arguments."""
-    wd = inst.w.data
-    cd = inst.c_star.data
-    d, m = wd.shape
-    k = cd.shape[0]
-
-    j_c = np.empty((k * d, k * d))
-    for j in range(k):
-        for p in range(d):
-            h = h_scale * (1.0 + abs(cd[j, p]))
-            outs = {}
-            for sign in (1.0, -1.0):
-                bumped = cd.copy()
-                bumped[j, p] += sign * h
-                outs[sign] = fixed_point_map_F(
-                    inst.w, Codebook(bumped), inst.tau
-                ).data.ravel()
-            j_c[:, j * d + p] = (outs[1.0] - outs[-1.0]) / (2 * h)
-
-    j_w = np.empty((k * d, d * m))
-    for p in range(d):
-        for i in range(m):
-            h = h_scale * (1.0 + abs(wd[p, i]))
-            outs = {}
-            for sign in (1.0, -1.0):
-                bumped = wd.copy()
-                bumped[p, i] += sign * h
-                w2 = WeightMatrix(data=bumped, n=inst.w.n,
-                                  pad_count=inst.w.pad_count)
-                outs[sign] = fixed_point_map_F(
-                    w2, inst.c_star, inst.tau
-                ).data.ravel()
-            j_w[:, p * m + i] = (outs[1.0] - outs[-1.0]) / (2 * h)
+    j_c = central_differences(
+        lambda cd: fixed_point_map_F(inst.w, Codebook(cd), inst.tau).data,
+        inst.c_star.data, h_scale,
+    )
+    j_w = central_differences(
+        lambda wd: fixed_point_map_F(_moved(inst.w, wd), inst.c_star, inst.tau).data,
+        inst.w.data, h_scale,
+    )
     return j_c, j_w
 
 

@@ -15,7 +15,10 @@ to the weights being clustered:
 
 All three run one matrix-free linearisation of the center update
 (ClusterJacobians): a row vector is contracted with dF/dW and dF/dC in
-O(m*k*d) from the soft assignment the forward solve kept at C*, so a training
+O(m*k*d) from the soft assignment the forward solve kept at C*. F itself
+(its floored column sums and means) and the backward pass through the
+softmax and the distances live on pq.SoftAssignment; ClusterJacobians adds
+only the derivative of v.F in the attention and in W directly. So a training
 step evaluates distances and attention once per layer for its backward pass
 and never forms a (k*d) x (d*m) block. ``implicit`` also builds the small
 (k*d) x (k*d) dF/dC its adjoint iterates on; ``unrolled`` evaluates one soft
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import AdjointDivergence, NumericsError, ParamError, ShapeError
 from .pq import (
+    DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
     Codebook,
     DistanceMatrix,
@@ -49,7 +53,6 @@ from .pq import (
     assignment_at,
     attention,
 )
-from .solver import DEGENERATE_FLOOR
 
 BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
@@ -97,46 +100,30 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 class ClusterJacobians:
     """Linearisation of one center update F(C, W) at one soft assignment.
 
-    With a = attention, s_j = max(column sum j, DEGENERATE_FLOOR), the
-    update F_j = sum_i a_ij w_i / s_j and g_ij = (c_j - w_i)/||w_i - c_j||,
-    a row vector v (k x d, flattened) gives
+    With a = attention, s_j its floored column sums and F_j = sum_i a_ij
+    w_i / s_j (SoftAssignment.scale and .means), a row vector v (k x d,
+    flattened) reaches the attention as
 
-        e_ij = a_ij <v_j, w_i - F_j> / (tau s_j),   E_i = sum_j e_ij,
-        (v dF/dW)_i = sum_j a_ij v_j / s_j + sum_j (e_ij - a_ij E_i) g_ij,
-        (v dF/dC)_l = sum_i (a_il E_i - e_il) g_il,
+        d_att[j, i] = <v_j, w_i - F_j> / s_j,
 
-    all in O(m*k*d), by vjp(). j_c is the small dense dF/dC, built on first
+    and SoftAssignment.vjp takes d_att through the softmax and the distances
+    to v dF/dW and v dF/dC; dF/dW adds the direct term sum_j a_ij v_j / s_j.
+    All in O(m*k*d), by vjp(). j_c is the small dense dF/dC, built on first
     use. j_w is the dense (k*d) x (d*m) dF/dW, built from scratch only on
     request: it is the gradcheck and test oracle, and no backend reads it.
     """
 
     assignment: SoftAssignment
 
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """Attention column sums, floored as the center update floors them."""
-        return np.maximum(self.assignment.col_sums, DEGENERATE_FLOOR)
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        """k x d value of F at this point, before stale-center replacement."""
-        asg = self.assignment
-        return (asg.att @ asg.w.T) / self.scale[:, None]
-
     def vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(v @ dF/dC, v @ dF/dW) for a length-k*d row vector v."""
         asg = self.assignment
-        a, g = asg.att, asg.directions  # k x m, k x d x m
-        v = np.asarray(v, dtype=np.float64).reshape(self.means.shape)
-        # coef[j, i] = e_ij - a_ij E_i, built in place from <v_j, w_i - F_j>.
-        coef = v @ asg.w
-        coef -= (v * self.means).sum(axis=1)[:, None]
-        coef *= a
-        coef /= (asg.tau * self.scale)[:, None]
-        coef -= a * coef.sum(axis=0)
-        grad_c = -np.einsum("ji,jpi->jp", coef, g)
-        grad_w = (v / self.scale[:, None]).T @ a
-        grad_w += np.einsum("ji,jpi->pi", coef, g)
+        v = np.asarray(v, dtype=np.float64).reshape(asg.c.shape)
+        d_att = v @ asg.w
+        d_att -= (v * asg.means).sum(axis=1)[:, None]
+        d_att /= asg.scale[:, None]
+        grad_w, grad_c = asg.vjp(d_att)
+        grad_w += (v / asg.scale[:, None]).T @ asg.att
         return (
             _finite(grad_c.ravel(), "v @ dF/dC"),
             _finite(grad_w.ravel(), "v @ dF/dW"),
@@ -149,8 +136,8 @@ class ClusterJacobians:
         a, g = asg.att, asg.directions
         k, d, m = g.shape
         # x[j, p, i] = a_ij (w_i - F_j)_p / (tau s_j) and y[l, q, i] = a_il g_ilq.
-        x = (asg.w[None, :, :] - self.means[:, :, None]) * (
-            a / (asg.tau * self.scale)[:, None]
+        x = (asg.w[None, :, :] - asg.means[:, :, None]) * (
+            a / (asg.tau * asg.scale)[:, None]
         )[:, None, :]
         y = a[:, None, :] * g
         jc = (x.reshape(k * d, m) @ y.reshape(k * d, m).T).reshape(k, d, k, d)

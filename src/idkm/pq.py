@@ -20,7 +20,9 @@ The validating wrappers (WeightMatrix, Codebook, DistanceMatrix,
 AttentionMatrix) guard the public entry and exit points. Inside a solve and a
 training step, one unvalidated SoftAssignment per layer carries the
 distances, attention and column sums at the converged codebook, and every
-consumer of the soft assignment reuses it.
+consumer of the soft assignment reuses it. It is also the one home of the
+soft k-means center update F and of the backward pass through the softmax
+and the distances, which the solver and every VJP call.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import NumericsError, ParamError, PartitionError, ShapeError
 
 ROW_SUM_TOL = 1e-9
 SAFE_DIV_EPS = 1e-300
+DEGENERATE_FLOOR = 1e-12
 
 
 def _as_locked_f64(arr) -> np.ndarray:
@@ -162,6 +165,9 @@ class SoftAssignment:
         dist: k x m distances ||w_i - c_j||.
         att: k x m attention, each column softmax(-dist[:, i] / tau).
         col_sums: length-k attention sums over the sub-vectors.
+
+    F at this point is `means`; vjp() is the backward pass through att that
+    every derivative of F and of the soft quantizer goes through.
     """
 
     w: np.ndarray
@@ -170,6 +176,16 @@ class SoftAssignment:
     dist: np.ndarray
     att: np.ndarray
     col_sums: np.ndarray
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """Column sums floored at DEGENERATE_FLOOR: F's denominators."""
+        return np.maximum(self.col_sums, DEGENERATE_FLOOR)
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """k x d center update F, before stale-center replacement."""
+        return (self.att @ self.w.T) / self.scale[:, None]
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -184,6 +200,20 @@ class SoftAssignment:
         np.divide(g, dist, out=g, where=far)
         np.copyto(g, 0.0, where=~far)
         return g
+
+    def vjp(self, d_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients (d x m, k x d) of sum(d_att * att) in w and in c.
+
+        d_att is k x m, like att. It goes back through each column's softmax
+        to the distances, then along the unit directions.
+        """
+        a, g = self.att, self.directions
+        # coef[j, i] is the gradient with respect to distance (i, j), negated.
+        coef = a * (d_att - (d_att * a).sum(axis=0)) / self.tau
+        return (
+            np.einsum("ji,jpi->pi", coef, g),
+            -np.einsum("ji,jpi->jp", coef, g),
+        )
 
     def check(self, w: WeightMatrix, c: Codebook, tau: float) -> "SoftAssignment":
         """Reject an evaluation taken for another layer size, k or tau."""
@@ -351,15 +381,9 @@ def soft_quantize_vjp(
             f"upstream shape {upstream.shape} != weight shape {w.data.shape}"
         )
     asg = assignment_at(w, c, tau, assignment)
-    a, g = asg.att, asg.directions
-
-    # t[j, i] = <upstream column i, codeword j>. coef[j, i] is the loss
-    # gradient with respect to distance (i, j), negated.
-    t = c.data @ upstream
-    coef = a * (t - (t * a).sum(axis=0)) / tau
-
-    grad_w = np.einsum("ji,jpi->pi", coef, g)
-    grad_c = a @ upstream.T - np.einsum("ji,jpi->jp", coef, g)
+    # The output is c^T att, so d(loss)/d att[j, i] = <c_j, upstream column i>.
+    grad_w, grad_c = asg.vjp(c.data @ upstream)
+    grad_c += asg.att @ upstream.T
     if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_c))):
         raise NumericsError("soft-quantizer VJP produced non-finite values")
     return grad_w, grad_c

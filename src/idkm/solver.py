@@ -8,7 +8,8 @@ unrolled backward pass must retain, so its length is the quantity measured by
 the memory instrumentation; all other backends keep exactly one codebook.
 
 The loop, the final residual pass and fixed_point_map_F run one raw-array
-kernel, with validation only on entry and on the returned codebook. The
+kernel, pq.soft_assign, and take F's means from the SoftAssignment it
+returns, with validation only on entry and on the returned codebook. The
 residual pass's soft assignment at the returned codebook is kept on the
 result for the training step's soft quantizer and backward pass to reuse.
 """
@@ -23,29 +24,24 @@ from .errors import NumericsError, ParamError, ShapeError
 # attention stays a name of this module: perfbench traces it as solver.attention.
 from .pq import Codebook, SoftAssignment, WeightMatrix, attention, soft_assign  # noqa: F401
 
-DEGENERATE_FLOOR = 1e-12
-
-INIT_KINDS = ("kmeans_pp", "random_subset", "warm_start")
+INIT_KINDS = ("kmeans_pp", "random_subset")
 
 
 @dataclass(frozen=True)
 class InitStrategy:
-    """How the first codebook of a solve is chosen.
+    """How the first codebook of a cold solve is chosen.
 
     kmeans_pp draws centers by distance-squared sampling over sub-vectors,
-    random_subset draws k distinct sub-vectors uniformly, and warm_start
-    reuses a previously converged codebook.
+    and random_subset draws k distinct sub-vectors uniformly. A warm solve
+    passes its previous codebook to solve_fixed_point instead.
     """
 
     kind: str = "kmeans_pp"
     seed: int = 0
-    warm_codebook: Codebook | None = None
 
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ParamError(f"unknown init kind {self.kind!r}")
-        if self.kind == "warm_start" and self.warm_codebook is None:
-            raise ParamError("warm_start requires warm_codebook")
 
 
 @dataclass(frozen=True)
@@ -77,21 +73,13 @@ class FixedPointResult:
 def init_codebook(w: WeightMatrix, k: int, strategy: InitStrategy) -> Codebook:
     """Pick k initial centers from the sub-vectors of w.
 
-    Deterministic for a given strategy seed. All strategies return rows
-    drawn from distinct sub-vector indices (or the warm codebook verbatim).
+    Deterministic for a given strategy seed. Both strategies return rows
+    drawn from distinct sub-vector indices.
     """
     if k < 1:
         raise ParamError(f"k must be >= 1, got {k}")
     if k > w.m:
         raise ParamError(f"k={k} exceeds the number of sub-vectors m={w.m}")
-    if strategy.kind == "warm_start":
-        warm = strategy.warm_codebook
-        if warm.k != k or warm.d != w.d:
-            raise ShapeError(
-                f"warm codebook is {warm.k}x{warm.d}, expected {k}x{w.d}"
-            )
-        return warm
-
     rng = np.random.default_rng(strategy.seed)
     points = w.data.T
     if strategy.kind == "random_subset":
@@ -125,11 +113,11 @@ def _update(
     instead of dividing by zero, and the soft assignment at cd.
     """
     asg = soft_assign(wd, cd, tau)
-    denom = np.maximum(asg.col_sums, DEGENERATE_FLOOR)
-    new_cd = (asg.att @ wd.T) / denom[:, None]
-    degenerate = asg.col_sums < DEGENERATE_FLOOR
+    new_cd = asg.means
+    # A column sum raised to the floor marks a degenerate cluster.
+    degenerate = asg.col_sums < asg.scale
     if degenerate.any():
-        new_cd[degenerate] = cd[degenerate]
+        new_cd = np.where(degenerate[:, None], cd, new_cd)
     if not np.all(np.isfinite(new_cd)):
         raise NumericsError("center update produced non-finite values")
     return new_cd, int(degenerate.sum()), asg

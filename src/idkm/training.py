@@ -9,9 +9,12 @@ Plain SGD, no momentum. Biases are never quantized.
 The solver evaluates each layer's distances, attention and column sums once
 per iteration and once more at C*, in its residual pass. The soft quantizer,
 its VJP and the cluster backward (including a jfb retry after a failed
-adjoint) all reuse that last evaluation. Beyond the network's own arrays, a step therefore holds per
-layer one m x k distance and one m x k attention matrix (float64), and,
-during that layer's backward pass, its m x k x d unit distance directions.
+adjoint) all reuse that last evaluation, a pq.SoftAssignment, which also
+holds the center update F and the one backward pass through the softmax and
+the distances that both VJPs run. Beyond the network's own arrays, a step
+therefore holds per layer one m x k distance and one m x k attention matrix
+(float64), and, during that layer's backward pass, its m x k x d unit
+distance directions.
 For the 100,352-weight layer at k=4, d=1 each is 401,408 entries, 3.2 MB.
 No backend forms a dense (k*d) x (d*m) Jacobian.
 
@@ -130,13 +133,17 @@ def _solve_layer(
     cfg: TrainConfig,
     record: bool,
 ) -> tuple[WeightMatrix, FixedPointResult]:
-    """Partition one weight tensor and run the clustering solve."""
+    """Partition one weight tensor and run the clustering solve, starting
+    from the layer's codebook in `state` if it has one, else from cfg.init."""
     wm = partition_weights(tensor.ravel(), cfg.d, allow_pad=True)
-    if key in state.codebooks:
-        strategy = InitStrategy(kind="warm_start", warm_codebook=state.codebooks[key])
-    else:
+    c0 = state.codebooks.get(key)
+    if c0 is None:
         strategy = dataclasses.replace(cfg.init, seed=cfg.init.seed + index)
-    c0 = init_codebook(wm, cfg.k, strategy)
+        c0 = init_codebook(wm, cfg.k, strategy)
+    elif c0.data.shape != (cfg.k, cfg.d):
+        raise ShapeError(
+            f"{key}: warm codebook is {c0.k}x{c0.d}, expected {cfg.k}x{cfg.d}"
+        )
     result = solve_fixed_point(
         wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record
     )
@@ -243,8 +250,8 @@ def quantize_weights(
     """Replace each clustered tensor by its codebook reconstruction."""
     if mode not in ("hard", "soft"):
         raise ParamError(f"mode must be hard or soft, got {mode!r}")
-    if mode == "soft" and (tau is None or tau <= 0):
-        raise ParamError("soft quantization needs a positive tau")
+    if mode == "soft" and not (tau is not None and 0 < tau < math.inf):
+        raise ParamError(f"soft quantization needs a positive, finite tau, got {tau}")
     out = dict(weights)
     for key in net.quantized_keys():
         if key not in codebooks:

@@ -133,6 +133,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{name}'"):
             parse_config(path)
 
+    def test_warm_start_init_is_rejected_by_name(self, tiny_config, capsys):
+        # Warm starts are what a training run does after its first step;
+        # they are not an init kind.
+        path = tiny_config()
+        path.write_text(path.read_text().replace(
+            "backend = implicit", "backend = implicit\ninit = warm_start"))
+        with pytest.raises(ConfigError, match="'warm_start'"):
+            parse_config(path)
+        assert main(["quantize", "--config", str(path)]) == EXIT_CONFIG
+        assert "warm_start" in capsys.readouterr().err
+
     def test_layer_sections_must_be_contiguous(self, tiny_config):
         path = tiny_config()
         path.write_text(path.read_text().replace("[layer.2]", "[layer.5]"))
@@ -187,6 +198,7 @@ class TestParseConfig:
             ("quantize", "eps", "nan"),
             ("quantize", "eps", "inf"),
             ("pretrain", "lr", "nan"),
+            ("pretrain", "accuracy_floor", "nan"),
         ],
     )
     def test_non_finite_setting_exits_three(
@@ -234,6 +246,20 @@ class TestPipeline:
         shown = capsys.readouterr().out
         assert "mode hard" in shown
         assert "2 bits/weight" in shown
+
+    def test_soft_eval_with_non_finite_tau_exits_three(
+        self, tiny_config, tmp_path, capsys
+    ):
+        cfg_path = str(tiny_config())
+        ckpt = str(tmp_path / "run" / "quantized-implicit.ckpt")
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        assert main(["quantize", "--config", cfg_path, "--epochs", "0"]) == EXIT_OK
+        capsys.readouterr()
+        for tau in ("nan", "inf"):
+            code = main(["eval", "--config", cfg_path, "--checkpoint", ckpt,
+                         "--mode", "soft", "--tau", tau])
+            assert code == EXIT_CONFIG
+            assert "positive, finite tau" in capsys.readouterr().err
 
     def test_quantize_backend_override_names_the_outputs(
         self, tiny_config, tmp_path

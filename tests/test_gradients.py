@@ -9,6 +9,7 @@ from idkm.gradcheck import (
     FORWARD_MAX_ITERS,
     TOL_FD_BLOCKS,
     GradInstance,
+    central_differences,
     check_oracle_equivalence,
     check_update_blocks,
     dense_dC_dW,
@@ -174,14 +175,34 @@ def test_sub_vector_on_a_codeword_has_one_zero_distance_rule(offset):
 
 
 def _central_differences(f, x):
-    out = np.empty_like(x)
-    for idx in np.ndindex(x.shape):
-        h = 1e-6 * (1.0 + abs(x[idx]))
-        up, dn = x.copy(), x.copy()
-        up[idx] += h
-        dn[idx] -= h
-        out[idx] = (f(up) - f(dn)) / (2 * h)
-    return out
+    """Gradient of a scalar f, shaped like x."""
+    return central_differences(f, x, 1e-6).reshape(x.shape)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_soft_assignment_vjp_matches_central_differences(d):
+    # SoftAssignment.vjp is the one backward pass through the softmax and
+    # the distances. Sub-vector 5 sits exactly on codeword 2, so that pair
+    # has no direction, as central differences straddling the kink see it
+    # (to O(h): the |delta| * delta terms there do not cancel).
+    rng = np.random.default_rng(40 + d)
+    wd = rng.normal(size=(d, 9))
+    cd = rng.normal(size=(4, d))
+    wd[:, 5] = cd[2]
+    tau = 0.7
+    d_att = rng.normal(size=(4, 9))
+
+    def phi(wd, cd):
+        return float((d_att * soft_assign(wd, cd, tau).att).sum())
+
+    asg = soft_assign(wd, cd, tau)
+    assert asg.dist[2, 5] == 0.0
+    grad_w, grad_c = asg.vjp(d_att)
+    assert grad_w.shape == (d, 9) and grad_c.shape == (4, d)
+    fd_w = _central_differences(lambda x: phi(x, cd), wd)
+    fd_c = _central_differences(lambda x: phi(wd, x), cd)
+    assert rel_err(grad_w, fd_w) <= TOL_FD_BLOCKS
+    assert rel_err(grad_c, fd_c) <= TOL_FD_BLOCKS
 
 
 class TestNeumannInverse:

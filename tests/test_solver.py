@@ -51,22 +51,6 @@ class TestInit:
             np.sort(c.data.ravel()), np.sort(w.data.ravel())
         )
 
-    def test_warm_start_returns_the_given_codebook(self):
-        w = _weights([0.0, 1.0, 2.0])
-        warm = _book([0.5, 1.5])
-        strategy = InitStrategy(kind="warm_start", warm_codebook=warm)
-        assert init_codebook(w, 2, strategy) is warm
-
-    def test_warm_start_shape_is_checked(self):
-        w = _weights([0.0, 1.0, 2.0])
-        strategy = InitStrategy(kind="warm_start", warm_codebook=_book([0.5]))
-        with pytest.raises(ShapeError):
-            init_codebook(w, 2, strategy)
-
-    def test_warm_start_requires_a_codebook(self):
-        with pytest.raises(ParamError):
-            InitStrategy(kind="warm_start")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParamError):
             InitStrategy(kind="farthest")

@@ -215,6 +215,15 @@ class TestQuantizedStep:
                      for k in books]
         assert all(refreshed)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 2)])
+    def test_warm_codebook_of_another_shape_is_refused(self, shape):
+        net, weights, data = blob_task(6)
+        x, y = data.inputs[:16], data.labels[:16]
+        state = TrainState(weights=dict(weights))
+        state.codebooks["layer2.w"] = Codebook(np.zeros(shape))
+        with pytest.raises(ShapeError, match="layer2.w"):
+            quantized_train_step(net, x, y, state, small_cfg())
+
     def test_divergence_surfaces_the_layer_name(self, monkeypatch):
         real = training.vjp_dC_dW
 
