@@ -37,6 +37,7 @@ from .data import (
     load_mnist,
     mnist_available,
     mnist_paths,
+    same_architecture,
     save_checkpoint,
     synthetic_blobs,
 )
@@ -50,9 +51,9 @@ from .errors import (
 )
 from .gradcheck import run_suite
 from .nn import Network
+from .pq import bits_per_weight
 from .training import (
     TrainConfig,
-    bits_per_weight,
     evaluate,
     train,
     train_float,
@@ -110,12 +111,14 @@ def _datasets(cfg: RunConfig):
 
 
 def _check_arch(net: Network, ckpt) -> None:
+    """Refuse a checkpoint whose layers or tensors are not the config's."""
     expected = net.param_shapes()
     stored = {t["name"]: tuple(t["shape"]) for t in ckpt.manifest["tensors"]}
-    if expected != stored:
+    if expected != stored or not same_architecture(net.layers, ckpt.layers):
         raise ConfigError(
-            f"checkpoint architecture does not match config: "
-            f"config tensors {sorted(expected)}, checkpoint {sorted(stored)}"
+            f"checkpoint architecture does not match config: config layers "
+            f"{[s.kind for s in net.layers]}, tensors {sorted(expected)}; "
+            f"checkpoint {[s.kind for s in ckpt.layers]}, {sorted(stored)}"
         )
 
 

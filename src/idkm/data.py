@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, ParamError, ShapeError
 from .nn import LayerSpec, Network
-from .pq import Codebook
+from .pq import Codebook, bits_per_weight
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -255,17 +254,25 @@ class Checkpoint:
     manifest: dict
     weights: dict[str, np.ndarray]
     codebooks: dict[str, Codebook] = field(default_factory=dict)
+    layers: tuple[LayerSpec, ...] = ()
 
     def network(self) -> Network:
-        specs = tuple(LayerSpec(**entry) for entry in self.manifest["architecture"])
-        return Network(layers=specs)
+        return Network(layers=self.layers)
 
     def bits_per_weight(self) -> dict[str, float]:
         """Effective bits per weight for each stored codebook, from its shape."""
         return {
-            layer: math.log2(book.k) / book.d
+            layer: bits_per_weight(book.k, book.d)
             for layer, book in self.codebooks.items()
         }
+
+
+def same_architecture(a: tuple[LayerSpec, ...], b: tuple[LayerSpec, ...]) -> bool:
+    """Whether two layer lists agree in every layer's kind and shape fields;
+    which layers are marked for quantization may differ."""
+    def shapes(specs):
+        return [{**_layer_spec_dict(s), "quantize": None} for s in specs]
+    return shapes(a) == shapes(b)
 
 
 def _layer_spec_dict(spec: LayerSpec) -> dict:
@@ -313,14 +320,7 @@ def save_checkpoint(
             book = codebooks[layer_key]
             blob = np.ascontiguousarray(book.data, dtype="<f4")
             entries.append(
-                {
-                    "layer": layer_key,
-                    "k": book.k,
-                    "d": book.d,
-                    "shape": list(blob.shape),
-                    "offset": offset,
-                    "bits_per_weight": math.log2(book.k) / book.d,
-                }
+                {"layer": layer_key, "shape": list(blob.shape), "offset": offset}
             )
             blobs.append(blob.tobytes())
             offset += len(blobs[-1])
@@ -368,6 +368,18 @@ def _manifest_entries(manifest: dict, key: str, label: str, path) -> list:
     return entries
 
 
+def _manifest_layers(manifest: dict, path) -> tuple[LayerSpec, ...]:
+    """The stored architecture, each entry exactly as save_checkpoint writes it."""
+    entries = manifest.get("architecture")
+    try:
+        specs = tuple(LayerSpec(**entry) for entry in entries)
+        if [_layer_spec_dict(s) for s in specs] == entries:
+            return specs
+    except (TypeError, ParamError):
+        pass
+    raise FormatError(f"{path}: manifest 'architecture' is not a list of layers")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; tensors come back as float64."""
     with open(path, "rb") as fh:
@@ -393,6 +405,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if "tensors" not in manifest:
         raise FormatError(f"{path}: manifest lists no 'tensors'")
+    layers = _manifest_layers(manifest, path)
     tensors = _manifest_entries(manifest, "tensors", "name", path)
     books = _manifest_entries(manifest, "codebooks", "layer", path)
     expected = sum(int(np.prod(e["shape"])) * 4 for e in tensors + books)
@@ -405,7 +418,7 @@ def load_checkpoint(path) -> Checkpoint:
     codebooks = {
         e["layer"]: Codebook(_decode_tensor(payload, e, path)) for e in books
     }
-    return Checkpoint(manifest=manifest, weights=weights, codebooks=codebooks)
+    return Checkpoint(manifest, weights, codebooks, layers)
 
 
 def append_jsonl(path, record: dict):

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import NumericsError
 from .gradients import (
     GradBackend,
+    dense_weight_jacobian,
     jacobians_of_F,
     neumann_inverse,
     vjp_dC_dW,
@@ -184,32 +185,36 @@ def check_fd_solve(inst: GradInstance, backend: GradBackend) -> float:
 
 def fd_update_blocks(inst: GradInstance, h_scale: float = 1e-6):
     """Finite differences of a single update in both arguments."""
-    j_c = central_differences(
+    fd_c = central_differences(
         lambda cd: fixed_point_map_F(inst.w, Codebook(cd), inst.tau).data,
         inst.c_star.data, h_scale,
     )
-    j_w = central_differences(
+    fd_w = central_differences(
         lambda wd: fixed_point_map_F(_moved(inst.w, wd), inst.c_star, inst.tau).data,
         inst.w.data, h_scale,
     )
-    return j_c, j_w
+    return fd_c, fd_w
 
 
 def check_update_blocks(inst: GradInstance) -> tuple[float, float]:
-    jac = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+    """SoftAssignment.j_c and the dense dF/dW oracle vs finite differences."""
     fd_c, fd_w = fd_update_blocks(inst)
-    return rel_err(jac.j_c, fd_c), rel_err(jac.j_w, fd_w)
+    return (
+        rel_err(jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c, fd_c),
+        rel_err(dense_weight_jacobian(inst.w.data, inst.c_star.data, inst.tau), fd_w),
+    )
 
 
 def check_jfb_block(inst: GradInstance) -> float:
     """jfb's dC*/dW, probed through vjp_dC_dW, vs the dense dF/dW oracle.
 
-    The oracle shares no contraction with ClusterJacobians.vjp, so an error
+    The oracle shares no contraction with SoftAssignment.f_vjp, so an error
     in the matrix-free v @ dF/dW, which all three backends train with, shows
     here.
     """
     jfb = dense_dC_dW(inst.w, inst.c_star, inst.tau, GradBackend(kind="jfb"))
-    return rel_err(jfb, jacobians_of_F(inst.w, inst.c_star, inst.tau).j_w)
+    oracle = dense_weight_jacobian(inst.w.data, inst.c_star.data, inst.tau)
+    return rel_err(jfb, oracle)
 
 
 def check_neumann(seed: int, count: int = 10) -> float:

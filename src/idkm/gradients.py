@@ -13,16 +13,13 @@ to the weights being clustered:
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
 
-All three run one matrix-free linearisation of the center update
-(ClusterJacobians): a row vector is contracted with dF/dW and dF/dC in
-O(m*k*d) from the soft assignment the forward solve kept at C*. F itself
-(its floored column sums and means) and the backward pass through the
-softmax and the distances live on pq.SoftAssignment; ClusterJacobians adds
-only the derivative of v.F in the attention and in W directly. So a training
-step evaluates distances and attention once per layer for its backward pass
-and never forms a (k*d) x (d*m) block. ``implicit`` also builds the small
-(k*d) x (k*d) dF/dC its adjoint iterates on; ``unrolled`` evaluates one soft
-assignment per recorded iterate. Each backend has this one implementation:
+All three run one matrix-free linearisation of the center update, which
+lives with F on pq.SoftAssignment and is reached through jacobians_of_F:
+f_vjp contracts a row vector with dF/dC and dF/dW in O(m*k*d), and j_c is
+the small (k*d) x (k*d) dF/dC that ``implicit``'s adjoint iterates on. A
+training step reuses the soft assignment the forward solve kept at C* and
+never forms a (k*d) x (d*m) block; ``unrolled`` evaluates one soft
+assignment per recorded iterate. Each backend has one implementation:
 vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). A dense dC*/dW
 exists only in gradcheck, which stacks these VJPs over basis rows, and the
 dense dF/dW (dense_weight_jacobian) is the independent oracle they are
@@ -38,11 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import AdjointDivergence, NumericsError, ParamError, ShapeError
+from .errors import AdjointDivergence, ParamError, ShapeError
 from .pq import (
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
@@ -50,6 +46,7 @@ from .pq import (
     DistanceMatrix,
     SoftAssignment,
     WeightMatrix,
+    _finite,
     assignment_at,
     attention,
 )
@@ -90,74 +87,12 @@ class GradBackend:
             )
 
 
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"{what} contains non-finite values")
-    return arr
-
-
-@dataclass(frozen=True)
-class ClusterJacobians:
-    """Linearisation of one center update F(C, W) at one soft assignment.
-
-    With a = attention, s_j its floored column sums and F_j = sum_i a_ij
-    w_i / s_j (SoftAssignment.scale and .means), a row vector v (k x d,
-    flattened) reaches the attention as
-
-        d_att[j, i] = <v_j, w_i - F_j> / s_j,
-
-    and SoftAssignment.vjp takes d_att through the softmax and the distances
-    to v dF/dW and v dF/dC; dF/dW adds the direct term sum_j a_ij v_j / s_j.
-    All in O(m*k*d), by vjp(). j_c is the small dense dF/dC, built on first
-    use. j_w is the dense (k*d) x (d*m) dF/dW, built from scratch only on
-    request: it is the gradcheck and test oracle, and no backend reads it.
-    """
-
-    assignment: SoftAssignment
-
-    def vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(v @ dF/dC, v @ dF/dW) for a length-k*d row vector v."""
-        asg = self.assignment
-        v = np.asarray(v, dtype=np.float64).reshape(asg.c.shape)
-        d_att = v @ asg.w
-        d_att -= (v * asg.means).sum(axis=1)[:, None]
-        d_att /= asg.scale[:, None]
-        grad_w, grad_c = asg.vjp(d_att)
-        grad_w += (v / asg.scale[:, None]).T @ asg.att
-        return (
-            _finite(grad_c.ravel(), "v @ dF/dC"),
-            _finite(grad_w.ravel(), "v @ dF/dW"),
-        )
-
-    @cached_property
-    def j_c(self) -> np.ndarray:
-        """(k*d) x (k*d) dF/dC from one (k*d) x m GEMM plus k diagonal blocks."""
-        asg = self.assignment
-        a, g = asg.att, asg.directions
-        k, d, m = g.shape
-        # x[j, p, i] = a_ij (w_i - F_j)_p / (tau s_j) and y[l, q, i] = a_il g_ilq.
-        x = (asg.w[None, :, :] - asg.means[:, :, None]) * (
-            a / (asg.tau * asg.scale)[:, None]
-        )[:, None, :]
-        y = a[:, None, :] * g
-        jc = (x.reshape(k * d, m) @ y.reshape(k * d, m).T).reshape(k, d, k, d)
-        idx = np.arange(k)
-        jc[idx, :, idx, :] -= np.einsum("jpi,jqi->jpq", x, g)
-        return _finite(jc.reshape(k * d, k * d), "dF/dC")
-
-    @cached_property
-    def j_w(self) -> np.ndarray:
-        """Dense (k*d) x (d*m) dF/dW; see dense_weight_jacobian."""
-        asg = self.assignment
-        return dense_weight_jacobian(asg.w, asg.c, asg.tau)
-
-
 def dense_weight_jacobian(wd: np.ndarray, cd: np.ndarray, tau: float) -> np.ndarray:
     """dF/dW at (cd, wd) materialised entry by entry, from a fresh evaluation.
 
-    The oracle the matrix-free vjp() is checked against, O(m*k*d^2) in
+    The oracle SoftAssignment.f_vjp is checked against, O(m*k*d^2) in
     memory. It shares neither the soft assignment nor the contraction
-    order with vjp(), only the zero-distance rule.
+    order with f_vjp, only the zero-distance rule.
     """
     d, m = wd.shape
     k = cd.shape[0]
@@ -182,16 +117,15 @@ def jacobians_of_F(
     c_star: Codebook,
     tau: float,
     assignment: SoftAssignment | None = None,
-) -> ClusterJacobians:
-    """Linearisation of one center update, evaluated at (c_star, w).
+) -> SoftAssignment:
+    """The soft assignment at (c_star, w), whose f_vjp and j_c linearise
+    one center update there: `assignment`, the solver's evaluation at
+    c_star, once checked, else a fresh one.
 
     Valid at any point, not only fixed points; the unrolled sweep evaluates
-    it along the whole trace. `assignment`, the soft assignment the solver
-    kept at c_star, saves a distance and attention pass. Coincident
-    point/center pairs (distance at most SAFE_DIV_EPS) contribute zero
-    direction, since the norm is not differentiable there.
+    it along the whole trace.
     """
-    return ClusterJacobians(assignment_at(w, c_star, tau, assignment))
+    return assignment_at(w, c_star, tau, assignment)
 
 
 def _averaged_solve(
@@ -269,10 +203,10 @@ def vjp_dC_dW(
     if backend.kind == "unrolled":
         raise ParamError("unrolled VJPs require the forward trace; "
                          "use vjp_through_trace")
-    jac = jacobians_of_F(w, c_star, tau, assignment=assignment)
+    asg = jacobians_of_F(w, c_star, tau, assignment=assignment)
     if backend.kind == "jfb":
-        return jac.vjp(upstream)[1]
-    return jac.vjp(_averaged_solve(upstream, jac.j_c, backend))[1]
+        return asg.f_vjp(upstream)[1]
+    return asg.f_vjp(_averaged_solve(upstream, asg.j_c, backend))[1]
 
 
 def vjp_through_trace(
@@ -288,6 +222,6 @@ def vjp_through_trace(
     total = np.zeros(w.d * w.m)
     v = np.asarray(upstream, dtype=np.float64).ravel()
     for step_input in reversed(trace):
-        v, grad_w = jacobians_of_F(w, step_input, tau).vjp(v)
+        v, grad_w = jacobians_of_F(w, step_input, tau).f_vjp(v)
         total += grad_w
     return total

@@ -21,12 +21,15 @@ AttentionMatrix) guard the public entry and exit points. Inside a solve and a
 training step, one unvalidated SoftAssignment per layer carries the
 distances, attention and column sums at the converged codebook, and every
 consumer of the soft assignment reuses it. It is also the one home of the
-soft k-means center update F and of the backward pass through the softmax
-and the distances, which the solver and every VJP call.
+soft k-means center update F and of its linearisation: the backward pass
+through the softmax and the distances (att_vjp), F's matrix-free VJP
+(f_vjp) and the small dense dF/dC (j_c), which the solver, the soft
+quantizer's VJP and every gradient backend call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +40,12 @@ from .errors import NumericsError, ParamError, PartitionError, ShapeError
 ROW_SUM_TOL = 1e-9
 SAFE_DIV_EPS = 1e-300
 DEGENERATE_FLOOR = 1e-12
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise NumericsError(f"{what} contains non-finite values")
+    return arr
 
 
 def _as_locked_f64(arr) -> np.ndarray:
@@ -108,6 +117,13 @@ class Codebook:
         return self.data.shape[1]
 
 
+def bits_per_weight(k: int, d: int) -> float:
+    """Effective storage cost of a k-codeword, d-dimensional codebook."""
+    if k < 1 or d < 1:
+        raise ParamError(f"k and d must be >= 1, got k={k}, d={d}")
+    return math.log2(k) / d
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """m x k matrix of 2-norm distances between sub-vectors and codewords."""
@@ -166,8 +182,10 @@ class SoftAssignment:
         att: k x m attention, each column softmax(-dist[:, i] / tau).
         col_sums: length-k attention sums over the sub-vectors.
 
-    F at this point is `means`; vjp() is the backward pass through att that
-    every derivative of F and of the soft quantizer goes through.
+    It also holds the center update F(C, W) here (`means`) and its
+    linearisation: att_vjp(), the backward pass through att that every
+    derivative goes through; f_vjp(), F's matrix-free VJP; and j_c, the
+    small dense dF/dC the implicit adjoint iterates on.
     """
 
     w: np.ndarray
@@ -201,7 +219,7 @@ class SoftAssignment:
         np.copyto(g, 0.0, where=~far)
         return g
 
-    def vjp(self, d_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def att_vjp(self, d_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients (d x m, k x d) of sum(d_att * att) in w and in c.
 
         d_att is k x m, like att. It goes back through each column's softmax
@@ -214,6 +232,39 @@ class SoftAssignment:
             np.einsum("ji,jpi->pi", coef, g),
             -np.einsum("ji,jpi->jp", coef, g),
         )
+
+    def f_vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v @ dF/dC, v @ dF/dW) for a length-k*d row vector v.
+
+        With s_j = scale[j], v reaches the attention as d_att[j, i] =
+        <v_j, w_i - F_j> / s_j, which att_vjp takes on; dF/dW adds the
+        direct term sum_j a_ij v_j / s_j. O(m*k*d).
+        """
+        v = np.asarray(v, dtype=np.float64).reshape(self.c.shape)
+        d_att = v @ self.w
+        d_att -= (v * self.means).sum(axis=1)[:, None]
+        d_att /= self.scale[:, None]
+        grad_w, grad_c = self.att_vjp(d_att)
+        grad_w += (v / self.scale[:, None]).T @ self.att
+        return (
+            _finite(grad_c.ravel(), "v @ dF/dC"),
+            _finite(grad_w.ravel(), "v @ dF/dW"),
+        )
+
+    @cached_property
+    def j_c(self) -> np.ndarray:
+        """(k*d) x (k*d) dF/dC from one (k*d) x m GEMM plus k diagonal blocks."""
+        a, g = self.att, self.directions
+        k, d, m = g.shape
+        # x[j, p, i] = a_ij (w_i - F_j)_p / (tau s_j) and y[l, q, i] = a_il g_ilq.
+        x = (self.w[None, :, :] - self.means[:, :, None]) * (
+            a / (self.tau * self.scale)[:, None]
+        )[:, None, :]
+        y = a[:, None, :] * g
+        jc = (x.reshape(k * d, m) @ y.reshape(k * d, m).T).reshape(k, d, k, d)
+        idx = np.arange(k)
+        jc[idx, :, idx, :] -= np.einsum("jpi,jqi->jpq", x, g)
+        return _finite(jc.reshape(k * d, k * d), "dF/dC")
 
     def check(self, w: WeightMatrix, c: Codebook, tau: float) -> "SoftAssignment":
         """Reject an evaluation taken for another layer size, k or tau."""
@@ -382,8 +433,6 @@ def soft_quantize_vjp(
         )
     asg = assignment_at(w, c, tau, assignment)
     # The output is c^T att, so d(loss)/d att[j, i] = <c_j, upstream column i>.
-    grad_w, grad_c = asg.vjp(c.data @ upstream)
+    grad_w, grad_c = asg.att_vjp(c.data @ upstream)
     grad_c += asg.att @ upstream.T
-    if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_c))):
-        raise NumericsError("soft-quantizer VJP produced non-finite values")
-    return grad_w, grad_c
+    return _finite(grad_w, "soft-quantizer VJP"), _finite(grad_c, "soft-quantizer VJP")

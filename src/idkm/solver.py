@@ -16,6 +16,7 @@ result for the training step's soft quantizer and backward pass to reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,12 @@ from .errors import NumericsError, ParamError, ShapeError
 from .pq import Codebook, SoftAssignment, WeightMatrix, attention, soft_assign  # noqa: F401
 
 INIT_KINDS = ("kmeans_pp", "random_subset")
+
+
+def require_positive_finite(name: str, value: float) -> None:
+    """The rule for every temperature, tolerance and learning rate."""
+    if not 0 < value < math.inf:
+        raise ParamError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,7 @@ def _update(
 
 def fixed_point_map_F(w: WeightMatrix, c: Codebook, tau: float) -> Codebook:
     """One application of the center-update map F(C, W)."""
-    if tau <= 0:
-        raise ParamError(f"tau must be positive, got {tau}")
+    require_positive_finite("tau", tau)
     if w.d != c.d:
         raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
     return Codebook(_update(w.data, c.data, tau)[0])
@@ -147,10 +153,8 @@ def solve_fixed_point(
     `converged` certifies ||F(C*) - C*|| < eps exactly. That evaluation's
     soft assignment is returned with the result.
     """
-    if tau <= 0:
-        raise ParamError(f"tau must be positive, got {tau}")
-    if eps <= 0:
-        raise ParamError(f"eps must be positive, got {eps}")
+    require_positive_finite("tau", tau)
+    require_positive_finite("eps", eps)
     if max_iters < 1:
         raise ParamError(f"max_iters must be >= 1, got {max_iters}")
     if w.d != c0.d:

@@ -300,6 +300,20 @@ class TestPipeline:
         )
         assert main(["quantize", "--config", str(widened)]) == EXIT_CONFIG
 
+    def test_layer_kind_mismatch_is_a_config_error(self, tiny_config, capsys):
+        # relu and flatten hold no tensors, so only the stored layer list
+        # tells these two configs apart.
+        cfg_path = str(tiny_config())
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        capsys.readouterr()
+        flatten = tiny_config(**{"kind = relu": "kind = flatten"})
+        assert main(["eval", "--config", str(flatten)]) == EXIT_CONFIG
+        assert "['dense', 'relu', 'dense']" in capsys.readouterr().err
+        # Which layers are marked for quantization is not architecture.
+        unmarked = tiny_config(**{"out_features = 3\nquantize = true":
+                                  "out_features = 3\nquantize = false"})
+        assert main(["eval", "--config", str(unmarked)]) == EXIT_OK
+
 
 class TestGradcheckCommand:
     def test_small_suite_passes(self, capsys):

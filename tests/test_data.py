@@ -258,11 +258,10 @@ class TestCheckpoint:
             ckpt.codebooks["layer0.w"].data, books["layer0.w"].data
         )
 
-        def drop_bits(manifest):
-            del manifest["codebooks"][0]["bits_per_weight"]
-
-        self._tamper(path, drop_bits)
-        assert load_checkpoint(path).bits_per_weight() == {"layer0.w": 2.0}
+        # Bits come from the stored shape alone; no derived field is written.
+        assert [sorted(e) for e in ckpt.manifest["codebooks"]] == [
+            ["layer", "offset", "shape"]
+        ]
 
     def _tamper(self, path, mutate):
         blob = path.read_bytes()
@@ -311,8 +310,15 @@ class TestCheckpoint:
         _with_header({"format_version": CHECKPOINT_VERSION}),
         _with_header({"format_version": CHECKPOINT_VERSION,
                       "tensors": [{"name": "layer0.w", "offset": 0}]}),
+        _with_header({"format_version": CHECKPOINT_VERSION, "tensors": []}),
+        _with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
+                      "architecture": [{"kind": "pool", "quantize": False}]}),
+        _with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
+                      "architecture": [{"kind": "relu", "quantize": False,
+                                        "in_features": 3}]}),
     ], ids=["short-header", "manifest-not-object", "no-tensors",
-            "entry-without-shape"])
+            "entry-without-shape", "no-architecture", "unknown-layer-kind",
+            "stray-layer-field"])
     def test_malformed_file_is_a_format_error(self, tmp_path, capsys, body):
         path = tmp_path / "h.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + body)

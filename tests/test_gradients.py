@@ -19,14 +19,15 @@ from idkm.gradcheck import (
     run_suite,
 )
 from idkm.gradients import (
-    ClusterJacobians,
     GradBackend,
+    dense_weight_jacobian,
     jacobians_of_F,
     neumann_inverse,
     vjp_dC_dW,
 )
 from idkm.pq import (
     Codebook,
+    SoftAssignment,
     WeightMatrix,
     partition_weights,
     soft_assign,
@@ -58,20 +59,22 @@ class TestJacobiansOfF:
         # Uniform attention: F becomes the global mean for every center, so
         # dF/dC vanishes and dF/dW repeats a (1/m) identity pattern.
         inst = _converged_instance(0, m=10, k=3, d=2)
-        jac = jacobians_of_F(inst.w, inst.c_star, tau=1e12)
-        np.testing.assert_allclose(jac.j_c, 0.0, atol=1e-9)
+        asg = jacobians_of_F(inst.w, inst.c_star, tau=1e12)
+        np.testing.assert_allclose(asg.j_c, 0.0, atol=1e-9)
         m = inst.w.m
         expected = np.zeros((3 * 2, 2 * m))
         for j in range(3):
             for p in range(2):
                 expected[j * 2 + p, p * m : (p + 1) * m] = 1.0 / m
-        np.testing.assert_allclose(jac.j_w, expected, atol=1e-9, rtol=0)
+        dense_w = dense_weight_jacobian(inst.w.data, inst.c_star.data, 1e12)
+        np.testing.assert_allclose(dense_w, expected, atol=1e-9, rtol=0)
 
     def test_single_center_single_dim_is_the_plain_mean(self):
         w = partition_weights(np.array([0.5, 1.5, 4.0, -2.0]), 1)
-        jac = jacobians_of_F(w, Codebook([[1.0]]), tau=0.3)
-        np.testing.assert_allclose(jac.j_c, [[0.0]], atol=1e-12)
-        np.testing.assert_allclose(jac.j_w, np.full((1, 4), 0.25), atol=1e-15)
+        asg = jacobians_of_F(w, Codebook([[1.0]]), tau=0.3)
+        np.testing.assert_allclose(asg.j_c, [[0.0]], atol=1e-12)
+        dense_w = dense_weight_jacobian(w.data, np.array([[1.0]]), 0.3)
+        np.testing.assert_allclose(dense_w, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_blocks_match_finite_differences(self):
         inst = _converged_instance(12, m=12, k=3, d=2)
@@ -87,32 +90,34 @@ class TestJacobiansOfF:
             jacobians_of_F(w, Codebook([[0.0, 0.0]]), tau=0.0)
 
 
-def _assert_vjp_matches_dense(w, c, tau, seed):
-    jac = jacobians_of_F(w, c, tau)
-    v = np.random.default_rng(seed).normal(size=c.k * c.d)
-    grad_c, grad_w = jac.vjp(v)
-    assert rel_err(grad_c, v @ jac.j_c) <= 1e-12
-    assert rel_err(grad_w, v @ jac.j_w) <= 1e-12
+def _assert_vjp_matches_dense(asg: SoftAssignment, seed):
+    v = np.random.default_rng(seed).normal(size=asg.c.size)
+    grad_c, grad_w = asg.f_vjp(v)
+    assert rel_err(grad_c, v @ asg.j_c) <= 1e-12
+    dense_w = dense_weight_jacobian(asg.w, asg.c, asg.tau)
+    assert rel_err(grad_w, v @ dense_w) <= 1e-12
 
 
 class TestMatrixFreeVjp:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_dense_blocks_on_gradcheck_instances(self, seed):
         inst = make_instance(seed)
-        _assert_vjp_matches_dense(inst.w, inst.c_star, inst.tau, seed)
+        asg = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        _assert_vjp_matches_dense(asg, seed)
 
     @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0, 3.0])
     def test_matches_the_dense_blocks_at_k16_d4(self, tau):
         rng = np.random.default_rng(int(100 * tau))
         w = partition_weights(rng.normal(size=40 * 4), 4)
         c = Codebook(rng.normal(size=(16, 4)))
-        _assert_vjp_matches_dense(w, c, tau, seed=int(100 * tau))
+        _assert_vjp_matches_dense(jacobians_of_F(w, c, tau), seed=int(100 * tau))
 
     def test_shared_assignment_gives_the_same_linearisation(self):
         inst = make_instance(3)
         shared = soft_assign(inst.w.data, inst.c_star.data, inst.tau)
         fresh = jacobians_of_F(inst.w, inst.c_star, inst.tau)
         reused = jacobians_of_F(inst.w, inst.c_star, inst.tau, assignment=shared)
+        assert reused is shared
         np.testing.assert_array_equal(reused.j_c, fresh.j_c)
 
     def test_assignment_for_another_point_is_refused(self):
@@ -126,17 +131,17 @@ class TestMatrixFreeVjp:
 
 
 def test_gradcheck_fails_on_a_planted_weight_vjp_error(monkeypatch):
-    # All three backends train with ClusterJacobians.vjp. A 0.1% error in its
+    # All three backends train with SoftAssignment.f_vjp. A 0.1% error in its
     # v @ dF/dW scales implicit and unrolled alike, so only the jfb line,
     # which checks the VJP against the dense dF/dW, can catch it.
-    real = ClusterJacobians.vjp
+    real = SoftAssignment.f_vjp
 
     def planted(self, v):
         grad_c, grad_w = real(self, v)
         return grad_c, 1.001 * grad_w
 
     assert run_suite(4, with_fd=False).passed
-    monkeypatch.setattr(ClusterJacobians, "vjp", planted)
+    monkeypatch.setattr(SoftAssignment, "f_vjp", planted)
     report = run_suite(4, with_fd=False)
     assert not report.passed
     assert report.jfb_block_err > 1e-4
@@ -154,7 +159,7 @@ def test_sub_vector_on_a_codeword_has_one_zero_distance_rule(offset):
     w = partition_weights(flat, 1)
     c = Codebook([[-1.0], [0.0], [1.5]])
     tau = 0.5
-    _assert_vjp_matches_dense(w, c, tau, seed=21)
+    _assert_vjp_matches_dense(jacobians_of_F(w, c, tau), seed=21)
     err_c, err_w = check_update_blocks(
         GradInstance(seed=21, w=w, c0=c, c_star=c, k=3, tau=tau)
     )
@@ -181,10 +186,11 @@ def _central_differences(f, x):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_soft_assignment_vjp_matches_central_differences(d):
-    # SoftAssignment.vjp is the one backward pass through the softmax and
-    # the distances. Sub-vector 5 sits exactly on codeword 2, so that pair
-    # has no direction, as central differences straddling the kink see it
-    # (to O(h): the |delta| * delta terms there do not cancel).
+    # SoftAssignment.att_vjp is the one backward pass through the softmax
+    # and the distances. Sub-vector 5 sits exactly on codeword 2, so that
+    # pair has no direction, as central differences straddling the kink see
+    # it (to O(h): the |delta| * delta terms there do not cancel). f_vjp,
+    # which goes through att_vjp, must drop it as j_c and the oracle do.
     rng = np.random.default_rng(40 + d)
     wd = rng.normal(size=(d, 9))
     cd = rng.normal(size=(4, d))
@@ -197,12 +203,13 @@ def test_soft_assignment_vjp_matches_central_differences(d):
 
     asg = soft_assign(wd, cd, tau)
     assert asg.dist[2, 5] == 0.0
-    grad_w, grad_c = asg.vjp(d_att)
+    grad_w, grad_c = asg.att_vjp(d_att)
     assert grad_w.shape == (d, 9) and grad_c.shape == (4, d)
     fd_w = _central_differences(lambda x: phi(x, cd), wd)
     fd_c = _central_differences(lambda x: phi(wd, x), cd)
     assert rel_err(grad_w, fd_w) <= TOL_FD_BLOCKS
     assert rel_err(grad_c, fd_c) <= TOL_FD_BLOCKS
+    _assert_vjp_matches_dense(asg, seed=40 + d)
 
 
 class TestNeumannInverse:
@@ -279,12 +286,12 @@ class TestNeumannInverse:
 class TestImplicit:
     def test_huge_tau_reduces_to_the_weight_block(self):
         inst = _converged_instance(1, m=9, k=2, d=1)
-        jac = jacobians_of_F(inst.w, inst.c_star, tau=1e12)
         out = dense_dC_dW(inst.w, inst.c_star, 1e12, GradBackend())
         np.testing.assert_array_equal(
             out, dense_dC_dW(inst.w, inst.c_star, 1e12, JFB)
         )
-        assert rel_err(out, jac.j_w) <= 1e-12
+        dense_w = dense_weight_jacobian(inst.w.data, inst.c_star.data, 1e12)
+        assert rel_err(out, dense_w) <= 1e-12
 
     def test_hard_limit_recovers_cluster_mean_rows(self):
         # Saturated attention: each center is the mean of its members, so the
@@ -319,7 +326,7 @@ class TestJfb:
     def test_is_the_weight_block_by_definition(self):
         inst = _converged_instance(2, m=14, k=4, d=1)
         jfb = dense_dC_dW(inst.w, inst.c_star, inst.tau, JFB)
-        block = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_w
+        block = dense_weight_jacobian(inst.w.data, inst.c_star.data, inst.tau)
         assert rel_err(jfb, block) <= 1e-12
 
     def test_coincides_with_implicit_when_centers_decouple(self):
@@ -344,7 +351,7 @@ class TestUnrolled:
         out = dense_dC_dW(
             inst.w, inst.c0, inst.tau, UNROLLED, eps=1e-30, max_iters=1
         )
-        block = jacobians_of_F(inst.w, inst.c0, inst.tau).j_w
+        block = dense_weight_jacobian(inst.w.data, inst.c0.data, inst.tau)
         assert rel_err(out, block) <= 1e-12
 
     def test_converged_run_matches_finite_differences(self):
@@ -361,13 +368,15 @@ class TestVjp:
 
     def test_random_upstream_matches_dense_lu_oracle(self):
         inst = _converged_instance(8, m=16, k=4, d=2)
-        jac = jacobians_of_F(inst.w, inst.c_star, inst.tau)
-        kd = jac.j_c.shape[0]
-        m_star = np.linalg.solve(np.eye(kd) - jac.j_c, np.eye(kd))
+        j_c = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c
+        kd = j_c.shape[0]
+        m_star = np.linalg.solve(np.eye(kd) - j_c, np.eye(kd))
         rng = np.random.default_rng(8)
         upstream = rng.normal(size=kd)
         upstream /= np.linalg.norm(upstream)
-        ref = upstream @ m_star @ jac.j_w
+        ref = upstream @ m_star @ dense_weight_jacobian(
+            inst.w.data, inst.c_star.data, inst.tau
+        )
         out = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, TIGHT)
         assert rel_err(out, ref) <= 1e-8
 

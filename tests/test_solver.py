@@ -222,6 +222,20 @@ class TestSolve:
         with pytest.raises(ParamError):
             solve_fixed_point(w, _book([0.0, 1.0, 2.0]), 0.1, 1e-6, 5)
 
+    @pytest.mark.parametrize("name", ["tau", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_tau_and_eps_must_be_positive_and_finite(self, name, value):
+        # Unchecked, eps = nan ran every iteration and reported residual 0,
+        # eps = inf converged after one update, tau = nan raised a
+        # NumericsError and tau = inf collapsed both centers to the mean.
+        w, c0 = _weights([0.0, 0.1, 1.0, 1.1]), _book([0.0, 1.0])
+        settings = {"tau": 0.1, "eps": 1e-6, name: value}
+        with pytest.raises(ParamError, match=f"{name} must be positive"):
+            solve_fixed_point(w, c0, max_iters=30, **settings)
+        if name == "tau":
+            with pytest.raises(ParamError, match="tau must be positive"):
+                fixed_point_map_F(w, c0, tau=value)
+
     def test_result_fields_round_trip(self):
         result = FixedPointResult(
             codebook=_book([1.0]), iterations=3, residual=0.5, converged=False

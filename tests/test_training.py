@@ -13,12 +13,11 @@ from idkm.data import synthetic_blobs
 from idkm.errors import AdjointDivergence, ParamError, ShapeError
 from idkm.gradients import GradBackend
 from idkm.nn import LayerSpec, Network, loss_and_grad
-from idkm.pq import Codebook
+from idkm.pq import Codebook, bits_per_weight
 from idkm.solver import InitStrategy
 from idkm.training import (
     TrainConfig,
     TrainState,
-    bits_per_weight,
     evaluate,
     quantize_weights,
     quantized_train_step,
