@@ -253,8 +253,8 @@ class Checkpoint:
 
     manifest: dict
     weights: dict[str, np.ndarray]
+    layers: tuple[LayerSpec, ...]
     codebooks: dict[str, Codebook] = field(default_factory=dict)
-    layers: tuple[LayerSpec, ...] = ()
 
     def network(self) -> Network:
         return Network(layers=self.layers)
@@ -369,11 +369,12 @@ def _manifest_entries(manifest: dict, key: str, label: str, path) -> list:
 
 
 def _manifest_layers(manifest: dict, path) -> tuple[LayerSpec, ...]:
-    """The stored architecture, each entry exactly as save_checkpoint writes it."""
+    """The stored architecture, a non-empty list of entries each exactly as
+    save_checkpoint writes it."""
     entries = manifest.get("architecture")
     try:
         specs = tuple(LayerSpec(**entry) for entry in entries)
-        if [_layer_spec_dict(s) for s in specs] == entries:
+        if specs and [_layer_spec_dict(s) for s in specs] == entries:
             return specs
     except (TypeError, ParamError):
         pass
@@ -418,7 +419,7 @@ def load_checkpoint(path) -> Checkpoint:
     codebooks = {
         e["layer"]: Codebook(_decode_tensor(payload, e, path)) for e in books
     }
-    return Checkpoint(manifest, weights, codebooks, layers)
+    return Checkpoint(manifest, weights, layers, codebooks)
 
 
 def append_jsonl(path, record: dict):

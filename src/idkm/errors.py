@@ -17,6 +17,12 @@ class ParamError(IdkmError):
     """A parameter is outside its valid range."""
 
 
+def require_positive_finite(name: str, value: float | None) -> None:
+    """The rule for every temperature, tolerance and learning rate."""
+    if value is None or not 0 < value < float("inf"):
+        raise ParamError(f"{name} must be positive and finite, got {value}")
+
+
 class NumericsError(IdkmError):
     """A computation produced non-finite values."""
 

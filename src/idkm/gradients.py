@@ -33,12 +33,11 @@ Jacobians in this module are laid out over those flattenings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdjointDivergence, ParamError, ShapeError
+from .errors import AdjointDivergence, ParamError, ShapeError, require_positive_finite
 from .pq import (
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
@@ -81,10 +80,7 @@ class GradBackend:
             raise ParamError("max_restarts must be >= 0")
         if self.max_adjoint_iters < 1:
             raise ParamError("max_adjoint_iters must be >= 1")
-        if not 0 < self.adjoint_eps < math.inf:
-            raise ParamError(
-                f"adjoint_eps must be positive and finite, got {self.adjoint_eps}"
-            )
+        require_positive_finite("adjoint_eps", self.adjoint_eps)
 
 
 def dense_weight_jacobian(wd: np.ndarray, cd: np.ndarray, tau: float) -> np.ndarray:

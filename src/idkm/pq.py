@@ -35,7 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericsError, ParamError, PartitionError, ShapeError
+from .errors import (
+    NumericsError, ParamError, PartitionError, ShapeError, require_positive_finite,
+)
 
 ROW_SUM_TOL = 1e-9
 SAFE_DIV_EPS = 1e-300
@@ -152,8 +154,7 @@ class AttentionMatrix:
         data = _as_locked_f64(self.data)
         if data.ndim != 2:
             raise ShapeError("attention matrix must be 2-D")
-        if self.tau <= 0:
-            raise ParamError(f"tau must be positive, got {self.tau}")
+        require_positive_finite("tau", self.tau)
         if np.any(data < 0) or np.any(data > 1):
             raise NumericsError("attention entries outside [0, 1]")
         row_sums = data.sum(axis=1)
@@ -365,8 +366,7 @@ def attention(
     the codeword-major k x m distances soft_assign computes on every solve
     iteration; it gives the k x m attention, with no validation or copy.
     """
-    if tau <= 0:
-        raise ParamError(f"tau must be positive, got {tau}")
+    require_positive_finite("tau", tau)
     raw = isinstance(dmat, np.ndarray)
     att = np.divide(dmat if raw else dmat.data.T, -tau)
     att -= att.max(axis=0)

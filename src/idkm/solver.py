@@ -16,22 +16,15 @@ result for the training step's soft quantizer and backward pass to reuse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, ParamError, ShapeError
+from .errors import NumericsError, ParamError, ShapeError, require_positive_finite
 # attention stays a name of this module: perfbench traces it as solver.attention.
 from .pq import Codebook, SoftAssignment, WeightMatrix, attention, soft_assign  # noqa: F401
 
 INIT_KINDS = ("kmeans_pp", "random_subset")
-
-
-def require_positive_finite(name: str, value: float) -> None:
-    """The rule for every temperature, tolerance and learning rate."""
-    if not 0 < value < math.inf:
-        raise ParamError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,6 @@ def _update(
 
 def fixed_point_map_F(w: WeightMatrix, c: Codebook, tau: float) -> Codebook:
     """One application of the center-update map F(C, W)."""
-    require_positive_finite("tau", tau)
     if w.d != c.d:
         raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
     return Codebook(_update(w.data, c.data, tau)[0])

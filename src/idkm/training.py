@@ -29,14 +29,13 @@ That counter is the package's memory claim, asserted exactly in the tests.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import AdjointDivergence, ParamError, ShapeError
+from .errors import AdjointDivergence, ParamError, ShapeError, require_positive_finite
 from .gradients import GradBackend, vjp_dC_dW, vjp_through_trace
 from .nn import LOSS_KINDS, Network, loss_and_grad
 from .pq import (
@@ -52,7 +51,6 @@ from .solver import (
     FixedPointResult,
     InitStrategy,
     init_codebook,
-    require_positive_finite,
     solve_fixed_point,
 )
 
@@ -241,8 +239,8 @@ def quantize_weights(
     """Replace each clustered tensor by its codebook reconstruction."""
     if mode not in ("hard", "soft"):
         raise ParamError(f"mode must be hard or soft, got {mode!r}")
-    if mode == "soft" and not (tau is not None and 0 < tau < math.inf):
-        raise ParamError(f"soft quantization needs a positive, finite tau, got {tau}")
+    if mode == "soft":
+        require_positive_finite("tau", tau)
     out = dict(weights)
     for key in net.quantized_keys():
         if key not in codebooks:
@@ -371,7 +369,8 @@ def train_float(
     on_epoch: Callable[[dict], None] | None = None,
 ) -> tuple[list[dict], dict[str, np.ndarray]]:
     """Plain-SGD float pretraining used to produce the starting checkpoint."""
-    if not 0 < learning_rate < math.inf or epochs < 0 or batch_size < 1:
+    require_positive_finite("learning_rate", learning_rate)
+    if epochs < 0 or batch_size < 1:
         raise ParamError("bad pretraining hyperparameters")
     eval_set = eval_set if eval_set is not None else train_set
     weights = {k: np.array(v) for k, v in weights.items()}

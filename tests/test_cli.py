@@ -259,7 +259,7 @@ class TestPipeline:
             code = main(["eval", "--config", cfg_path, "--checkpoint", ckpt,
                          "--mode", "soft", "--tau", tau])
             assert code == EXIT_CONFIG
-            assert "positive, finite tau" in capsys.readouterr().err
+            assert "tau must be positive and finite" in capsys.readouterr().err
 
     def test_quantize_backend_override_names_the_outputs(
         self, tiny_config, tmp_path

@@ -304,25 +304,33 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("body", [
-        b"\x05\x00\x00",
-        _with_header(b"[1, 2]"),
-        _with_header({"format_version": CHECKPOINT_VERSION}),
-        _with_header({"format_version": CHECKPOINT_VERSION,
-                      "tensors": [{"name": "layer0.w", "offset": 0}]}),
-        _with_header({"format_version": CHECKPOINT_VERSION, "tensors": []}),
-        _with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
-                      "architecture": [{"kind": "pool", "quantize": False}]}),
-        _with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
-                      "architecture": [{"kind": "relu", "quantize": False,
-                                        "in_features": 3}]}),
+    @pytest.mark.parametrize("body, error", [
+        (b"\x05\x00\x00", "truncated header"),
+        (_with_header(b"[1, 2]"), "not a JSON object"),
+        (_with_header({"format_version": CHECKPOINT_VERSION}), "lists no 'tensors'"),
+        (_with_header({"format_version": CHECKPOINT_VERSION,
+                       "tensors": [{"name": "layer0.w", "offset": 0}],
+                       "architecture": [{"kind": "relu", "quantize": False}]}),
+         "needs a 'name' string"),
+        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": []}),
+         "'architecture' is not a list"),
+        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
+                       "architecture": []}),
+         "'architecture' is not a list"),
+        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
+                       "architecture": [{"kind": "pool", "quantize": False}]}),
+         "'architecture' is not a list"),
+        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
+                       "architecture": [{"kind": "relu", "quantize": False,
+                                         "in_features": 3}]}),
+         "'architecture' is not a list"),
     ], ids=["short-header", "manifest-not-object", "no-tensors",
-            "entry-without-shape", "no-architecture", "unknown-layer-kind",
-            "stray-layer-field"])
-    def test_malformed_file_is_a_format_error(self, tmp_path, capsys, body):
+            "entry-without-shape", "no-architecture", "empty-architecture",
+            "unknown-layer-kind", "stray-layer-field"])
+    def test_malformed_file_is_a_format_error(self, tmp_path, capsys, body, error):
         path = tmp_path / "h.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + body)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=error):
             load_checkpoint(path)
         config = str(REPO / "configs" / "blobs.ini")
         code = main(["eval", "--config", config, "--checkpoint", str(path)])

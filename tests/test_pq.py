@@ -101,6 +101,16 @@ class TestDistancesAndAttention:
         with pytest.raises(ParamError):
             attention(DistanceMatrix([[1.0]]), tau=0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        # Unchecked, tau = inf gave every weight the codeword mean and
+        # tau = nan failed as "non-finite entries" of the weight matrix.
+        w, c = _scalar_weights([0.0, 1.0]), _scalar_codebook([0.0, 1.0])
+        with pytest.raises(ParamError, match="tau must be positive and finite"):
+            attention(DistanceMatrix([[1.0]]), tau=tau)
+        with pytest.raises(ParamError, match="tau must be positive and finite"):
+            soft_quantize(w, c, tau)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             distance_matrix(partition_weights([1.0, 2.0], 2), _scalar_codebook([0.0]))
