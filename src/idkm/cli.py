@@ -221,6 +221,12 @@ def cmd_eval(args) -> int:
     _check_arch(net, ckpt)
     _, eval_set = _datasets(cfg)
     mode = args.mode or ("hard" if ckpt.codebooks else "float")
+    marked = set(net.quantized_keys())
+    if mode != "float" and ckpt.codebooks and set(ckpt.codebooks) != marked:
+        raise ConfigError(
+            f"checkpoint codebooks {sorted(ckpt.codebooks)} do not match the "
+            f"layers the config marks for quantization {sorted(marked)}"
+        )
     tau = args.tau if args.tau is not None else (
         cfg.quantize.get("tau", TrainConfig.tau)
     )

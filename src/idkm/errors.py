@@ -28,7 +28,13 @@ class NumericsError(IdkmError):
 
 
 class AdjointDivergence(IdkmError):
-    """The averaged adjoint iteration failed to converge after all restarts."""
+    """The averaged adjoint iteration diverged on every alpha-halving restart;
+    also the base of AdjointStalled, so one except clause takes both."""
+
+
+class AdjointStalled(AdjointDivergence):
+    """An attempt of the averaged adjoint iteration ran its iteration limit
+    without diverging and without its residual getting below the tolerance."""
 
 
 class FormatError(IdkmError):

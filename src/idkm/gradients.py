@@ -8,7 +8,11 @@ to the weights being clustered:
   memory and time grow linearly with the iteration count.
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
   solution only. The adjoint row u (I - dF/dC*)^-1 is obtained by an
-  averaged fixed-point iteration with alpha-halving restarts on divergence.
+  averaged fixed-point iteration with alpha-halving restarts on divergence,
+  evaluated ADJOINT_BLOCK steps per NumPy call from the stacked powers of
+  the averaged step, which hold ADJOINT_BLOCK*(k*d)^2 floats (2 MiB at
+  k*d = 64). It decides as the step-by-step loop does, and raises
+  AdjointStalled or AdjointDivergence when it fails.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
@@ -37,7 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdjointDivergence, ParamError, ShapeError, require_positive_finite
+from .errors import (
+    AdjointDivergence,
+    AdjointStalled,
+    ParamError,
+    ShapeError,
+    require_positive_finite,
+)
 from .pq import (
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
@@ -54,6 +64,8 @@ BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
 DIVERGENCE_CAP = 1e8
 DIVERGENCE_GROWTH_STEPS = 10
+# Averaged adjoint steps evaluated per NumPy call; see _averaged_solve.
+ADJOINT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,8 @@ class GradBackend:
 
     alpha0 is the initial averaging weight; each detected divergence restarts
     the iteration from the identity with alpha halved, at most max_restarts
-    times before raising AdjointDivergence.
+    times before raising AdjointDivergence. An attempt that runs
+    max_adjoint_iters steps without diverging raises AdjointStalled.
     """
 
     kind: str = "implicit"
@@ -124,6 +137,28 @@ def jacobians_of_F(
     return assignment_at(w, c_star, tau, assignment)
 
 
+def _residual_powers(j_c: np.ndarray, alpha: float, count: int) -> np.ndarray:
+    """(M^T)^0 ... (M^T)^(count-1), M = (1-alpha) I + alpha j_c, stacked as
+    a (count*n) x n matrix, so that one product with a residual row r gives
+    the rows r M^0 ... r M^(count-1). Built by doubling: the powers held so
+    far times the highest power reached. Powers may overflow; see
+    _averaged_solve."""
+    n = len(j_c)
+    powers = np.empty((count, n, n))
+    powers[0] = np.eye(n)
+    top = (1.0 - alpha) * np.eye(n) + alpha * j_c.T
+    filled = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while filled < count:
+            take = min(filled, count - filled)
+            powers[filled:filled + take] = (
+                powers[:take].reshape(take * n, n) @ top
+            ).reshape(take, n, n)
+            filled += take
+            top = top @ top
+    return powers.reshape(count * n, n)
+
+
 def _averaged_solve(
     upstream: np.ndarray, j_c: np.ndarray, backend: GradBackend
 ) -> np.ndarray:
@@ -132,34 +167,72 @@ def _averaged_solve(
     Each step maps x to g(x) = upstream + x j_c and moves to
     alpha*g(x) + (1-alpha)*x. Divergence (ten consecutive residual increases,
     a residual above the cap, or non-finite values) restarts from upstream
-    with alpha halved. Returns an iterate whose residual ||g(x) - x|| is
-    below backend.adjoint_eps, i.e. upstream (I - j_c)^-1 to that accuracy.
+    with alpha halved; reaching max_adjoint_iters without diverging raises
+    AdjointStalled. Returns an iterate whose directly computed residual
+    ||g(x) - x|| is below backend.adjoint_eps, i.e. upstream (I - j_c)^-1 to
+    that accuracy.
+
+    The iteration runs ADJOINT_BLOCK steps per NumPy call. The residual
+    r = g(x) - x obeys r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c,
+    and x_{n+1} = x_n + alpha r_n, so one product of a block's first
+    residual (computed directly from its iterate) with the stacked powers
+    of M gives the block's residuals. The cap, tolerance and growth checks
+    then run over the block in the loop's order, to the first step where
+    one decides. A step whose predicted residual is below the tolerance
+    starts the next block, where that residual is computed directly; so
+    roundoff that floors the true residual leads to a stall, not to a
+    return. The powers hold ADJOINT_BLOCK*(k*d)^2 floats: 2 MiB at
+    k*d = 64.
     """
+    size = upstream.size
     alpha = backend.alpha0
+    limit = backend.max_adjoint_iters
     attempts = backend.max_restarts + 1
-    for attempt in range(attempts):
+    for _ in range(attempts):
+        powers = _residual_powers(j_c, alpha, min(ADJOINT_BLOCK, limit))
         x = upstream.copy()
         prev_res = np.inf
         growth = 0
-        diverged = False
-        for _ in range(backend.max_adjoint_iters):
-            mapped = upstream + x @ j_c
-            res = float(np.linalg.norm(mapped - x))
-            if not np.isfinite(res) or res > DIVERGENCE_CAP:
-                diverged = True
+        done = 0
+        # Every break is a divergence; running out of steps is a stall.
+        while done < limit:
+            length = min(ADJOINT_BLOCK, limit - done)
+            first = upstream + x @ j_c - x
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = (powers[: length * size] @ first).reshape(length, size)
+                res = np.sqrt(np.einsum("ij,ij->i", block, block))
+            res[0] = np.linalg.norm(first)
+            finite = np.isfinite(res)
+            if not finite[0]:
                 break
-            if res < backend.adjoint_eps:
-                return x
-            growth = growth + 1 if res > prev_res else 0
-            if growth >= DIVERGENCE_GROWTH_STEPS:
-                diverged = True
-                break
-            x = alpha * mapped + (1.0 - alpha) * x
-            prev_res = res
-        if not diverged:
-            raise AdjointDivergence(
+            # A prediction that is not finite (an overflowed power of M times
+            # a zero, say) is computed directly, as the next block's first.
+            if not finite.all():
+                length = int(np.argmin(finite))
+                res = res[:length]
+            # runs[i]: consecutive increases ending at step i, carried over
+            # from the previous block while there has been no fall.
+            steps = np.arange(length)
+            rose = res > np.concatenate(([prev_res], res[:-1]))
+            last_fall = np.maximum.accumulate(np.where(rose, -1, steps))
+            runs = np.where(last_fall >= 0, steps - last_fall, growth + steps + 1)
+            over = res > DIVERGENCE_CAP
+            below = res < backend.adjoint_eps
+            stop = over | below | (runs >= DIVERGENCE_GROWTH_STEPS)
+            if stop.any():
+                at = int(np.argmax(stop))
+                if over[at] or not below[at]:
+                    break
+                if at == 0:
+                    return x
+                length = at
+            x = x + alpha * block[:length].sum(axis=0)
+            prev_res, growth = res[length - 1], runs[length - 1]
+            done += length
+        else:
+            raise AdjointStalled(
                 f"adjoint: residual still above {backend.adjoint_eps:g} after "
-                f"{backend.max_adjoint_iters} iterations at alpha={alpha:g}"
+                f"{limit} iterations at alpha={alpha:g}"
             )
         alpha *= 0.5
     raise AdjointDivergence(

@@ -35,7 +35,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import AdjointDivergence, ParamError, ShapeError, require_positive_finite
+from .errors import (
+    AdjointDivergence,
+    AdjointStalled,
+    ParamError,
+    ShapeError,
+    require_positive_finite,
+)
 from .gradients import GradBackend, vjp_dC_dW, vjp_through_trace
 from .nn import LOSS_KINDS, Network, loss_and_grad
 from .pq import (
@@ -94,7 +100,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class StepMetrics:
-    """Per-step instrumentation; scalar fields are maxima over layers."""
+    """Per-step instrumentation; scalar fields are maxima over layers.
+
+    per_layer maps each quantized tensor to its solve's iterations,
+    residual, retained codebooks and degenerate clusters, whether its
+    gradient fell back to jfb, and, for the implicit backend, how its
+    adjoint solve ended ("adjoint": converged, stalled or diverged).
+    """
 
     loss: float
     retained_iterate_count: int
@@ -193,14 +205,19 @@ def quantized_train_step(
         if cfg.backend.kind == "unrolled":
             flat_grad = vjp_through_trace(u_vec, wm, result.trace, cfg.tau)
         else:
+            if cfg.backend.kind == "implicit":
+                stats["adjoint"] = "converged"
             try:
                 flat_grad = vjp_dC_dW(
                     u_vec, wm, result.codebook, cfg.tau, cfg.backend,
                     assignment=result.assignment,
                 )
             except AdjointDivergence as exc:
+                stats["adjoint"] = (
+                    "stalled" if isinstance(exc, AdjointStalled) else "diverged"
+                )
                 if not cfg.fallback_jfb:
-                    raise AdjointDivergence(f"{name}: {exc}") from exc
+                    raise type(exc)(f"{name}: {exc}") from exc
                 stats["fallback"] = True
                 fallback = dataclasses.replace(cfg.backend, kind="jfb")
                 flat_grad = vjp_dC_dW(

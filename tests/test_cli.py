@@ -314,6 +314,25 @@ class TestPipeline:
                                   "out_features = 3\nquantize = false"})
         assert main(["eval", "--config", str(unmarked)]) == EXIT_OK
 
+    def test_eval_codebooks_must_be_the_marked_layers(
+        self, tiny_config, tmp_path, capsys
+    ):
+        cfg_path = str(tiny_config())
+        ckpt = str(tmp_path / "run" / "quantized-implicit.ckpt")
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        assert main(["quantize", "--config", cfg_path, "--epochs", "0"]) == EXIT_OK
+        unmarked = str(tiny_config(**{"out_features = 3\nquantize = true":
+                                      "out_features = 3\nquantize = false"}))
+        capsys.readouterr()
+        for mode in ([], ["--mode", "hard"], ["--mode", "soft"]):
+            code = main(["eval", "--config", unmarked, "--checkpoint", ckpt, *mode])
+            assert code == EXIT_CONFIG
+            assert "['layer0.w', 'layer2.w']" in capsys.readouterr().err
+        code = main(["eval", "--config", unmarked, "--checkpoint", ckpt,
+                     "--mode", "float"])
+        assert code == EXIT_OK
+        assert "mode float" in capsys.readouterr().out
+
 
 class TestGradcheckCommand:
     def test_small_suite_passes(self, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from idkm.errors import AdjointDivergence, ParamError, ShapeError
+from idkm.errors import AdjointDivergence, AdjointStalled, ParamError, ShapeError
 from idkm.gradcheck import (
     FORWARD_EPS,
     FORWARD_MAX_ITERS,
@@ -19,7 +19,11 @@ from idkm.gradcheck import (
     run_suite,
 )
 from idkm.gradients import (
+    ADJOINT_BLOCK,
+    DIVERGENCE_CAP,
+    DIVERGENCE_GROWTH_STEPS,
     GradBackend,
+    _averaged_solve,
     dense_weight_jacobian,
     jacobians_of_F,
     neumann_inverse,
@@ -281,6 +285,175 @@ class TestNeumannInverse:
             GradBackend(adjoint_eps=0.0)
         with pytest.raises(ParamError):
             GradBackend(adjoint_eps=float("nan"))
+
+
+def _loop_solve(upstream, j_c, backend, log=None):
+    """The averaged adjoint one step per NumPy call, as _averaged_solve ran
+    before it evaluated blocks of steps: the oracle for its decisions.
+    Appends each attempt's end to `log` as (reason, step, alpha)."""
+    note = log.append if log is not None else lambda event: None
+    alpha = backend.alpha0
+    for _ in range(backend.max_restarts + 1):
+        x = upstream.copy()
+        prev_res = np.inf
+        growth = 0
+        for step in range(backend.max_adjoint_iters):
+            mapped = upstream + x @ j_c
+            res = float(np.linalg.norm(mapped - x))
+            if not np.isfinite(res) or res > DIVERGENCE_CAP:
+                note(("cap", step, alpha))
+                break
+            if res < backend.adjoint_eps:
+                note(("converged", step, alpha))
+                return x
+            growth = growth + 1 if res > prev_res else 0
+            if growth >= DIVERGENCE_GROWTH_STEPS:
+                note(("growth", step, alpha))
+                break
+            x = alpha * mapped + (1.0 - alpha) * x
+            prev_res = res
+        else:
+            note(("stalled", backend.max_adjoint_iters, alpha))
+            raise AdjointStalled("stalled")
+        alpha *= 0.5
+    raise AdjointDivergence("diverged")
+
+
+def _spectral(seed, n, radius):
+    mat = np.random.default_rng(seed).normal(size=(n, n))
+    return mat * (radius / max(abs(np.linalg.eigvals(mat))))
+
+
+def _decaying_diagonal(converge_at, alpha=0.25):
+    """j_c, upstream and a tolerance the loop first meets at step converge_at.
+
+    With j_c diagonal the residual of step n is (upstream j_c) scaled by
+    (1 - alpha + alpha j_jj)^n entrywise, so its norm is known in closed form
+    and falls monotonically; the tolerance sits halfway (geometrically)
+    between steps converge_at - 1 and converge_at."""
+    diag = np.array([0.5, 0.3, -0.2])
+    upstream = np.array([1.0, -2.0, 0.5])
+    rates = 1.0 - alpha + alpha * diag
+
+    def res(n):
+        return np.linalg.norm(upstream * diag * rates**n)
+
+    eps = np.sqrt(res(converge_at - 1) * res(converge_at))
+    return np.diag(diag), upstream, eps
+
+
+# Upstream and j_c for which the residual, at alpha 1, grows 1.5-fold from
+# 1.5e7 a step and passes the cap at step 5, before ten increases.
+CAP_FIRST = (1e7 * np.ones(3), np.diag([-1.5, 0.3, 0.2]))
+# Upstream and j_c for which the residual, at alpha 1, falls until step 60
+# and then rises, ending ten increases at step 70, past the first block.
+LATE_GROWTH = (np.array([3e-3, 1.0]), np.diag([1.01, 0.9]))
+
+
+class TestBlockedAdjointMatchesTheLoop:
+    """_averaged_solve against _loop_solve: the same exception class, or an
+    iterate within 1e-12 of the loop's whose directly computed residual is
+    below the tolerance."""
+
+    @staticmethod
+    def _check(upstream, j_c, backend):
+        log = []
+        try:
+            expected = _loop_solve(upstream, j_c, backend, log)
+        except AdjointDivergence as exc:
+            with pytest.raises(AdjointDivergence) as got:
+                _averaged_solve(upstream, j_c, backend)
+            assert type(got.value) is type(exc)
+            return log
+        out = _averaged_solve(upstream, j_c, backend)
+        assert rel_err(out, expected) <= 1e-12
+        assert np.linalg.norm(upstream + out @ j_c - out) < backend.adjoint_eps
+        return log
+
+    def test_zero_matrix(self):
+        upstream = np.array([0.3, -1.0, 2.0])
+        log = self._check(upstream, np.zeros((3, 3)), GradBackend())
+        assert log == [("converged", 0, 0.25)]
+
+    @pytest.mark.parametrize("radius", [0.8, 0.95])
+    def test_contractions(self, radius):
+        j_c = _spectral(int(radius * 100), 6, radius)
+        upstream = np.random.default_rng(5).normal(size=6)
+        log = self._check(upstream, j_c, GradBackend(max_adjoint_iters=4000))
+        assert [event[0] for event in log] == ["converged"]
+        assert log[0][1] > ADJOINT_BLOCK
+
+    @pytest.mark.parametrize("limit", [50, 500])
+    def test_stall_at_the_iteration_limit(self, limit):
+        upstream = np.random.default_rng(6).normal(size=5)
+        log = self._check(upstream, _spectral(6, 5, 0.99),
+                          GradBackend(max_adjoint_iters=limit))
+        assert log == [("stalled", limit, 0.25)]
+
+    def test_cap_divergence_recovered_by_a_restart(self):
+        # Alpha 1/2 contracts.
+        log = self._check(*CAP_FIRST, GradBackend(alpha0=1.0))
+        assert [event[0] for event in log] == ["cap", "converged"]
+        assert log[0][1] == 5
+
+    def test_ten_increases_diverge_on_every_attempt(self):
+        log = self._check(np.ones(2), np.diag([1.05, 0.5]),
+                          GradBackend(alpha0=1.0))
+        assert [event[0] for event in log] == ["growth"] * 6
+
+    def test_increases_counted_across_block_edges(self):
+        # Each run of ten increases spans a block edge (steps 61-70, 123-132,
+        # 247-256) until alpha 1/8 is too slow for one; that attempt stalls.
+        log = self._check(*LATE_GROWTH, GradBackend(alpha0=1.0))
+        assert [event[:2] for event in log] == [
+            ("growth", 70), ("growth", 132), ("growth", 256), ("stalled", 500)
+        ]
+
+    @pytest.mark.parametrize("case, limit, reason", [
+        ("cap", 6, "cap"),
+        ("late-growth", 71, "growth"),
+        ("late-growth", 70, "stalled"),
+    ])
+    def test_the_deciding_step_is_the_loops(self, case, limit, reason):
+        # With one attempt and the limit just past (or at) the loop's
+        # deciding step, deciding at any other step changes the exception
+        # raised. A limit of 70 also ends the second block short of 64.
+        upstream, j_c = CAP_FIRST if case == "cap" else LATE_GROWTH
+        backend = GradBackend(alpha0=1.0, max_restarts=0, max_adjoint_iters=limit)
+        log = self._check(upstream, j_c, backend)
+        assert [event[0] for event in log] == [reason]
+
+    @pytest.mark.parametrize(
+        "converge_at", [ADJOINT_BLOCK - 1, ADJOINT_BLOCK, ADJOINT_BLOCK + 1]
+    )
+    def test_convergence_at_a_block_edge(self, converge_at):
+        j_c, upstream, eps = _decaying_diagonal(converge_at)
+        log = self._check(upstream, j_c, GradBackend(adjoint_eps=eps))
+        assert log == [("converged", converge_at, 0.25)]
+
+    @pytest.mark.parametrize("converge_at", [ADJOINT_BLOCK + 35, ADJOINT_BLOCK + 36])
+    def test_limit_that_is_not_a_multiple_of_the_block(self, converge_at):
+        limit = ADJOINT_BLOCK + 36
+        j_c, upstream, eps = _decaying_diagonal(converge_at)
+        log = self._check(upstream, j_c,
+                          GradBackend(adjoint_eps=eps, max_adjoint_iters=limit))
+        expected = "converged" if converge_at < limit else "stalled"
+        assert [event[0] for event in log] == [expected]
+
+    def test_overflowing_powers_are_not_a_divergence(self):
+        # The averaged step's 2.5e6 eigenvalue overflows its 63rd power, but
+        # the residual never has a component along it: the loop converges.
+        log = self._check(np.array([0.0, 1.0]), np.diag([1e7, 0.5]), GradBackend())
+        assert [event[0] for event in log] == ["converged"]
+        assert log[0][1] > ADJOINT_BLOCK
+
+    def test_tolerance_below_the_roundoff_floor(self):
+        # The recurrence's residual falls past 1e-17; the directly computed
+        # one stops at roundoff, so both stall rather than return.
+        upstream = np.random.default_rng(7).normal(size=6)
+        backend = GradBackend(adjoint_eps=1e-17)
+        log = self._check(upstream, _spectral(80, 6, 0.8), backend)
+        assert log == [("stalled", backend.max_adjoint_iters, 0.25)]
 
 
 class TestImplicit:

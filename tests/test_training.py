@@ -10,7 +10,7 @@ import idkm.pq as pq
 import idkm.solver as solver
 import idkm.training as training
 from idkm.data import synthetic_blobs
-from idkm.errors import AdjointDivergence, ParamError, ShapeError
+from idkm.errors import AdjointDivergence, AdjointStalled, ParamError, ShapeError
 from idkm.gradients import GradBackend
 from idkm.nn import LayerSpec, Network, loss_and_grad
 from idkm.pq import Codebook, bits_per_weight
@@ -255,6 +255,46 @@ class TestQuantizedStep:
             small_cfg(fallback_jfb=True),
         )
         assert all(s["fallback"] for s in metrics.per_layer.values())
+
+    @pytest.mark.parametrize("error, outcome", [
+        (AdjointStalled, "stalled"), (AdjointDivergence, "diverged"),
+    ])
+    def test_adjoint_outcome_is_reported_per_layer(self, monkeypatch, error, outcome):
+        real = training.vjp_dC_dW
+
+        def failing_layer0(upstream, w, c_star, tau, backend, **kwargs):
+            if backend.kind == "implicit" and w.m == 96:
+                raise error("synthetic failure")
+            return real(upstream, w, c_star, tau, backend, **kwargs)
+
+        monkeypatch.setattr(training, "vjp_dC_dW", failing_layer0)
+        net, weights, data = blob_task(7)
+        x, y = data.inputs[:16], data.labels[:16]
+        _, metrics = quantized_train_step(
+            net, x, y, TrainState(weights=dict(weights)),
+            small_cfg(fallback_jfb=True),
+        )
+        layers = metrics.per_layer
+        assert (layers["layer0.w"]["adjoint"], layers["layer0.w"]["fallback"]) == (
+            outcome, True)
+        assert (layers["layer2.w"]["adjoint"], layers["layer2.w"]["fallback"]) == (
+            "converged", False)
+        # Without the fallback the step raises the same class, naming the layer.
+        with pytest.raises(error, match="layer0.w") as raised:
+            quantized_train_step(
+                net, x, y, TrainState(weights=dict(weights)), small_cfg()
+            )
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("kind", ["jfb", "unrolled"])
+    def test_only_implicit_layers_report_an_adjoint(self, kind):
+        net, weights, data = blob_task(7)
+        x, y = data.inputs[:16], data.labels[:16]
+        _, metrics = quantized_train_step(
+            net, x, y, TrainState(weights=dict(weights)),
+            small_cfg(backend=GradBackend(kind=kind)),
+        )
+        assert all("adjoint" not in s for s in metrics.per_layer.values())
 
 
 def count_soft_assignments(monkeypatch):
