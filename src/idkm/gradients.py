@@ -3,16 +3,19 @@
 Three ways to obtain the derivative of the converged codebook with respect
 to the weights being clustered:
 
-* ``unrolled``: chain rule through every recorded iteration of the solve.
-  Exact for the computed iterate, but must retain the whole trace, so its
-  memory and time grow linearly with the iteration count.
+* ``unrolled``: chain rule through every update the solve applied, from the
+  codebooks entering them (its trace; C* = F(trace[-1])). The solve stops at
+  the first iterate it certifies, so no update past that is recorded. Exact
+  for the computed iterate, but must retain the whole trace, so its memory
+  and time grow linearly with the iteration count.
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
   solution only. The adjoint row u (I - dF/dC*)^-1 is obtained by an
   averaged fixed-point iteration with alpha-halving restarts on divergence,
-  evaluated ADJOINT_BLOCK steps per NumPy call from the stacked powers of
-  the averaged step, which hold ADJOINT_BLOCK*(k*d)^2 floats (2 MiB at
-  k*d = 64). It decides as the step-by-step loop does, and raises
-  AdjointStalled or AdjointDivergence when it fails.
+  evaluated up to ADJOINT_BLOCK steps per NumPy call from the stacked
+  powers of the averaged step, fewer when k*d is large enough that building
+  the powers would cost more than the loop steps they replace (512 KiB of
+  powers at k*d = 64). It decides as the step-by-step loop does, and
+  raises AdjointStalled or AdjointDivergence when it fails.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
@@ -64,8 +67,12 @@ BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
 DIVERGENCE_CAP = 1e8
 DIVERGENCE_GROWTH_STEPS = 10
-# Averaged adjoint steps evaluated per NumPy call; see _averaged_solve.
+# Averaged adjoint steps evaluated per NumPy call, at most; see _averaged_solve.
 ADJOINT_BLOCK = 64
+# Multiply-adds the powers of one adjoint attempt may cost, (k*d)^3 each: on
+# one BLAS thread, about the time of ADJOINT_BLOCK steps of the per-step
+# loop, whose cost is NumPy call overhead (~5 us) rather than arithmetic.
+ADJOINT_POWER_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,12 @@ def _residual_powers(j_c: np.ndarray, alpha: float, count: int) -> np.ndarray:
     return powers.reshape(count * n, n)
 
 
+def _block_length(n: int, limit: int) -> int:
+    """Averaged steps per block at k*d = n: ADJOINT_BLOCK while its powers
+    fit ADJOINT_POWER_BUDGET (k*d <= 40), fewer above (16 at k*d = 64)."""
+    return max(1, min(ADJOINT_BLOCK, limit, ADJOINT_POWER_BUDGET // n**3))
+
+
 def _averaged_solve(
     upstream: np.ndarray, j_c: np.ndarray, backend: GradBackend
 ) -> np.ndarray:
@@ -172,7 +185,7 @@ def _averaged_solve(
     ||g(x) - x|| is below backend.adjoint_eps, i.e. upstream (I - j_c)^-1 to
     that accuracy.
 
-    The iteration runs ADJOINT_BLOCK steps per NumPy call. The residual
+    The iteration runs _block_length steps per NumPy call. The residual
     r = g(x) - x obeys r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c,
     and x_{n+1} = x_n + alpha r_n, so one product of a block's first
     residual (computed directly from its iterate) with the stacked powers
@@ -181,22 +194,23 @@ def _averaged_solve(
     one decides. A step whose predicted residual is below the tolerance
     starts the next block, where that residual is computed directly; so
     roundoff that floors the true residual leads to a stall, not to a
-    return. The powers hold ADJOINT_BLOCK*(k*d)^2 floats: 2 MiB at
-    k*d = 64.
+    return. The powers hold _block_length*(k*d)^2 floats: 800 KiB at
+    k*d = 40, 512 KiB at k*d = 64.
     """
     size = upstream.size
     alpha = backend.alpha0
     limit = backend.max_adjoint_iters
     attempts = backend.max_restarts + 1
+    block_len = _block_length(size, limit)
     for _ in range(attempts):
-        powers = _residual_powers(j_c, alpha, min(ADJOINT_BLOCK, limit))
+        powers = _residual_powers(j_c, alpha, block_len)
         x = upstream.copy()
         prev_res = np.inf
         growth = 0
         done = 0
         # Every break is a divergence; running out of steps is a stall.
         while done < limit:
-            length = min(ADJOINT_BLOCK, limit - done)
+            length = min(block_len, limit - done)
             first = upstream + x @ j_c - x
             with np.errstate(over="ignore", invalid="ignore"):
                 block = (powers[: length * size] @ first).reshape(length, size)
@@ -286,7 +300,8 @@ def vjp_through_trace(
 ) -> np.ndarray:
     """Reverse sweep of the recorded solve, contracted with one upstream row.
 
-    One soft assignment and one matrix-free VJP per recorded iterate.
+    One soft assignment and one matrix-free VJP per recorded iterate, the
+    codebook entering each update the solve applied.
     """
     total = np.zeros(w.d * w.m)
     v = np.asarray(upstream, dtype=np.float64).ravel()

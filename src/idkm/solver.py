@@ -2,16 +2,19 @@
 
 One update F(C, W) recomputes the attention against the current centers and
 replaces every center with its attention-weighted mean of sub-vectors. The
-solver iterates F until the Frobenius change drops below a tolerance, with an
-optional recorded trace of every intermediate codebook. The trace is what an
-unrolled backward pass must retain, so its length is the quantity measured by
-the memory instrumentation; all other backends keep exactly one codebook.
+solver iterates F until the current codebook's fixed-point gap ||F(C) - C||
+drops below a tolerance, with an optional recorded trace of the codebook
+entering every update. The trace is what an unrolled backward pass must
+retain, so its length is the quantity measured by the memory
+instrumentation; all other backends keep exactly one codebook.
 
-The loop, the final residual pass and fixed_point_map_F run one raw-array
-kernel, pq.soft_assign, and take F's means from the SoftAssignment it
-returns, with validation only on entry and on the returned codebook. The
-residual pass's soft assignment at the returned codebook is kept on the
-result for the training step's soft quantizer and backward pass to reuse.
+The loop and fixed_point_map_F run one raw-array kernel, pq.soft_assign,
+and take F's means from the SoftAssignment it returns, with validation only
+on entry and on the returned codebook. Each evaluation of F serves twice:
+its gap ||F(C) - C|| decides whether C is returned, and otherwise its means
+are the next iterate. So the loop stops at the first iterate it has
+certified, and that iterate's soft assignment is kept on the result for the
+training step's soft quantizer and backward pass to reuse.
 """
 
 from __future__ import annotations
@@ -49,11 +52,12 @@ class FixedPointResult:
     """Outcome of a fixed-point solve.
 
     `residual` is the Frobenius gap ||F(C*) - C*|| evaluated at the returned
-    codebook, so a converged result satisfies the fixed-point condition to
-    within eps by construction. `assignment` is the soft assignment that
-    residual pass computed at the returned codebook. `trace` holds the
-    codebook entering each update, in order, and only when recording was
-    requested.
+    codebook, the gap the loop stopped on, so a converged result satisfies
+    the fixed-point condition to within eps by construction. `assignment` is
+    the soft assignment of that last evaluation, taken at the returned
+    codebook. `iterations` counts the updates applied, at least one. `trace`
+    holds the codebook entering each update, in order, and only when
+    recording was requested.
     """
 
     codebook: Codebook
@@ -138,12 +142,16 @@ def solve_fixed_point(
     max_iters: int,
     record_trace: bool = False,
 ) -> FixedPointResult:
-    """Iterate C <- F(C, W) until the update is smaller than eps.
+    """Iterate C <- F(C, W) until the returned codebook is a fixed point
+    to within eps.
 
-    The reported residual is the fixed-point gap of the returned codebook
-    itself, obtained with one extra (never recorded) evaluation of F, so
-    `converged` certifies ||F(C*) - C*|| < eps exactly. That evaluation's
-    soft assignment is returned with the result.
+    F is evaluated at c0 once, then each pass applies the update and
+    evaluates F at the new iterate, stopping when that gap is below eps or
+    after max_iters updates. At least one update is applied, so an already
+    converged c0 returns F(c0). The reported residual is the gap of the
+    returned codebook itself, so `converged` certifies ||F(C*) - C*|| < eps
+    exactly, and that evaluation's soft assignment is returned with the
+    result. A solve takes iterations + 1 evaluations of F.
     """
     require_positive_finite("tau", tau)
     require_positive_finite("eps", eps)
@@ -155,22 +163,19 @@ def solve_fixed_point(
         raise ParamError(f"k={c0.k} exceeds the number of sub-vectors m={w.m}")
 
     cur = c0.data
+    nxt, deg, _ = _update(w.data, cur, tau)
     trace: list[Codebook] | None = [] if record_trace else None
     degenerate = 0
-    iterations = 0
-    for _ in range(max_iters):
-        nxt, deg, _ = _update(w.data, cur, tau)
-        degenerate += deg
+    for iterations in range(1, max_iters + 1):
         if record_trace:
             trace.append(Codebook(cur))
-        iterations += 1
-        gap = float(np.linalg.norm(nxt - cur))
         cur = nxt
-        if gap < eps:
+        degenerate += deg
+        nxt, deg, assignment = _update(w.data, cur, tau)
+        residual = float(np.linalg.norm(nxt - cur))
+        if residual < eps:
             break
 
-    final_map, _, assignment = _update(w.data, cur, tau)
-    residual = float(np.linalg.norm(final_map - cur))
     return FixedPointResult(
         codebook=Codebook(cur),
         iterations=iterations,

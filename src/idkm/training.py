@@ -7,9 +7,10 @@ and the cluster path through dC*/dW via the configured gradient backend.
 Plain SGD, no momentum. Biases are never quantized.
 
 The solver evaluates each layer's distances, attention and column sums once
-per iteration and once more at C*, in its residual pass. The soft quantizer,
-its VJP and the cluster backward (including a jfb retry after a failed
-adjoint) all reuse that last evaluation, a pq.SoftAssignment, which also
+at its starting codebook and once after each update, and stops at C*, the
+first iterate that evaluation certifies. The soft quantizer, its VJP and
+the cluster backward (including a jfb retry after a failed adjoint) all
+reuse that last evaluation, a pq.SoftAssignment, which also
 holds the center update F and its linearisation: the backward pass through
 the softmax and the distances (att_vjp) that the soft quantizer's VJP runs,
 and F's VJP (f_vjp) and dF/dC (j_c) that the cluster backward runs. Beyond
@@ -21,8 +22,9 @@ No backend forms a dense (k*d) x (d*m) Jacobian.
 
 StepMetrics.retained_iterate_count records how many codebook snapshots a
 step held for backward: 1 for the implicit and jfb backends regardless of
-how many cluster iterations ran, and the full iteration count for unrolled,
-which also evaluates one soft assignment per snapshot in its backward sweep.
+how many cluster iterations ran, and for unrolled the number of updates the
+solve applied, which also evaluates one soft assignment per snapshot in its
+backward sweep.
 That counter is the package's memory claim, asserted exactly in the tests.
 """
 
@@ -103,9 +105,9 @@ class StepMetrics:
     """Per-step instrumentation; scalar fields are maxima over layers.
 
     per_layer maps each quantized tensor to its solve's iterations,
-    residual, retained codebooks and degenerate clusters, whether its
-    gradient fell back to jfb, and, for the implicit backend, how its
-    adjoint solve ended ("adjoint": converged, stalled or diverged).
+    residual, converged flag, retained codebooks and degenerate clusters,
+    whether its gradient fell back to jfb, and, for the implicit backend,
+    how its adjoint solve ended ("adjoint": converged, stalled or diverged).
     """
 
     loss: float
@@ -192,6 +194,7 @@ def quantized_train_step(
         stats = {
             "iters": result.iterations,
             "residual": result.residual,
+            "converged": result.converged,
             "retained": result.retained_codebooks,
             "degenerate": result.degenerate_clusters,
             "fallback": False,
@@ -305,7 +308,12 @@ def solve_codebooks(
     return books
 
 
-def _epoch_record(epoch, state, loss, last_metrics, cfg, hard_acc, soft_acc):
+def _epoch_record(epoch, state, loss, steps, cfg, hard_acc, soft_acc):
+    """One report line; `steps` is the epoch's StepMetrics, empty for
+    record 0. The per-step figures are the epoch's last step's, and
+    unconverged_solves and fallbacks count over all its layer-steps."""
+    last_metrics = steps[-1] if steps else None
+    layer_steps = [stats for m in steps for stats in m.per_layer.values()]
     return {
         "epoch": epoch,
         "step": state.step,
@@ -323,6 +331,8 @@ def _epoch_record(epoch, state, loss, last_metrics, cfg, hard_acc, soft_acc):
         ),
         "t_forward_s": last_metrics.wall_time_forward if last_metrics else 0.0,
         "t_backward_s": last_metrics.wall_time_backward if last_metrics else 0.0,
+        "unconverged_solves": sum(not stats["converged"] for stats in layer_steps),
+        "fallbacks": sum(stats["fallback"] for stats in layer_steps),
     }
 
 
@@ -346,30 +356,26 @@ def train(
     state.codebooks = solve_codebooks(net, state.weights, cfg)
     rng = np.random.default_rng(cfg.seed)
 
-    def snapshot(epoch, mean_loss, last_metrics):
+    def snapshot(epoch, mean_loss, steps):
         hard = evaluate(
             net, state.weights, eval_set, state.codebooks, mode="hard"
         )
         soft = evaluate(
             net, state.weights, eval_set, state.codebooks, mode="soft", tau=cfg.tau
         )
-        record = _epoch_record(
-            epoch, state, mean_loss, last_metrics, cfg, hard, soft
-        )
+        record = _epoch_record(epoch, state, mean_loss, steps, cfg, hard, soft)
         if on_epoch:
             on_epoch(record)
         return record
 
-    history = [snapshot(0, None, None)]
+    history = [snapshot(0, None, [])]
     for epoch in range(1, cfg.epochs + 1):
-        losses = []
-        last_metrics = None
+        steps = []
         for bx, by in train_set.batches(cfg.batch_size, rng=rng):
-            state.weights, last_metrics = quantized_train_step(
-                net, bx, by, state, cfg
-            )
-            losses.append(last_metrics.loss)
-        history.append(snapshot(epoch, float(np.mean(losses)), last_metrics))
+            state.weights, metrics = quantized_train_step(net, bx, by, state, cfg)
+            steps.append(metrics)
+        mean_loss = float(np.mean([m.loss for m in steps]))
+        history.append(snapshot(epoch, mean_loss, steps))
     return history, state
 
 

@@ -20,10 +20,12 @@ from idkm.gradcheck import (
 )
 from idkm.gradients import (
     ADJOINT_BLOCK,
+    ADJOINT_POWER_BUDGET,
     DIVERGENCE_CAP,
     DIVERGENCE_GROWTH_STEPS,
     GradBackend,
     _averaged_solve,
+    _block_length,
     dense_weight_jacobian,
     jacobians_of_F,
     neumann_inverse,
@@ -454,6 +456,33 @@ class TestBlockedAdjointMatchesTheLoop:
         backend = GradBackend(adjoint_eps=1e-17)
         log = self._check(upstream, _spectral(80, 6, 0.8), backend)
         assert log == [("stalled", backend.max_adjoint_iters, 0.25)]
+
+
+class TestBlockLength:
+    """Fewer steps per block where building ADJOINT_BLOCK powers of the
+    averaged step would cost more than the loop steps they replace."""
+
+    def test_shipped_sizes_keep_the_full_block(self):
+        # Every shipped config and benchmark workload has k*d = 4.
+        assert _block_length(4, 500) == ADJOINT_BLOCK
+        assert _block_length(40, 500) == ADJOINT_BLOCK
+        assert _block_length(4, 10) == 10
+
+    def test_powers_stay_within_the_budget(self):
+        assert _block_length(64, 500) == 16
+        for n in range(1, 129):
+            block = _block_length(n, 500)
+            assert 1 <= block <= ADJOINT_BLOCK
+            assert block == 1 or block * n**3 <= ADJOINT_POWER_BUDGET
+
+    @pytest.mark.parametrize("radius, limit", [(0.1, 500), (0.87, 500), (0.99, 50)])
+    def test_short_blocks_match_the_loop(self, radius, limit):
+        # k*d = 64 runs 16 steps per block; a limit of 50 ends on a block of 2.
+        j_c = _spectral(int(radius * 100), 64, radius)
+        upstream = np.random.default_rng(8).normal(size=64)
+        TestBlockedAdjointMatchesTheLoop._check(
+            upstream, j_c, GradBackend(max_adjoint_iters=limit)
+        )
 
 
 class TestImplicit:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import idkm.solver as solver
 from idkm.errors import ParamError, ShapeError
 from idkm.pq import Codebook, partition_weights
 from idkm.solver import (
@@ -140,11 +141,12 @@ class TestSolve:
         w = partition_weights(rng.normal(size=40), 2)
         c0 = init_codebook(w, 4, InitStrategy(seed=2))
         result = solve_fixed_point(w, c0, tau=0.1, eps=1e-9, max_iters=500)
-        assert result.converged
+        assert result.converged and result.iterations > 1
         mapped = fixed_point_map_F(w, result.codebook, 0.1)
         gap = float(np.linalg.norm(mapped.data - result.codebook.data))
         assert gap == result.residual
         assert gap < 1e-9
+        np.testing.assert_array_equal(result.assignment.c, result.codebook.data)
 
     def test_trace_records_the_input_of_every_iteration(self):
         w = _weights(BLOB_POINTS)
@@ -166,10 +168,61 @@ class TestSolve:
     def test_retained_codebooks_counter(self):
         w = _weights(BLOB_POINTS)
         c0 = _book([0.4, 0.6])
-        plain = solve_fixed_point(w, c0, 0.01, 1e-8, 50)
-        traced = solve_fixed_point(w, c0, 0.01, 1e-8, 50, record_trace=True)
+        plain = solve_fixed_point(w, c0, 0.01, 1e-10, 50)
+        traced = solve_fixed_point(w, c0, 0.01, 1e-10, 50, record_trace=True)
         assert plain.trace is None and plain.retained_codebooks == 1
         assert traced.retained_codebooks == traced.iterations > 1
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("case", ["converges", "max_iters", "fixed_c0"])
+    def test_one_evaluation_per_update_plus_one(self, monkeypatch, case, record):
+        # The loop stops at the iterate whose gap it has just evaluated: F at
+        # c0, then one evaluation after each update, and no residual pass.
+        rng = np.random.default_rng(4)
+        w = partition_weights(rng.normal(size=40), 2)
+        c0 = init_codebook(w, 4, InitStrategy(seed=4))
+        tau, eps, max_iters = 0.1, 1e-9, 500
+        if case == "max_iters":
+            max_iters = 5
+        elif case == "fixed_c0":
+            c0 = solve_fixed_point(w, c0, tau, 1e-14, 1000).codebook
+        calls = []
+        real = solver.soft_assign
+
+        def counting(wd, cd, t):
+            calls.append(cd.copy())
+            return real(wd, cd, t)
+
+        monkeypatch.setattr(solver, "soft_assign", counting)
+        result = solve_fixed_point(w, c0, tau, eps, max_iters, record_trace=record)
+        assert len(calls) == result.iterations + 1
+        np.testing.assert_array_equal(calls[0], c0.data)
+        np.testing.assert_array_equal(calls[-1], result.codebook.data)
+        # Every iterate before the returned one was evaluated uncertified.
+        for cur, nxt in zip(calls[1:-1], calls[2:]):
+            assert np.linalg.norm(nxt - cur) >= eps
+        np.testing.assert_array_equal(result.assignment.c, result.codebook.data)
+        if case == "converges":
+            assert result.converged and result.iterations > 1
+        elif case == "max_iters":
+            assert not result.converged and result.iterations == 5
+        else:
+            assert result.converged and result.iterations == 1
+        if record:
+            assert len(result.trace) == result.iterations
+            if case == "fixed_c0":
+                np.testing.assert_array_equal(result.trace[0].data, c0.data)
+        else:
+            assert result.trace is None
+
+    def test_max_iters_solve_applies_every_update(self):
+        w = _weights(BLOB_POINTS)
+        book = c0 = _book([0.4, 0.6])
+        result = solve_fixed_point(w, c0, tau=0.3, eps=1e-8, max_iters=5)
+        for _ in range(5):
+            book = fixed_point_map_F(w, book, 0.3)
+        np.testing.assert_array_equal(result.codebook.data, book.data)
+        assert result.iterations == 5 and not result.converged
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(9)

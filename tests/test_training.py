@@ -29,7 +29,7 @@ from idkm.training import (
 REPORT_FIELDS = {
     "epoch", "step", "loss", "top1_hard", "top1_soft", "backend", "k", "d",
     "tau", "cluster_iters", "residual", "retained_iterates", "t_forward_s",
-    "t_backward_s",
+    "t_backward_s", "unconverged_solves", "fallbacks",
 }
 
 
@@ -435,6 +435,49 @@ class TestTrainLoop:
         assert len(history) == 2
         for record in history:
             assert set(record) == REPORT_FIELDS
+
+    def test_epoch_records_count_fallbacks(self, monkeypatch):
+        # One planted adjoint stall, on layer2.w in the run's second step;
+        # every solve converges and no other adjoint fails.
+        real = training.vjp_dC_dW
+        calls = Counter()
+
+        def stall_once(upstream, w, c_star, tau, backend, **kwargs):
+            if backend.kind == "implicit" and w.m == 48:
+                calls["layer2.w"] += 1
+                if calls["layer2.w"] == 2:
+                    raise AdjointStalled("planted")
+            return real(upstream, w, c_star, tau, backend, **kwargs)
+
+        monkeypatch.setattr(training, "vjp_dC_dW", stall_once)
+        net, weights, data = blob_task(10, points=10)
+        history, _ = train(
+            net, weights, small_cfg(epochs=2, fallback_jfb=True), data
+        )
+        assert [r["fallbacks"] for r in history] == [0, 1, 0]
+        assert [r["unconverged_solves"] for r in history] == [0, 0, 0]
+
+    def test_epoch_records_count_unconverged_solves(self, monkeypatch):
+        steps = []
+        real = training.quantized_train_step
+
+        def recording_step(*args):
+            out = real(*args)
+            steps.append(out[1])
+            return out
+
+        monkeypatch.setattr(training, "quantized_train_step", recording_step)
+        net, weights, data = blob_task(10, points=10)
+        # Three updates are too few for some of the solves.
+        cfg = small_cfg(epochs=2, max_cluster_iters=3, fallback_jfb=True)
+        history, _ = train(net, weights, cfg, data)
+        half = len(steps) // 2
+        expected = [
+            sum(not stats["converged"] for m in epoch for stats in m.per_layer.values())
+            for epoch in (steps[:half], steps[half:])
+        ]
+        assert [r["unconverged_solves"] for r in history] == [0, *expected]
+        assert 0 < sum(expected) < 2 * len(steps)
 
     def test_zero_epochs_is_pure_evaluation(self):
         net, weights, data = blob_task(10, points=10)
