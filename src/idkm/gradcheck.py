@@ -47,6 +47,17 @@ TOL_FD_BLOCKS = 1e-5
 TOL_NEUMANN = 1e-6
 TOL_JFB_BLOCK = 1e-12
 
+# One row per check: the SuiteReport field holding its worst error, the
+# label the report prints, and the tolerance it must not exceed.
+CHECKS = (
+    ("oracle_err", "implicit vs unrolled", TOL_ORACLE),
+    ("fd_solve_err", "implicit vs finite diff", TOL_FD_SOLVE),
+    ("fd_jc_err", "update dF/dC vs FD", TOL_FD_BLOCKS),
+    ("fd_jw_err", "update dF/dW vs FD", TOL_FD_BLOCKS),
+    ("jfb_block_err", "jfb vs dF/dW block", TOL_JFB_BLOCK),
+    ("neumann_err", "averaged inverse vs LU", TOL_NEUMANN),
+)
+
 
 @dataclass(frozen=True)
 class GradInstance:
@@ -255,34 +266,15 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.oracle_err <= TOL_ORACLE
-            and self.fd_solve_err <= TOL_FD_SOLVE
-            and self.fd_jc_err <= TOL_FD_BLOCKS
-            and self.fd_jw_err <= TOL_FD_BLOCKS
-            and self.jfb_block_err <= TOL_JFB_BLOCK
-            and self.neumann_err <= TOL_NEUMANN
-        )
+        return all(getattr(self, name) <= tol for name, _, tol in CHECKS)
 
     def lines(self) -> list[str]:
-        def verdict(value, tol):
-            return "ok" if value <= tol else f"FAIL (tol {tol:g})"
-
-        return [
-            f"instances checked        : {self.instances}",
-            f"implicit vs unrolled     : {self.oracle_err:.3e}  "
-            f"{verdict(self.oracle_err, TOL_ORACLE)}",
-            f"implicit vs finite diff  : {self.fd_solve_err:.3e}  "
-            f"{verdict(self.fd_solve_err, TOL_FD_SOLVE)}",
-            f"update dF/dC vs FD       : {self.fd_jc_err:.3e}  "
-            f"{verdict(self.fd_jc_err, TOL_FD_BLOCKS)}",
-            f"update dF/dW vs FD       : {self.fd_jw_err:.3e}  "
-            f"{verdict(self.fd_jw_err, TOL_FD_BLOCKS)}",
-            f"jfb vs dF/dW block       : {self.jfb_block_err:.3e}  "
-            f"{verdict(self.jfb_block_err, TOL_JFB_BLOCK)}",
-            f"averaged inverse vs LU   : {self.neumann_err:.3e}  "
-            f"{verdict(self.neumann_err, TOL_NEUMANN)}",
-        ]
+        lines = [f"{'instances checked':<25}: {self.instances}"]
+        for name, label, tol in CHECKS:
+            value = getattr(self, name)
+            verdict = "ok" if value <= tol else f"FAIL (tol {tol:g})"
+            lines.append(f"{label:<25}: {value:.3e}  {verdict}")
+        return lines
 
 
 def run_suite(

@@ -21,9 +21,10 @@ AttentionMatrix) guard the public entry and exit points. Inside a solve and a
 training step, one unvalidated SoftAssignment per layer carries the
 distances, attention and column sums at the converged codebook, and every
 consumer of the soft assignment reuses it. It is also the one home of the
-soft k-means center update F and of its linearisation: the backward pass
-through the softmax and the distances (att_vjp), F's matrix-free VJP
-(f_vjp) and the small dense dF/dC (j_c), which the solver, the soft
+soft k-means center update F, which the solver iterates (`update`, with the
+clusters it keeps stale in `degenerate`), and of its linearisation: the
+backward pass through the softmax and the distances (att_vjp), F's
+matrix-free VJP (f_vjp) and the small dense dF/dC (j_c), which the soft
 quantizer's VJP and every gradient backend call.
 """
 
@@ -183,10 +184,17 @@ class SoftAssignment:
         att: k x m attention, each column softmax(-dist[:, i] / tau).
         col_sums: length-k attention sums over the sub-vectors.
 
-    It also holds the center update F(C, W) here (`means`) and its
-    linearisation: att_vjp(), the backward pass through att that every
-    derivative goes through; f_vjp(), F's matrix-free VJP; and j_c, the
-    small dense dF/dC the implicit adjoint iterates on.
+    It also holds the center update F(C, W) the solver iterates, `update`:
+    the attention-weighted `means`, with each `degenerate` cluster's center
+    kept stale. Its linearisation is att_vjp(), the backward pass through
+    att that every derivative goes through; f_vjp(), F's matrix-free VJP;
+    and j_c, the small dense dF/dC the implicit adjoint iterates on.
+
+    f_vjp and j_c linearise `means`, not `update`: a degenerate cluster
+    draws next to no attention, so j_c is about 0 in its row and column,
+    where `update` has an identity block that would make I - dF/dC
+    singular. No weight moves a stale center, and the 0 gives it the zero
+    dC*/dW row that finite differences of the whole solve find.
     """
 
     w: np.ndarray
@@ -205,6 +213,17 @@ class SoftAssignment:
     def means(self) -> np.ndarray:
         """k x d center update F, before stale-center replacement."""
         return (self.att @ self.w.T) / self.scale[:, None]
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        """Length-k mask of clusters whose attention sum is below the floor."""
+        return self.col_sums < DEGENERATE_FLOOR
+
+    @cached_property
+    def update(self) -> np.ndarray:
+        """k x d center update F: `means`, degenerate centers kept stale."""
+        new_c = np.where(self.degenerate[:, None], self.c, self.means)
+        return _finite(new_c, "center update")
 
     @cached_property
     def directions(self) -> np.ndarray:

@@ -9,12 +9,14 @@ retain, so its length is the quantity measured by the memory
 instrumentation; all other backends keep exactly one codebook.
 
 The loop and fixed_point_map_F run one raw-array kernel, pq.soft_assign,
-and take F's means from the SoftAssignment it returns, with validation only
-on entry and on the returned codebook. Each evaluation of F serves twice:
-its gap ||F(C) - C|| decides whether C is returned, and otherwise its means
-are the next iterate. So the loop stops at the first iterate it has
-certified, and that iterate's soft assignment is kept on the result for the
-training step's soft quantizer and backward pass to reuse.
+and take F from the SoftAssignment it returns: its `update` holds the new
+centers, with the clusters in its `degenerate` mask kept stale, and raises
+on a non-finite result. Validation runs only on entry and on the returned
+codebook. Each evaluation of F serves twice: its gap ||F(C) - C|| decides
+whether C is returned, and otherwise its update is the next iterate. So
+the loop stops at the first iterate it has certified, and that iterate's
+soft assignment is kept on the result for the training step's soft
+quantizer and backward pass to reuse.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, ParamError, ShapeError, require_positive_finite
+from .errors import ParamError, ShapeError, require_positive_finite
 # attention stays a name of this module: perfbench traces it as solver.attention.
-from .pq import Codebook, SoftAssignment, WeightMatrix, attention, soft_assign  # noqa: F401
+from .pq import (  # noqa: F401
+    Codebook, SoftAssignment, WeightMatrix, assignment_at, attention, soft_assign,
+)
 
 INIT_KINDS = ("kmeans_pp", "random_subset")
 
@@ -57,7 +61,9 @@ class FixedPointResult:
     the soft assignment of that last evaluation, taken at the returned
     codebook. `iterations` counts the updates applied, at least one. `trace`
     holds the codebook entering each update, in order, and only when
-    recording was requested.
+    recording was requested. `degenerate_clusters` counts the clusters
+    degenerate at C*: those whose attention sum there is below the floor,
+    so F keeps their centers stale.
     """
 
     codebook: Codebook
@@ -107,31 +113,9 @@ def init_codebook(w: WeightMatrix, k: int, strategy: InitStrategy) -> Codebook:
     return Codebook(points[chosen])
 
 
-def _update(
-    wd: np.ndarray, cd: np.ndarray, tau: float
-) -> tuple[np.ndarray, int, SoftAssignment]:
-    """One soft k-means center update on raw arrays.
-
-    Returns the new k x d centers, the number of degenerate clusters
-    (attention column sums below the floor), whose centers are kept stale
-    instead of dividing by zero, and the soft assignment at cd.
-    """
-    asg = soft_assign(wd, cd, tau)
-    new_cd = asg.means
-    # A column sum raised to the floor marks a degenerate cluster.
-    degenerate = asg.col_sums < asg.scale
-    if degenerate.any():
-        new_cd = np.where(degenerate[:, None], cd, new_cd)
-    if not np.all(np.isfinite(new_cd)):
-        raise NumericsError("center update produced non-finite values")
-    return new_cd, int(degenerate.sum()), asg
-
-
 def fixed_point_map_F(w: WeightMatrix, c: Codebook, tau: float) -> Codebook:
     """One application of the center-update map F(C, W)."""
-    if w.d != c.d:
-        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
-    return Codebook(_update(w.data, c.data, tau)[0])
+    return Codebook(assignment_at(w, c, tau).update)
 
 
 def solve_fixed_point(
@@ -162,26 +146,22 @@ def solve_fixed_point(
     if c0.k > w.m:
         raise ParamError(f"k={c0.k} exceeds the number of sub-vectors m={w.m}")
 
-    cur = c0.data
-    nxt, deg, _ = _update(w.data, cur, tau)
+    asg = soft_assign(w.data, c0.data, tau)
     trace: list[Codebook] | None = [] if record_trace else None
-    degenerate = 0
     for iterations in range(1, max_iters + 1):
         if record_trace:
-            trace.append(Codebook(cur))
-        cur = nxt
-        degenerate += deg
-        nxt, deg, assignment = _update(w.data, cur, tau)
-        residual = float(np.linalg.norm(nxt - cur))
+            trace.append(Codebook(asg.c))
+        asg = soft_assign(w.data, asg.update, tau)
+        residual = float(np.linalg.norm(asg.update - asg.c))
         if residual < eps:
             break
 
     return FixedPointResult(
-        codebook=Codebook(cur),
+        codebook=Codebook(asg.c),
         iterations=iterations,
         residual=residual,
         converged=residual < eps,
         trace=tuple(trace) if record_trace else None,
-        degenerate_clusters=degenerate,
-        assignment=assignment,
+        degenerate_clusters=int(asg.degenerate.sum()),
+        assignment=asg,
     )

@@ -105,7 +105,8 @@ class StepMetrics:
     """Per-step instrumentation; scalar fields are maxima over layers.
 
     per_layer maps each quantized tensor to its solve's iterations,
-    residual, converged flag, retained codebooks and degenerate clusters,
+    residual, converged flag, retained codebooks and clusters degenerate at
+    C* ("degenerate", SoftAssignment.degenerate at the returned codebook),
     whether its gradient fell back to jfb, and, for the implicit backend,
     how its adjoint solve ended ("adjoint": converged, stalled or diverged).
     """

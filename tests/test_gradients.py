@@ -8,6 +8,7 @@ from idkm.gradcheck import (
     FORWARD_EPS,
     FORWARD_MAX_ITERS,
     TOL_FD_BLOCKS,
+    TOL_FD_SOLVE,
     GradInstance,
     central_differences,
     check_oracle_equivalence,
@@ -40,7 +41,12 @@ from idkm.pq import (
     soft_quantize,
     soft_quantize_vjp,
 )
-from idkm.solver import InitStrategy, init_codebook, solve_fixed_point
+from idkm.solver import (
+    InitStrategy,
+    fixed_point_map_F,
+    init_codebook,
+    solve_fixed_point,
+)
 
 TIGHT = GradBackend(adjoint_eps=1e-12, max_adjoint_iters=4000)
 JFB = GradBackend(kind="jfb")
@@ -522,6 +528,30 @@ class TestImplicit:
             inst.w, inst.c_star, inst.tau, GradBackend(max_adjoint_iters=4000)
         )
         assert rel_err(out, fd_solve_jacobian(inst)) <= 1e-3
+
+    def test_stale_codeword_is_linearised_through_the_means(self):
+        # The codeword at 50 draws no attention, so F keeps it stale and
+        # finite differences of F put 1 on its diagonal: I - dF/dC would be
+        # singular there. j_c linearises the means instead, with 0 in that
+        # row and column, and the implicit dC*/dW it gives matches finite
+        # differences of the whole solve, stale row 0 included.
+        w = partition_weights(0.1 * np.random.default_rng(0).normal(size=40), 1)
+        c0 = Codebook([[-0.1], [0.0], [0.1], [50.0]])
+        c_star = solve_fixed_point(w, c0, 0.01, 1e-12, 50).codebook
+        j_c = jacobians_of_F(w, c_star, 0.01).j_c
+        np.testing.assert_array_equal(j_c[3], 0.0)
+        np.testing.assert_array_equal(j_c[:, 3], 0.0)
+        fd_c = central_differences(
+            lambda cd: fixed_point_map_F(w, Codebook(cd), 0.01).data,
+            c_star.data, 1e-6,
+        )
+        np.testing.assert_allclose(fd_c[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(fd_c[:3, 3], 0.0, atol=1e-9)
+
+        out = dense_dC_dW(w, c_star, 0.01, GradBackend())
+        np.testing.assert_array_equal(out[3], 0.0)
+        inst = GradInstance(seed=0, w=w, c0=c0, c_star=c_star, k=4, tau=0.01)
+        assert rel_err(out, fd_solve_jacobian(inst)) <= TOL_FD_SOLVE
 
 
 class TestJfb:

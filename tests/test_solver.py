@@ -263,6 +263,15 @@ class TestSolve:
         assert np.all(np.isfinite(result.codebook.data))
         assert result.codebook.data[0, 0] == pytest.approx(0.5, abs=1e-6)
 
+        # A stale codeword through a long solve is one degenerate cluster at
+        # C*, not one per update it stayed stale.
+        w = partition_weights(0.1 * np.random.default_rng(0).normal(size=40), 1)
+        c0 = _book([-0.1, 0.0, 0.1, 50.0])
+        result = solve_fixed_point(w, c0, tau=0.01, eps=1e-12, max_iters=50)
+        assert result.converged and result.iterations == 36
+        assert result.degenerate_clusters == 1
+        assert result.codebook.data[3, 0] == 50.0
+
     def test_parameter_validation(self):
         w = _weights([0.0, 1.0])
         c0 = _book([0.0])
