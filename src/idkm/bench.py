@@ -161,17 +161,24 @@ def run_grid(
 
 
 def ordering_violations(results: list[CellResult]) -> list[str]:
-    """Check backward-time ordering jfb < implicit < unrolled per cell."""
+    """Check backward-time ordering jfb < implicit < unrolled per cell.
+
+    A cell without all three backends, or no cell at all, is a violation:
+    an ordering that was not measured does not hold."""
     cells: dict[tuple[int, int, int], dict[str, float]] = {}
     for res in results:
         cells.setdefault((res.k, res.d, res.t), {})[res.backend] = res.backward_s
+    if not cells:
+        return ["no cells were timed"]
     problems = []
     for (k, d, t), times in sorted(cells.items()):
-        if {"jfb", "implicit", "unrolled"} <= set(times):
-            if not times["jfb"] < times["implicit"] < times["unrolled"]:
-                problems.append(
-                    f"k={k} d={d} t={t}: jfb={times['jfb']:.6f} "
-                    f"implicit={times['implicit']:.6f} "
-                    f"unrolled={times['unrolled']:.6f}"
-                )
+        missing = [b for b in ("jfb", "implicit", "unrolled") if b not in times]
+        if missing:
+            problems.append(f"k={k} d={d} t={t}: no {', '.join(missing)} timing")
+        elif not times["jfb"] < times["implicit"] < times["unrolled"]:
+            problems.append(
+                f"k={k} d={d} t={t}: jfb={times['jfb']:.6f} "
+                f"implicit={times['implicit']:.6f} "
+                f"unrolled={times['unrolled']:.6f}"
+            )
     return problems

@@ -251,19 +251,25 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK
 
 
-def _int_list(text: str) -> list[int]:
+def _grid_list(flag: str, text: str, convert=int) -> list:
+    """The non-blank comma-separated entries of `text`; at least one."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [convert(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+        raise ConfigError(f"{flag}: expected comma-separated integers, got {text!r}")
+    if not values:
+        raise ConfigError(f"{flag}: expected at least one value, got {text!r}")
+    return values
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     results = bench_mod.run_grid(
-        t_values=_int_list(args.t),
-        k_values=_int_list(args.k),
-        d_values=_int_list(args.d),
-        backends=tuple(args.backends.split(",")),
+        t_values=_grid_list("--t", args.t),
+        k_values=_grid_list("--k", args.k),
+        d_values=_grid_list("--d", args.d),
+        backends=tuple(_grid_list("--backends", args.backends, str.strip)),
         repeats=args.repeats,
         seed=args.seed if args.seed is not None else 0,
         batch_size=args.batch_size,

@@ -54,8 +54,6 @@ class Dataset:
 
     inputs: np.ndarray
     labels: np.ndarray
-    name: str = "dataset"
-    normalization: str = "none"
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)
@@ -140,12 +138,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
     inputs = (images.astype(np.float32) / np.float32(255.0))[:, None, :, :]
-    return Dataset(
-        inputs=inputs,
-        labels=labels.astype(np.int64),
-        name=str(Path(images_path).name),
-        normalization="pixels/255",
-    )
+    return Dataset(inputs=inputs, labels=labels.astype(np.int64))
 
 
 def write_idx(images_path, labels_path, dataset: Dataset):
@@ -186,9 +179,7 @@ def load_mnist(data_dir=None, split: str = "train") -> Dataset:
     paths = mnist_paths(data_dir)
     if split not in ("train", "test"):
         raise ParamError(f"split must be train or test, got {split!r}")
-    ds = load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
-    ds.name = f"mnist-{split}"
-    return ds
+    return load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
 
 
 def synthetic_blobs(
@@ -224,12 +215,7 @@ def synthetic_blobs(
     labels = np.repeat(np.arange(classes), points_per_class)
     inputs = centers[labels] + rng.normal(size=(n, dim))
     order = rng.permutation(n)
-    return Dataset(
-        inputs=inputs[order],
-        labels=labels[order].astype(np.int64),
-        name=f"blobs-s{seed}-c{classes}-d{dim}",
-        normalization="none",
-    )
+    return Dataset(inputs=inputs[order], labels=labels[order].astype(np.int64))
 
 
 def as_images(dataset: Dataset, channels: int, height: int, width: int) -> Dataset:
@@ -242,8 +228,6 @@ def as_images(dataset: Dataset, channels: int, height: int, width: int) -> Datas
     return Dataset(
         inputs=dataset.inputs.reshape(n, channels, height, width),
         labels=dataset.labels,
-        name=dataset.name,
-        normalization=dataset.normalization,
     )
 
 

@@ -11,11 +11,9 @@ to the weights being clustered:
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
   solution only. The adjoint row u (I - dF/dC*)^-1 is obtained by an
   averaged fixed-point iteration with alpha-halving restarts on divergence,
-  evaluated up to ADJOINT_BLOCK steps per NumPy call from the stacked
-  powers of the averaged step, fewer when k*d is large enough that building
-  the powers would cost more than the loop steps they replace (512 KiB of
-  powers at k*d = 64). It decides as the step-by-step loop does, and
-  raises AdjointStalled or AdjointDivergence when it fails.
+  evaluated ADJOINT_BLOCK steps per NumPy call from repeated squares of the
+  averaged step, at every k*d. It decides as the step-by-step loop does,
+  and raises AdjointStalled or AdjointDivergence when it fails.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
@@ -69,10 +67,6 @@ DIVERGENCE_CAP = 1e8
 DIVERGENCE_GROWTH_STEPS = 10
 # Averaged adjoint steps evaluated per NumPy call, at most; see _averaged_solve.
 ADJOINT_BLOCK = 64
-# Multiply-adds the powers of one adjoint attempt may cost, (k*d)^3 each: on
-# one BLAS thread, about the time of ADJOINT_BLOCK steps of the per-step
-# loop, whose cost is NumPy call overhead (~5 us) rather than arithmetic.
-ADJOINT_POWER_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -144,32 +138,22 @@ def jacobians_of_F(
     return assignment_at(w, c_star, tau, assignment)
 
 
-def _residual_powers(j_c: np.ndarray, alpha: float, count: int) -> np.ndarray:
-    """(M^T)^0 ... (M^T)^(count-1), M = (1-alpha) I + alpha j_c, stacked as
-    a (count*n) x n matrix, so that one product with a residual row r gives
-    the rows r M^0 ... r M^(count-1). Built by doubling: the powers held so
-    far times the highest power reached. Powers may overflow; see
-    _averaged_solve."""
-    n = len(j_c)
-    powers = np.empty((count, n, n))
-    powers[0] = np.eye(n)
-    top = (1.0 - alpha) * np.eye(n) + alpha * j_c.T
-    filled = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while filled < count:
-            take = min(filled, count - filled)
-            powers[filled:filled + take] = (
-                powers[:take].reshape(take * n, n) @ top
-            ).reshape(take, n, n)
-            filled += take
-            top = top @ top
-    return powers.reshape(count * n, n)
-
-
-def _block_length(n: int, limit: int) -> int:
-    """Averaged steps per block at k*d = n: ADJOINT_BLOCK while its powers
-    fit ADJOINT_POWER_BUDGET (k*d <= 40), fewer above (16 at k*d = 64)."""
-    return max(1, min(ADJOINT_BLOCK, limit, ADJOINT_POWER_BUDGET // n**3))
+def _residual_rows(
+    first: np.ndarray, squares: list[np.ndarray], length: int
+) -> np.ndarray:
+    """The rows first M^0 ... first M^(length-1), by doubling the rows held:
+    rows h..2h-1 are rows 0..h-1 times squares[i] = M^h, h = 2^i. Rows may
+    overflow; see _averaged_solve."""
+    rows = np.empty((length, first.size))
+    rows[0] = first
+    held = 1
+    for square in squares:
+        if held >= length:
+            break
+        take = min(held, length - held)
+        rows[held:held + take] = rows[:take] @ square
+        held += take
+    return rows
 
 
 def _averaged_solve(
@@ -185,41 +169,45 @@ def _averaged_solve(
     ||g(x) - x|| is below backend.adjoint_eps, i.e. upstream (I - j_c)^-1 to
     that accuracy.
 
-    The iteration runs _block_length steps per NumPy call. The residual
-    r = g(x) - x obeys r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c,
-    and x_{n+1} = x_n + alpha r_n, so one product of a block's first
-    residual (computed directly from its iterate) with the stacked powers
-    of M gives the block's residuals. The cap, tolerance and growth checks
-    then run over the block in the loop's order, to the first step where
-    one decides. A step whose predicted residual is below the tolerance
-    starts the next block, where that residual is computed directly; so
-    roundoff that floors the true residual leads to a stall, not to a
-    return. The powers hold _block_length*(k*d)^2 floats: 800 KiB at
-    k*d = 40, 512 KiB at k*d = 64.
+    The iteration runs ADJOINT_BLOCK steps per NumPy call, fewer only where
+    max_adjoint_iters leaves fewer. The residual r = g(x) - x obeys
+    r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c, and
+    x_{n+1} = x_n + alpha r_n, so a block's residuals are its first one
+    (computed directly from its iterate) times M^0 ... M^(L-1). They are
+    built by doubling from the squares M, M^2, ..., M^32, made once per
+    attempt: about log2(ADJOINT_BLOCK) (k*d)^3 multiply-adds, and
+    ADJOINT_BLOCK*k*d floats of rows plus six (k*d)^2 squares. The cap,
+    tolerance and growth checks then run over the block in the loop's
+    order, to the first step where one decides. A step whose predicted
+    residual is below the tolerance starts the next block, where that
+    residual is computed directly; so roundoff that floors the true
+    residual leads to a stall, not to a return.
     """
     size = upstream.size
     alpha = backend.alpha0
     limit = backend.max_adjoint_iters
     attempts = backend.max_restarts + 1
-    block_len = _block_length(size, limit)
     for _ in range(attempts):
-        powers = _residual_powers(j_c, alpha, block_len)
+        squares = [(1.0 - alpha) * np.eye(size) + alpha * j_c]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 2 ** len(squares) < ADJOINT_BLOCK:
+                squares.append(squares[-1] @ squares[-1])
         x = upstream.copy()
         prev_res = np.inf
         growth = 0
         done = 0
         # Every break is a divergence; running out of steps is a stall.
         while done < limit:
-            length = min(block_len, limit - done)
+            length = min(ADJOINT_BLOCK, limit - done)
             first = upstream + x @ j_c - x
             with np.errstate(over="ignore", invalid="ignore"):
-                block = (powers[: length * size] @ first).reshape(length, size)
+                block = _residual_rows(first, squares, length)
                 res = np.sqrt(np.einsum("ij,ij->i", block, block))
             res[0] = np.linalg.norm(first)
             finite = np.isfinite(res)
             if not finite[0]:
                 break
-            # A prediction that is not finite (an overflowed power of M times
+            # A prediction that is not finite (an overflowed square of M times
             # a zero, say) is computed directly, as the next block's first.
             if not finite.all():
                 length = int(np.argmin(finite))

@@ -400,7 +400,9 @@ def attention(
 
 def nearest_indices(w: WeightMatrix, c: Codebook) -> np.ndarray:
     """Index of the closest codeword per sub-vector; ties go to the lowest index."""
-    return np.argmin(distance_matrix(w, c).data, axis=1)
+    if w.d != c.d:
+        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
+    return np.argmin(_distances(w.data, c.data), axis=0)
 
 
 def hard_quantize(w: WeightMatrix, c: Codebook) -> WeightMatrix:

@@ -8,6 +8,7 @@ import urllib.error
 import numpy as np
 import pytest
 
+import idkm.bench as bench_mod
 from idkm.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -362,6 +363,26 @@ class TestBenchCommand:
     def test_bad_grid_spec_exits_three(self, capsys):
         assert main(["bench", "--t", "3,x"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--t", ""], ["--k", " , "], ["--d", ","], ["--backends", ""],
+        ["--repeats", "0"], ["--repeats", "-1"],
+    ])
+    def test_empty_grid_exits_three(self, argv, capsys):
+        assert main(["bench", *argv, "--assert-ordering"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and argv[0] in err
+
+    def test_ordering_needs_all_three_backends(self, capsys):
+        code = main(["bench", "--t", "2", "--repeats", "1", "--batch-size", "4",
+                     "--backends", "jfb,implicit", "--assert-ordering"])
+        assert code == EXIT_CHECK
+        captured = capsys.readouterr()
+        assert "ordering holds" not in captured.out
+        assert "k=4 d=1 t=2: no unrolled timing" in captured.err
+
+    def test_no_cells_is_an_ordering_violation(self):
+        assert bench_mod.ordering_violations([]) == ["no cells were timed"]
 
 
 class TestFetchMnist:

@@ -21,12 +21,10 @@ from idkm.gradcheck import (
 )
 from idkm.gradients import (
     ADJOINT_BLOCK,
-    ADJOINT_POWER_BUDGET,
     DIVERGENCE_CAP,
     DIVERGENCE_GROWTH_STEPS,
     GradBackend,
     _averaged_solve,
-    _block_length,
     dense_weight_jacobian,
     jacobians_of_F,
     neumann_inverse,
@@ -463,32 +461,30 @@ class TestBlockedAdjointMatchesTheLoop:
         log = self._check(upstream, _spectral(80, 6, 0.8), backend)
         assert log == [("stalled", backend.max_adjoint_iters, 0.25)]
 
-
-class TestBlockLength:
-    """Fewer steps per block where building ADJOINT_BLOCK powers of the
-    averaged step would cost more than the loop steps they replace."""
-
-    def test_shipped_sizes_keep_the_full_block(self):
-        # Every shipped config and benchmark workload has k*d = 4.
-        assert _block_length(4, 500) == ADJOINT_BLOCK
-        assert _block_length(40, 500) == ADJOINT_BLOCK
-        assert _block_length(4, 10) == 10
-
-    def test_powers_stay_within_the_budget(self):
-        assert _block_length(64, 500) == 16
-        for n in range(1, 129):
-            block = _block_length(n, 500)
-            assert 1 <= block <= ADJOINT_BLOCK
-            assert block == 1 or block * n**3 <= ADJOINT_POWER_BUDGET
-
-    @pytest.mark.parametrize("radius, limit", [(0.1, 500), (0.87, 500), (0.99, 50)])
-    def test_short_blocks_match_the_loop(self, radius, limit):
-        # k*d = 64 runs 16 steps per block; a limit of 50 ends on a block of 2.
-        j_c = _spectral(int(radius * 100), 64, radius)
+    # k*d = 64 (k = 16, d = 4) runs the same 64-step blocks as k*d = 4.
+    def test_contraction_over_many_blocks_at_kd_64(self):
         upstream = np.random.default_rng(8).normal(size=64)
-        TestBlockedAdjointMatchesTheLoop._check(
-            upstream, j_c, GradBackend(max_adjoint_iters=limit)
-        )
+        log = self._check(upstream, _spectral(95, 64, 0.95),
+                          GradBackend(max_adjoint_iters=4000))
+        assert [event[0] for event in log] == ["converged"]
+        assert log[0][1] > 4 * ADJOINT_BLOCK
+
+    @pytest.mark.parametrize("limit", [50, 500])
+    def test_stall_at_kd_64(self, limit):
+        upstream = np.random.default_rng(8).normal(size=64)
+        log = self._check(upstream, _spectral(99, 64, 0.99),
+                          GradBackend(max_adjoint_iters=limit))
+        assert log == [("stalled", limit, 0.25)]
+
+    def test_divergence_recovered_by_a_restart_at_kd_64(self):
+        # One eigenvalue of -8 makes the averaged step's -1.25 at alpha 1/4
+        # and -0.125 at alpha 1/8; the others lie in [-0.5, 0.5].
+        rng = np.random.default_rng(9)
+        basis, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        eigs = np.concatenate(([-8.0], np.linspace(-0.5, 0.5, 63)))
+        j_c = (basis * eigs) @ basis.T
+        log = self._check(rng.normal(size=64), j_c, GradBackend())
+        assert [event[0] for event in log] == ["growth", "converged"]
 
 
 class TestImplicit:
