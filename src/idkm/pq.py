@@ -26,11 +26,25 @@ clusters it keeps stale in `degenerate`), and of its linearisation: the
 backward pass through the softmax and the distances (att_vjp), F's
 matrix-free VJP (f_vjp) and the small dense dF/dC (j_c), which the soft
 quantizer's VJP and every gradient backend call.
+
+Every pass over a layer's k x m arrays is column-local or a sum over the m
+columns, so a large layer runs each pass by contiguous column blocks at
+once (_by_columns): one thread per CPU the process may use, so `taskset`
+limits them, the calling thread and helpers from a pool made on first use;
+at most BLOCKS_PER_THREAD blocks a thread, and at least SPLIT_FLOOR of the
+k*m entries a block. Blocks write their columns into the same arrays one
+block would, and sums over m add the blocks' partial sums in block order:
+the same CPU count gives the same bits, and another count differs at
+rounding level. A layer below the floor, or in a process limited to one
+CPU, runs as one block on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +57,148 @@ from .errors import (
 ROW_SUM_TOL = 1e-9
 SAFE_DIV_EPS = 1e-300
 DEGENERATE_FLOOR = 1e-12
+# A pass over a layer's k x m arrays is split into column blocks only when
+# every block keeps at least this many of the k*m entries. Timed on 2 CPUs
+# over a layer-step's work (seven evaluations and one backward), two blocks
+# of 2^15 ran 0.86-1.04x as fast as one, and two of 2^16 1.23-1.42x.
+SPLIT_FLOOR = 1 << 16
+# Blocks per thread, at most: a thread that falls behind, on a CPU taken by
+# another process, holds up the pass by one block at most.
+BLOCKS_PER_THREAD = 2
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on, so `taskset` limits the split."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _column_blocks(k: int, m: int) -> tuple[list[slice], int] | None:
+    """Contiguous column blocks of near-equal width for a pass over k x m
+    entries, each holding at least SPLIT_FLOOR of them, and the number of
+    threads to run them on: one per usable CPU, with at most
+    BLOCKS_PER_THREAD blocks each. None where that leaves one block or one
+    thread."""
+    if k * m < 2 * SPLIT_FLOOR:
+        return None
+    cpus = _cpu_count()
+    if cpus < 2:
+        return None
+    count = min(BLOCKS_PER_THREAD * cpus, k * m // SPLIT_FLOOR)
+    edges = [m * i // count for i in range(count + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return blocks, min(cpus, count)
+
+
+def _thread_pool():
+    """The module's worker threads, made on first use: one fewer than the
+    usable CPUs, since the calling thread takes blocks too. The executor
+    module (and the logging it loads) is imported here, so a process whose
+    layers never split does not hold it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=max(_cpu_count() - 1, 1),
+                thread_name_prefix="idkm-columns",
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there, and
+    a job queued for them would wait forever."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _take_blocks(todo: queue.SimpleQueue, blocks, results, kernel, columns, args):
+    """Run kernel on the blocks whose indices remain in `todo`, one at a
+    time, until none is left."""
+    while True:
+        try:
+            index = todo.get_nowait()
+        except queue.Empty:
+            return
+        cols = blocks[index]
+        results[index] = kernel(*[a[..., cols] for a in columns], *args)
+
+
+def _by_columns(kernel, k: int, m: int, columns: tuple, *args) -> list:
+    """Run kernel over the column blocks of a k x m pass and return its
+    results in block order.
+
+    Each call is kernel(*views, *args), where views are one block's
+    columns of the arrays in `columns`, whose last axis has the m columns.
+    A kernel writes its per-column results into views of output arrays,
+    and returns its block's part of any sum over the m columns (see
+    _sum_blocks). Below the floor it runs once, on the calling thread, on
+    the whole arrays. Otherwise the calling thread and helpers on the thread
+    pool take blocks from one queue until it is empty; NumPy releases the
+    interpreter lock inside each array operation, so the blocks overlap. A
+    block's result does not depend on the thread that ran it. Helpers run
+    only these raw kernels, never a public function, so a caller sees each
+    public call entered once, from its own thread.
+    """
+    if k * m < 2 * SPLIT_FLOOR:
+        return [kernel(*columns, *args)]
+    split = _column_blocks(k, m)
+    if split is None:
+        return [kernel(*columns, *args)]
+    blocks, threads = split
+    todo = queue.SimpleQueue()
+    for index in range(len(blocks)):
+        todo.put(index)
+    results = [None] * len(blocks)
+    work = (todo, blocks, results, kernel, columns, args)
+    pool = _thread_pool()
+    helpers = [pool.submit(_take_blocks, *work) for _ in range(threads - 1)]
+    try:
+        _take_blocks(*work)
+    finally:
+        # A helper not yet started is cancelled. Any other may be writing
+        # into the caller's arrays, so wait for it, even after a failure here.
+        failures = [h.exception() for h in helpers if not h.cancel()]
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    return results
+
+
+def _sum_blocks(parts: list):
+    """Per-block partials of a reduction over m, summed in block order, so
+    a given block count always gives the same bits. Blocks that return a
+    tuple of partials give the tuple of their sums."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(_sum_blocks(list(part)) for part in zip(*parts))
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+def _contract_d(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right for k x d rows and d x m columns, with d small. At d = 1
+    it is a broadcast product: the same bits as a GEMM with K = 1, at under
+    a third of its cost (0.19 against 0.68 ms at k = 4, m = 100,352). From
+    d = 2 the GEMM ran 2.5-5x faster than products taken coordinate by
+    coordinate, so it stays."""
+    if left.shape[1] == 1:
+        return left * right
+    return left @ right
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -183,6 +339,8 @@ class SoftAssignment:
         dist: k x m distances ||w_i - c_j||.
         att: k x m attention, each column softmax(-dist[:, i] / tau).
         col_sums: length-k attention sums over the sub-vectors.
+        weighted_sums: k x d attention-weighted sums of the sub-vectors,
+            att @ w.T.
 
     It also holds the center update F(C, W) the solver iterates, `update`:
     the attention-weighted `means`, with each `degenerate` cluster's center
@@ -203,6 +361,7 @@ class SoftAssignment:
     dist: np.ndarray
     att: np.ndarray
     col_sums: np.ndarray
+    weighted_sums: np.ndarray
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -212,7 +371,7 @@ class SoftAssignment:
     @cached_property
     def means(self) -> np.ndarray:
         """k x d center update F, before stale-center replacement."""
-        return (self.att @ self.w.T) / self.scale[:, None]
+        return self.weighted_sums / self.scale[:, None]
 
     @cached_property
     def degenerate(self) -> np.ndarray:
@@ -232,11 +391,9 @@ class SoftAssignment:
         Derived on first use and kept: each backward route of a layer needs
         them. Zero where the distance is at most SAFE_DIV_EPS.
         """
-        g = self.c[:, :, None] - self.w[None, :, :]
-        dist = self.dist[:, None, :]
-        far = dist > SAFE_DIV_EPS
-        np.divide(g, dist, out=g, where=far)
-        np.copyto(g, 0.0, where=~far)
+        (k, d), m = self.c.shape, self.w.shape[1]
+        g = np.empty((k, d, m))
+        _by_columns(_unit_directions, k, m, (self.w, self.dist, g), self.c)
         return g
 
     def att_vjp(self, d_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,13 +402,12 @@ class SoftAssignment:
         d_att is k x m, like att. It goes back through each column's softmax
         to the distances, then along the unit directions.
         """
-        a, g = self.att, self.directions
-        # coef[j, i] is the gradient with respect to distance (i, j), negated.
-        coef = a * (d_att - (d_att * a).sum(axis=0)) / self.tau
-        return (
-            np.einsum("ji,jpi->pi", coef, g),
-            -np.einsum("ji,jpi->jp", coef, g),
-        )
+        k, m = self.att.shape
+        grad_w = np.empty(self.w.shape)
+        grad_c = _sum_blocks(_by_columns(
+            _att_vjp_cols, k, m, (self.att, self.directions, d_att, grad_w), self.tau
+        ))
+        return grad_w, grad_c
 
     def f_vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(v @ dF/dC, v @ dF/dW) for a length-k*d row vector v.
@@ -261,11 +417,12 @@ class SoftAssignment:
         direct term sum_j a_ij v_j / s_j. O(m*k*d).
         """
         v = np.asarray(v, dtype=np.float64).reshape(self.c.shape)
-        d_att = v @ self.w
-        d_att -= (v * self.means).sum(axis=1)[:, None]
-        d_att /= self.scale[:, None]
-        grad_w, grad_c = self.att_vjp(d_att)
-        grad_w += (v / self.scale[:, None]).T @ self.att
+        k, m = self.att.shape
+        grad_w = np.empty(self.w.shape)
+        grad_c = _sum_blocks(_by_columns(
+            _f_vjp_cols, k, m, (self.w, self.att, self.directions, grad_w),
+            self.tau, self.scale, v, (v * self.means).sum(axis=1),
+        ))
         return (
             _finite(grad_c.ravel(), "v @ dF/dC"),
             _finite(grad_w.ravel(), "v @ dF/dW"),
@@ -274,16 +431,14 @@ class SoftAssignment:
     @cached_property
     def j_c(self) -> np.ndarray:
         """(k*d) x (k*d) dF/dC from one (k*d) x m GEMM plus k diagonal blocks."""
-        a, g = self.att, self.directions
-        k, d, m = g.shape
-        # x[j, p, i] = a_ij (w_i - F_j)_p / (tau s_j) and y[l, q, i] = a_il g_ilq.
-        x = (self.w[None, :, :] - self.means[:, :, None]) * (
-            a / (self.tau * self.scale)[:, None]
-        )[:, None, :]
-        y = a[:, None, :] * g
-        jc = (x.reshape(k * d, m) @ y.reshape(k * d, m).T).reshape(k, d, k, d)
+        (k, d), m = self.c.shape, self.w.shape[1]
+        gemm, diag = _sum_blocks(_by_columns(
+            _j_c_cols, k, m, (self.w, self.att, self.directions), self.means,
+            self.tau * self.scale,
+        ))
+        jc = gemm.reshape(k, d, k, d)
         idx = np.arange(k)
-        jc[idx, :, idx, :] -= np.einsum("jpi,jqi->jpq", x, g)
+        jc[idx, :, idx, :] -= diag
         return _finite(jc.reshape(k * d, k * d), "dF/dC")
 
     def check(self, w: WeightMatrix, c: Codebook, tau: float) -> "SoftAssignment":
@@ -298,18 +453,97 @@ class SoftAssignment:
         return self
 
 
-def _distances(wd: np.ndarray, cd: np.ndarray) -> np.ndarray:
-    """k x m 2-norms between the rows of cd and the columns of wd.
+# The column kernels _by_columns runs. Each takes the views of its block's
+# columns first; run over the blocks, a kernel does what it does run once on
+# the whole arrays, up to the order of the sums over m.
 
-    Accumulates in place, coordinate by coordinate: a fresh m x k array
-    costs more here than the arithmetic done on it.
-    """
-    sq = wd[0] - cd[:, 0, None]
-    np.square(sq, out=sq)
+
+def _distance_cols(wd, dist, cd) -> None:
+    """dist = ||w_i - c_j||, accumulated in place, coordinate by coordinate:
+    a fresh k x m array costs more here than the arithmetic done on it."""
+    np.subtract(wd[0], cd[:, 0, None], out=dist)
+    np.square(dist, out=dist)
     for p in range(1, wd.shape[0]):
         diff = wd[p] - cd[:, p, None]
-        sq += np.square(diff, out=diff)
-    return np.sqrt(sq, out=sq)
+        dist += np.square(diff, out=diff)
+    np.sqrt(dist, out=dist)
+
+
+def _softmax_cols(dist, att, tau) -> None:
+    """att = the column softmax of -dist / tau."""
+    np.divide(dist, -tau, out=att)
+    att -= att.max(axis=0)
+    np.exp(att, out=att)
+    att /= att.sum(axis=0)
+
+
+def _attention_sums(att, w) -> tuple[np.ndarray, np.ndarray]:
+    """A block's parts of SoftAssignment.col_sums and .weighted_sums."""
+    return att.sum(axis=1), att @ w.T
+
+
+def _unit_directions(w, dist, g, c) -> None:
+    np.subtract(c[:, :, None], w[None, :, :], out=g)
+    dist = dist[:, None, :]
+    far = dist > SAFE_DIV_EPS
+    np.divide(g, dist, out=g, where=far)
+    np.copyto(g, 0.0, where=~far)
+
+
+def _att_vjp_cols(a, g, d_att, grad_w, tau) -> np.ndarray:
+    """SoftAssignment.att_vjp on a block: writes its grad_w and returns its
+    part of grad_c."""
+    # coef[j, i] is the gradient with respect to distance (i, j), negated.
+    coef = d_att * a
+    np.subtract(d_att, coef.sum(axis=0), out=coef)
+    coef *= a
+    coef /= tau
+    np.einsum("ji,jpi->pi", coef, g, out=grad_w)
+    return -np.einsum("ji,jpi->jp", coef, g)
+
+
+def _f_vjp_cols(w, a, g, grad_w, tau, scale, v, shift) -> np.ndarray:
+    """SoftAssignment.f_vjp on a block; shift[j] = <v_j, F_j>."""
+    d_att = _contract_d(v, w)
+    d_att -= shift[:, None]
+    d_att /= scale[:, None]
+    grad_c = _att_vjp_cols(a, g, d_att, grad_w, tau)
+    grad_w += (v / scale[:, None]).T @ a
+    return grad_c
+
+
+def _j_c_cols(w, a, g, means, tau_scale) -> tuple[np.ndarray, np.ndarray]:
+    """A block's parts of SoftAssignment.j_c: the GEMM and the k diagonal
+    blocks."""
+    k, d, width = g.shape
+    # x[j, p, i] = a_ij (w_i - F_j)_p / (tau s_j) and y[l, q, i] = a_il g_ilq.
+    x = w[None, :, :] - means[:, :, None]
+    x *= (a / tau_scale[:, None])[:, None, :]
+    y = a[:, None, :] * g
+    return (
+        x.reshape(k * d, width) @ y.reshape(k * d, width).T,
+        np.einsum("jpi,jqi->jpq", x, g),
+    )
+
+
+def _mix_cols(a, out, ct) -> None:
+    np.matmul(ct, a, out=out)
+
+
+def _quantizer_vjp_cols(a, g, upstream, grad_w, tau, cd) -> np.ndarray:
+    """soft_quantize_vjp on a block: writes its grad_w, returns its grad_c."""
+    # The output is c^T att, so d(loss)/d att[j, i] = <c_j, upstream column i>.
+    grad_c = _att_vjp_cols(a, g, _contract_d(cd, upstream), grad_w, tau)
+    grad_c += a @ upstream.T
+    return grad_c
+
+
+def _distances(wd: np.ndarray, cd: np.ndarray) -> np.ndarray:
+    """k x m 2-norms between the rows of cd and the columns of wd."""
+    (k, _), m = cd.shape, wd.shape[1]
+    dist = np.empty((k, m))
+    _by_columns(_distance_cols, k, m, (wd, dist), cd)
+    return dist
 
 
 def soft_assign(wd: np.ndarray, cd: np.ndarray, tau: float) -> SoftAssignment:
@@ -317,7 +551,10 @@ def soft_assign(wd: np.ndarray, cd: np.ndarray, tau: float) -> SoftAssignment:
     against raw k x d codewords cd: the kernel every solve iteration runs."""
     dist = _distances(wd, cd)
     att = attention(dist, tau)
-    return SoftAssignment(wd, cd, tau, dist, att, att.sum(axis=1))
+    col_sums, weighted_sums = _sum_blocks(
+        _by_columns(_attention_sums, *att.shape, (att, wd))
+    )
+    return SoftAssignment(wd, cd, tau, dist, att, col_sums, weighted_sums)
 
 
 def assignment_at(
@@ -387,10 +624,9 @@ def attention(
     """
     require_positive_finite("tau", tau)
     raw = isinstance(dmat, np.ndarray)
-    att = np.divide(dmat if raw else dmat.data.T, -tau)
-    att -= att.max(axis=0)
-    np.exp(att, out=att)
-    att /= att.sum(axis=0)
+    dist = dmat if raw else dmat.data.T
+    att = np.empty_like(dist)
+    _by_columns(_softmax_cols, *dist.shape, (dist, att), tau)
     if raw:
         return att
     if not np.all(np.isfinite(att)):
@@ -424,7 +660,9 @@ def soft_quantize(
     `assignment`, the solver's evaluation at (w, c), saves recomputing it.
     """
     a = assignment_at(w, c, tau, assignment).att
-    return WeightMatrix(data=c.data.T @ a, n=w.n, pad_count=w.pad_count)
+    out = np.empty(w.data.shape)
+    _by_columns(_mix_cols, *a.shape, (a, out), c.data.T)
+    return WeightMatrix(data=out, n=w.n, pad_count=w.pad_count)
 
 
 def soft_quantize_vjp(
@@ -453,7 +691,9 @@ def soft_quantize_vjp(
             f"upstream shape {upstream.shape} != weight shape {w.data.shape}"
         )
     asg = assignment_at(w, c, tau, assignment)
-    # The output is c^T att, so d(loss)/d att[j, i] = <c_j, upstream column i>.
-    grad_w, grad_c = asg.att_vjp(c.data @ upstream)
-    grad_c += asg.att @ upstream.T
+    grad_w = np.empty(upstream.shape)
+    grad_c = _sum_blocks(_by_columns(
+        _quantizer_vjp_cols, *asg.att.shape,
+        (asg.att, asg.directions, upstream, grad_w), tau, c.data,
+    ))
     return _finite(grad_w, "soft-quantizer VJP"), _finite(grad_c, "soft-quantizer VJP")

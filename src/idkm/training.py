@@ -18,7 +18,10 @@ the network's own arrays, a step therefore holds per layer one m x k
 distance and one m x k attention matrix (float64), and, during that layer's
 backward pass, its m x k x d unit distance directions.
 For the 100,352-weight layer at k=4, d=1 each is 401,408 entries, 3.2 MB.
-No backend forms a dense (k*d) x (d*m) Jacobian.
+No backend forms a dense (k*d) x (d*m) Jacobian. A layer with at least
+2 * pq.SPLIT_FLOOR of those entries runs each of these passes by column
+blocks over the CPUs the process may use (see pq); the arrays a step holds
+are the same, and a worker thread holds only its block's temporaries.
 
 StepMetrics.retained_iterate_count records how many codebook snapshots a
 step held for backward: 1 for the implicit and jfb backends regardless of

@@ -1,10 +1,21 @@
 """Partition layout, attention, and quantizer maps: frozen values + properties."""
 
+import inspect
+import os
+import signal
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idkm.pq as pq
+from idkm.data import synthetic_blobs
 from idkm.errors import NumericsError, ParamError, PartitionError, ShapeError
+from idkm.gradients import GradBackend
+from idkm.nn import LayerSpec, Network
 from idkm.pq import (
     AttentionMatrix,
     Codebook,
@@ -16,9 +27,12 @@ from idkm.pq import (
     hard_quantize,
     nearest_indices,
     partition_weights,
+    soft_assign,
     soft_quantize,
     soft_quantize_vjp,
 )
+from idkm.solver import InitStrategy
+from idkm.training import TrainConfig, train
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -330,3 +344,217 @@ def test_soft_quantize_is_bit_deterministic():
     first = soft_quantize(w, c, 5e-4).data
     second = soft_quantize(w, c, 5e-4).data
     np.testing.assert_array_equal(first, second)
+
+
+# Column blocks. SPLIT_FLOOR and the CPU count are patched so that small
+# seeded instances split into 2 to 6 blocks; unpatched, they run as one.
+SPLIT_TOL = 1e-12
+
+
+def _split(mp: pytest.MonkeyPatch, cpus: int, floor: int = 1) -> None:
+    """Patch pq to split by `floor` entries a block over `cpus` CPUs, on a
+    pool of its own."""
+    mp.setattr(pq, "SPLIT_FLOOR", floor)
+    mp.setattr(pq, "_cpu_count", lambda: cpus)
+    mp.setattr(pq, "_pool", None)
+
+
+def _close_pool() -> None:
+    if pq._pool is not None:
+        pq._pool.shutdown()
+
+
+def _kernel_outputs(w, c, tau, seed=0) -> dict:
+    """Every output of the eight kernels that run by column blocks."""
+    rng = np.random.default_rng(seed)
+    asg = soft_assign(w.data, c.data, tau)
+    out = {
+        "dist": asg.dist,
+        "att": asg.att,
+        "col_sums": asg.col_sums,
+        "means": asg.means,
+        "directions": asg.directions,
+        "j_c": asg.j_c,
+        "soft_quantize": soft_quantize(w, c, tau, asg).data,
+        "validated_attention": attention(distance_matrix(w, c), tau).data,
+    }
+    out["att_vjp_w"], out["att_vjp_c"] = asg.att_vjp(rng.normal(size=asg.att.shape))
+    out["f_vjp_c"], out["f_vjp_w"] = asg.f_vjp(rng.normal(size=c.data.size))
+    out["sq_vjp_w"], out["sq_vjp_c"] = soft_quantize_vjp(
+        rng.normal(size=w.data.shape), w, c, tau, asg
+    )
+    return out
+
+
+def _split_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-300) -> float:
+    """Largest difference relative to the largest magnitude of the tensor,
+    or to `floor` if that is larger."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), floor))
+
+
+class TestColumnBlocks:
+    def test_blocks_cover_the_columns_in_order(self, monkeypatch):
+        monkeypatch.setattr(pq, "_cpu_count", lambda: 3)
+        assert pq._column_blocks(4, 2 * pq.SPLIT_FLOOR // 4 - 1) is None
+        blocks, threads = pq._column_blocks(4, 100_352)
+        assert [(b.start, b.stop) for b in blocks] == [
+            (0, 16_725), (16_725, 33_450), (33_450, 50_176),
+            (50_176, 66_901), (66_901, 83_626), (83_626, 100_352),
+        ]
+        assert threads == 3
+        # Each block keeps at least SPLIT_FLOOR of the k*m entries.
+        blocks, threads = pq._column_blocks(4, 3 * pq.SPLIT_FLOOR // 4 - 4)
+        assert (len(blocks), threads) == (2, 2)
+        monkeypatch.setattr(pq, "_cpu_count", lambda: 2)
+        blocks, threads = pq._column_blocks(4, 100_352)
+        assert (len(blocks), threads) == (4, 2)
+        monkeypatch.setattr(pq, "_cpu_count", lambda: 1)
+        assert pq._column_blocks(4, 100_352) is None
+
+    @pytest.mark.parametrize("cpus,blocks", [(2, 2), (2, 3), (3, 6)])
+    @pytest.mark.parametrize("k,d,tau", [(4, 1, 0.05), (16, 2, 0.5), (5, 3, 5e-3)])
+    def test_split_kernels_match_one_block(self, cpus, blocks, k, d, tau):
+        w, c = _random_instance(3, 301, k, d)
+        whole = _kernel_outputs(w, c, tau)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, cpus, floor=k * w.m // blocks)
+            split = _kernel_outputs(w, c, tau)
+            assert len(pq._column_blocks(k, w.m)[0]) == blocks
+            _close_pool()
+        assert split.keys() == whole.keys()
+        for name in whole:
+            assert _split_error(split[name], whole[name]) <= SPLIT_TOL, name
+
+    def test_split_results_repeat_bit_for_bit(self):
+        w, c = _random_instance(5, 257, 16, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 3)
+            first = _kernel_outputs(w, c, 0.1)
+            second = _kernel_outputs(w, c, 0.1)
+            _close_pool()
+        for name in first:
+            np.testing.assert_array_equal(first[name], second[name], err_msg=name)
+
+    def test_split_training_matches_one_block(self):
+        data = synthetic_blobs(3, classes=4, points_per_class=30, dim=8, separation=6.0)
+        net = Network(layers=(
+            LayerSpec(kind="dense", in_features=8, out_features=12, quantize=True),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="dense", in_features=12, out_features=4, quantize=True),
+        ))
+        cfg = TrainConfig(
+            k=4, d=1, tau=0.01, eps=1e-8, max_cluster_iters=200,
+            backend=GradBackend(kind="implicit"), learning_rate=0.05, epochs=2,
+            batch_size=32, init=InitStrategy(seed=0), seed=0,
+        )
+        weights = net.init_weights(3)
+        whole_history, whole = train(net, weights, cfg, data)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 2)
+            split_history, split = train(net, weights, cfg, data)
+            _close_pool()
+        assert [r["fallbacks"] for r in split_history] == [
+            r["fallbacks"] for r in whole_history
+        ]
+        for name, want in whole.weights.items():
+            assert _split_error(split.weights[name], want) <= SPLIT_TOL, name
+        for name, book in whole.codebooks.items():
+            assert _split_error(split.codebooks[name].data, book.data) <= SPLIT_TOL
+
+    def test_a_failing_block_raises_once_no_block_runs(self):
+        running = []
+
+        def kernel(columns, out):
+            first = int(columns[0])
+            running.append(first)
+            time.sleep(0.01)
+            out[...] = 1.0
+            running.remove(first)
+            if first == 0:
+                raise ValueError("block 0")
+
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 2)
+            with pytest.raises(ValueError, match="block 0"):
+                pq._by_columns(kernel, 1, 64, (np.arange(64.0), np.zeros(64)))
+            assert running == []
+            _close_pool()
+
+    def test_workers_enter_no_public_function(self, monkeypatch):
+        # perfbench traces public names such as pq.attention by replacing
+        # them, and keeps one span stack for the calling thread.
+        calls = []
+
+        def recording(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name, value in vars(pq).items():
+            if (not name.startswith("_") and inspect.isfunction(value)
+                    and value.__module__ == pq.__name__):
+                monkeypatch.setattr(pq, name, recording(name, value))
+        w, c = _random_instance(2, 301, 4, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 3)
+            _kernel_outputs(w, c, 0.05)
+            _close_pool()
+        assert ("attention", threading.main_thread()) in calls
+        assert {thread for _, thread in calls} == {threading.main_thread()}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_splits_without_the_parents_threads(self):
+        w, c = _random_instance(4, 64, 4, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 2)
+            want = soft_assign(w.data, c.data, 0.05).att
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that forking a threaded process may deadlock.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                got = soft_assign(w.data, c.data, 0.05).att
+                os._exit(0 if np.array_equal(got, want) else 1)
+            deadline = time.monotonic() + 30.0
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child's split never finished")
+                time.sleep(0.01)
+            _close_pool()
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_a_layer_below_the_floor_never_makes_the_pool(self, monkeypatch):
+        monkeypatch.setattr(pq, "_pool", None)
+        monkeypatch.setattr(pq, "_cpu_count", lambda: 8)
+        m = 2 * pq.SPLIT_FLOOR // 4 - 1
+        w, c = _random_instance(1, m, 4, 1)
+        _kernel_outputs(w, c, 0.05)
+        assert pq._pool is None
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(3, 40),
+    k=st.integers(1, 8),
+    d=st.integers(1, 3),
+    cpus=st.integers(2, 3),
+    blocks=st.integers(2, 6),
+    log_tau=st.floats(-2.0, 1.0),
+)
+@PROPERTY_SETTINGS
+def test_split_matches_one_block_for_any_shape(seed, m, k, d, cpus, blocks, log_tau):
+    w, c = _random_instance(seed, m, k, d)
+    tau = 10.0**log_tau
+    whole = _kernel_outputs(w, c, tau, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, cpus, floor=max(k * m // blocks, 1))
+        split = _kernel_outputs(w, c, tau, seed)
+        assert len(pq._column_blocks(k, m)[0]) >= 2
+        _close_pool()
+    # Saturated attention, or k = 1, leaves j_c and the VJPs in c zero up to
+    # rounding; those are held to SPLIT_TOL in absolute terms.
+    for name in whole:
+        assert _split_error(split[name], whole[name], floor=1.0) <= SPLIT_TOL, name
