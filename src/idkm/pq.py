@@ -28,15 +28,17 @@ matrix-free VJP (f_vjp) and the small dense dF/dC (j_c), which the soft
 quantizer's VJP and every gradient backend call.
 
 Every pass over a layer's k x m arrays is column-local or a sum over the m
-columns, so a large layer runs each pass by contiguous column blocks at
-once (_by_columns): one thread per CPU the process may use, so `taskset`
-limits them, the calling thread and helpers from a pool made on first use;
-at most BLOCKS_PER_THREAD blocks a thread, and at least SPLIT_FLOOR of the
-k*m entries a block. Blocks write their columns into the same arrays one
-block would, and sums over m add the blocks' partial sums in block order:
-the same CPU count gives the same bits, and another count differs at
-rounding level. A layer below the floor, or in a process limited to one
-CPU, runs as one block on the calling thread.
+columns, so a large layer runs each pass by contiguous column blocks at once
+(_by_columns): one thread per CPU the process may use, so `taskset` limits
+them, the calling thread and helpers from a pool made on first use; at most
+BLOCKS_PER_THREAD blocks a thread, and at least SPLIT_FLOOR of the k*m
+entries a block. Blocks write their columns into the same arrays one block
+would, and sums over m add the blocks' partial sums in block order: the same
+CPU count gives the same bits, and another count differs at rounding level.
+The measured gains are for one BLAS thread, as the benchmark runs; a BLAS
+left to start its own threads may split a block's matrix products again (the
+README gives one check of that). A layer below the floor, or in a process
+limited to one CPU, runs as one block on the calling thread.
 """
 
 from __future__ import annotations
@@ -78,12 +80,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _column_blocks(k: int, m: int) -> tuple[list[slice], int] | None:
+def _column_blocks(k: int, m: int) -> list[slice] | None:
     """Contiguous column blocks of near-equal width for a pass over k x m
-    entries, each holding at least SPLIT_FLOOR of them, and the number of
-    threads to run them on: one per usable CPU, with at most
-    BLOCKS_PER_THREAD blocks each. None where that leaves one block or one
-    thread."""
+    entries: at most BLOCKS_PER_THREAD a usable CPU, each holding at least
+    SPLIT_FLOOR of the entries. None where that leaves one block, or the
+    process may use one CPU."""
     if k * m < 2 * SPLIT_FLOOR:
         return None
     cpus = _cpu_count()
@@ -91,8 +92,7 @@ def _column_blocks(k: int, m: int) -> tuple[list[slice], int] | None:
         return None
     count = min(BLOCKS_PER_THREAD * cpus, k * m // SPLIT_FLOOR)
     edges = [m * i // count for i in range(count + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    return blocks, min(cpus, count)
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _thread_pool():
@@ -135,35 +135,37 @@ def _take_blocks(todo: queue.SimpleQueue, blocks, results, kernel, columns, args
         results[index] = kernel(*[a[..., cols] for a in columns], *args)
 
 
-def _by_columns(kernel, k: int, m: int, columns: tuple, *args) -> list:
-    """Run kernel over the column blocks of a k x m pass and return its
-    results in block order.
+def _by_columns(kernel, k: int, m: int, columns: tuple, *args):
+    """Run kernel over the column blocks of a k x m pass.
 
-    Each call is kernel(*views, *args), where views are one block's
-    columns of the arrays in `columns`, whose last axis has the m columns.
-    A kernel writes its per-column results into views of output arrays,
-    and returns its block's part of any sum over the m columns (see
-    _sum_blocks). Below the floor it runs once, on the calling thread, on
-    the whole arrays. Otherwise the calling thread and helpers on the thread
-    pool take blocks from one queue until it is empty; NumPy releases the
-    interpreter lock inside each array operation, so the blocks overlap. A
-    block's result does not depend on the thread that ran it. Helpers run
-    only these raw kernels, never a public function, so a caller sees each
-    public call entered once, from its own thread.
+    Each call is kernel(*views, *args), where views are one block's columns
+    of the arrays in `columns`, whose last axis has the m columns. A kernel
+    writes its per-column results into views of output arrays, and returns
+    its block's part of any sum over the m columns, or a tuple of such
+    parts; _by_columns returns their sums, added in block order, so a given
+    block count always gives the same bits. Below the floor the kernel runs
+    once, on the calling thread, on the whole arrays. Otherwise the calling
+    thread and helpers on the thread pool take blocks from one queue until
+    it is empty; NumPy releases the interpreter lock inside each array
+    operation, so the blocks overlap. The calling thread works instead of
+    waiting: a pool that ran every block while it waited took 39.7 against
+    35.9 ms for a layer-step on 2 CPUs. Helpers run only these raw kernels,
+    never a public function, so a caller sees each public call entered
+    once, from its own thread.
     """
-    if k * m < 2 * SPLIT_FLOOR:
-        return [kernel(*columns, *args)]
-    split = _column_blocks(k, m)
-    if split is None:
-        return [kernel(*columns, *args)]
-    blocks, threads = split
+    blocks = _column_blocks(k, m)
+    if blocks is None:
+        return kernel(*columns, *args)
     todo = queue.SimpleQueue()
     for index in range(len(blocks)):
         todo.put(index)
     results = [None] * len(blocks)
     work = (todo, blocks, results, kernel, columns, args)
     pool = _thread_pool()
-    helpers = [pool.submit(_take_blocks, *work) for _ in range(threads - 1)]
+    helpers = [
+        pool.submit(_take_blocks, *work)
+        for _ in range(min(_cpu_count(), len(blocks)) - 1)
+    ]
     try:
         _take_blocks(*work)
     finally:
@@ -173,32 +175,14 @@ def _by_columns(kernel, k: int, m: int, columns: tuple, *args) -> list:
     for failure in failures:
         if failure is not None:
             raise failure
-    return results
+    return _sum_blocks(results)
 
 
-def _sum_blocks(parts: list):
-    """Per-block partials of a reduction over m, summed in block order, so
-    a given block count always gives the same bits. Blocks that return a
-    tuple of partials give the tuple of their sums."""
-    if len(parts) == 1:
-        return parts[0]
+def _sum_blocks(parts):
+    """Per-block partials of sums over m, added in block order."""
     if isinstance(parts[0], tuple):
-        return tuple(_sum_blocks(list(part)) for part in zip(*parts))
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
-    return total
-
-
-def _contract_d(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ right for k x d rows and d x m columns, with d small. At d = 1
-    it is a broadcast product: the same bits as a GEMM with K = 1, at under
-    a third of its cost (0.19 against 0.68 ms at k = 4, m = 100,352). From
-    d = 2 the GEMM ran 2.5-5x faster than products taken coordinate by
-    coordinate, so it stays."""
-    if left.shape[1] == 1:
-        return left * right
-    return left @ right
+        return tuple(_sum_blocks(part) for part in zip(*parts))
+    return None if parts[0] is None else sum(parts[1:], parts[0])
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -404,9 +388,9 @@ class SoftAssignment:
         """
         k, m = self.att.shape
         grad_w = np.empty(self.w.shape)
-        grad_c = _sum_blocks(_by_columns(
+        grad_c = _by_columns(
             _att_vjp_cols, k, m, (self.att, self.directions, d_att, grad_w), self.tau
-        ))
+        )
         return grad_w, grad_c
 
     def f_vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,10 +403,10 @@ class SoftAssignment:
         v = np.asarray(v, dtype=np.float64).reshape(self.c.shape)
         k, m = self.att.shape
         grad_w = np.empty(self.w.shape)
-        grad_c = _sum_blocks(_by_columns(
+        grad_c = _by_columns(
             _f_vjp_cols, k, m, (self.w, self.att, self.directions, grad_w),
             self.tau, self.scale, v, (v * self.means).sum(axis=1),
-        ))
+        )
         return (
             _finite(grad_c.ravel(), "v @ dF/dC"),
             _finite(grad_w.ravel(), "v @ dF/dW"),
@@ -432,10 +416,10 @@ class SoftAssignment:
     def j_c(self) -> np.ndarray:
         """(k*d) x (k*d) dF/dC from one (k*d) x m GEMM plus k diagonal blocks."""
         (k, d), m = self.c.shape, self.w.shape[1]
-        gemm, diag = _sum_blocks(_by_columns(
+        gemm, diag = _by_columns(
             _j_c_cols, k, m, (self.w, self.att, self.directions), self.means,
             self.tau * self.scale,
-        ))
+        )
         jc = gemm.reshape(k, d, k, d)
         idx = np.arange(k)
         jc[idx, :, idx, :] -= diag
@@ -504,7 +488,7 @@ def _att_vjp_cols(a, g, d_att, grad_w, tau) -> np.ndarray:
 
 def _f_vjp_cols(w, a, g, grad_w, tau, scale, v, shift) -> np.ndarray:
     """SoftAssignment.f_vjp on a block; shift[j] = <v_j, F_j>."""
-    d_att = _contract_d(v, w)
+    d_att = v @ w
     d_att -= shift[:, None]
     d_att /= scale[:, None]
     grad_c = _att_vjp_cols(a, g, d_att, grad_w, tau)
@@ -533,7 +517,7 @@ def _mix_cols(a, out, ct) -> None:
 def _quantizer_vjp_cols(a, g, upstream, grad_w, tau, cd) -> np.ndarray:
     """soft_quantize_vjp on a block: writes its grad_w, returns its grad_c."""
     # The output is c^T att, so d(loss)/d att[j, i] = <c_j, upstream column i>.
-    grad_c = _att_vjp_cols(a, g, _contract_d(cd, upstream), grad_w, tau)
+    grad_c = _att_vjp_cols(a, g, cd @ upstream, grad_w, tau)
     grad_c += a @ upstream.T
     return grad_c
 
@@ -551,9 +535,7 @@ def soft_assign(wd: np.ndarray, cd: np.ndarray, tau: float) -> SoftAssignment:
     against raw k x d codewords cd: the kernel every solve iteration runs."""
     dist = _distances(wd, cd)
     att = attention(dist, tau)
-    col_sums, weighted_sums = _sum_blocks(
-        _by_columns(_attention_sums, *att.shape, (att, wd))
-    )
+    col_sums, weighted_sums = _by_columns(_attention_sums, *att.shape, (att, wd))
     return SoftAssignment(wd, cd, tau, dist, att, col_sums, weighted_sums)
 
 
@@ -692,8 +674,8 @@ def soft_quantize_vjp(
         )
     asg = assignment_at(w, c, tau, assignment)
     grad_w = np.empty(upstream.shape)
-    grad_c = _sum_blocks(_by_columns(
+    grad_c = _by_columns(
         _quantizer_vjp_cols, *asg.att.shape,
         (asg.att, asg.directions, upstream, grad_w), tau, c.data,
-    ))
+    )
     return _finite(grad_w, "soft-quantizer VJP"), _finite(grad_c, "soft-quantizer VJP")

@@ -396,18 +396,15 @@ class TestColumnBlocks:
     def test_blocks_cover_the_columns_in_order(self, monkeypatch):
         monkeypatch.setattr(pq, "_cpu_count", lambda: 3)
         assert pq._column_blocks(4, 2 * pq.SPLIT_FLOOR // 4 - 1) is None
-        blocks, threads = pq._column_blocks(4, 100_352)
+        blocks = pq._column_blocks(4, 100_352)
         assert [(b.start, b.stop) for b in blocks] == [
             (0, 16_725), (16_725, 33_450), (33_450, 50_176),
             (50_176, 66_901), (66_901, 83_626), (83_626, 100_352),
         ]
-        assert threads == 3
         # Each block keeps at least SPLIT_FLOOR of the k*m entries.
-        blocks, threads = pq._column_blocks(4, 3 * pq.SPLIT_FLOOR // 4 - 4)
-        assert (len(blocks), threads) == (2, 2)
+        assert len(pq._column_blocks(4, 3 * pq.SPLIT_FLOOR // 4 - 4)) == 2
         monkeypatch.setattr(pq, "_cpu_count", lambda: 2)
-        blocks, threads = pq._column_blocks(4, 100_352)
-        assert (len(blocks), threads) == (4, 2)
+        assert len(pq._column_blocks(4, 100_352)) == 4
         monkeypatch.setattr(pq, "_cpu_count", lambda: 1)
         assert pq._column_blocks(4, 100_352) is None
 
@@ -419,7 +416,7 @@ class TestColumnBlocks:
         with pytest.MonkeyPatch.context() as mp:
             _split(mp, cpus, floor=k * w.m // blocks)
             split = _kernel_outputs(w, c, tau)
-            assert len(pq._column_blocks(k, w.m)[0]) == blocks
+            assert len(pq._column_blocks(k, w.m)) == blocks
             _close_pool()
         assert split.keys() == whole.keys()
         for name in whole:
@@ -552,7 +549,7 @@ def test_split_matches_one_block_for_any_shape(seed, m, k, d, cpus, blocks, log_
     with pytest.MonkeyPatch.context() as mp:
         _split(mp, cpus, floor=max(k * m // blocks, 1))
         split = _kernel_outputs(w, c, tau, seed)
-        assert len(pq._column_blocks(k, m)[0]) >= 2
+        assert len(pq._column_blocks(k, m)) >= 2
         _close_pool()
     # Saturated attention, or k = 1, leaves j_c and the VJPs in c zero up to
     # rounding; those are held to SPLIT_TOL in absolute terms.
