@@ -71,9 +71,16 @@ MNIST_MIRRORS = (
 )
 
 
+def _seed_flag(args) -> int | None:
+    """The --seed flag, None when unset; a negative seed is a config error."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _config_with_overrides(args) -> RunConfig:
     cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if _seed_flag(args) is not None:
         cfg.seed = args.seed
     if getattr(args, "out", None) is not None:
         cfg.out = args.out
@@ -239,9 +246,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     report = run_suite(
         instances=args.instances,
-        base_seed=args.seed if args.seed is not None else 0,
+        base_seed=_seed_flag(args) or 0,
         inject_identity_m=args.inject_identity_m,
         with_fd=not args.skip_fd,
     )
@@ -271,7 +280,7 @@ def cmd_bench(args) -> int:
         d_values=_grid_list("--d", args.d),
         backends=tuple(_grid_list("--backends", args.backends, str.strip)),
         repeats=args.repeats,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed_flag(args) or 0,
         batch_size=args.batch_size,
     )
     print(bench_mod.HEADER)

@@ -137,10 +137,13 @@ def _typed_section(parser, section: str, types: dict) -> dict:
     for key in parser.options(section):
         if key not in types:
             raise ConfigError(f"unknown key {key!r} in [{section}]")
-    return {
+    values = {
         key: _typed(section, key, raw, types[key])
         for key, raw in parser.items(section)
     }
+    if values.get("seed", 0) < 0:
+        raise ConfigError(f"[{section}] seed must be >= 0, got {values['seed']}")
+    return values
 
 
 def _layer_sections(parser) -> tuple[LayerSpec, ...]:

@@ -10,10 +10,11 @@ to the weights being clustered:
   and time grow linearly with the iteration count.
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
   solution only. The adjoint row u (I - dF/dC*)^-1 is obtained by an
-  averaged fixed-point iteration with alpha-halving restarts on divergence,
-  evaluated ADJOINT_BLOCK steps per NumPy call from repeated squares of the
-  averaged step, at every k*d. It decides as the step-by-step loop does,
-  and raises AdjointStalled or AdjointDivergence when it fails.
+  averaged fixed-point iteration with alpha-halving restarts on divergence.
+  Its residuals are predicted from one computed residual by doubling, with
+  squares of the averaged step made as they are needed, and checked one
+  step at a time, so it decides as the step-by-step loop does and raises
+  AdjointStalled or AdjointDivergence when it fails.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
@@ -65,8 +66,6 @@ BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
 DIVERGENCE_CAP = 1e8
 DIVERGENCE_GROWTH_STEPS = 10
-# Averaged adjoint steps evaluated per NumPy call, at most; see _averaged_solve.
-ADJOINT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -138,22 +137,52 @@ def jacobians_of_F(
     return assignment_at(w, c_star, tau, assignment)
 
 
-def _residual_rows(
-    first: np.ndarray, squares: list[np.ndarray], length: int
-) -> np.ndarray:
-    """The rows first M^0 ... first M^(length-1), by doubling the rows held:
-    rows h..2h-1 are rows 0..h-1 times squares[i] = M^h, h = 2^i. Rows may
-    overflow; see _averaged_solve."""
-    rows = np.empty((length, first.size))
-    rows[0] = first
-    held = 1
-    for square in squares:
-        if held >= length:
-            break
-        take = min(held, length - held)
-        rows[held:held + take] = rows[:take] @ square
-        held += take
-    return rows
+def _averaged_run(
+    upstream: np.ndarray, j_c: np.ndarray, alpha: float, backend: GradBackend
+) -> np.ndarray | None:
+    """One attempt of _averaged_solve at alpha: an iterate whose directly
+    computed residual is below backend.adjoint_eps, or None on divergence.
+    Raises AdjointStalled when max_adjoint_iters steps decide nothing. Holds
+    at most max_adjoint_iters rows of k*d floats, and one square per doubling."""
+    eps = backend.adjoint_eps
+    limit = backend.max_adjoint_iters
+    squares = [(1.0 - alpha) * np.eye(upstream.size) + alpha * j_c]
+    rows = np.empty((limit, upstream.size))
+    x = upstream.copy()
+    prev = np.inf
+    growth = 0
+    start = 0
+    while True:
+        rows[0] = upstream + x @ j_c - x
+        res = [float(np.linalg.norm(rows[0]))]
+        # res grows, by doubling, each time the loop reaches its end.
+        for at, r in enumerate(res):
+            if not eps <= r <= DIVERGENCE_CAP:
+                if at and (r < eps or not np.isfinite(r)):
+                    break
+                return x if r < eps else None
+            if r > prev:
+                growth += 1
+                if growth >= DIVERGENCE_GROWTH_STEPS:
+                    return None
+            else:
+                growth = 0
+            prev = r
+            held = at + 1
+            if held == len(res):
+                if start + held == limit:
+                    raise AdjointStalled(f"adjoint: residual still above {eps:g} "
+                                         f"after {limit} iterations at alpha={alpha:g}")
+                level = held.bit_length() - 1
+                take = min(held, limit - start - held)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if level == len(squares):
+                        squares.append(squares[-1] @ squares[-1])
+                    new = rows[:take] @ squares[level]
+                    res += np.sqrt(np.einsum("ij,ij->i", new, new)).tolist()
+                rows[held:held + take] = new
+        x = x + alpha * rows[:at].sum(axis=0)
+        start += at
 
 
 def _averaged_solve(
@@ -166,88 +195,25 @@ def _averaged_solve(
     a residual above the cap, or non-finite values) restarts from upstream
     with alpha halved; reaching max_adjoint_iters without diverging raises
     AdjointStalled. Returns an iterate whose directly computed residual
-    ||g(x) - x|| is below backend.adjoint_eps, i.e. upstream (I - j_c)^-1 to
-    that accuracy.
+    ||g(x) - x|| is below backend.adjoint_eps.
 
-    The iteration runs ADJOINT_BLOCK steps per NumPy call, fewer only where
-    max_adjoint_iters leaves fewer. The residual r = g(x) - x obeys
-    r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c, and
-    x_{n+1} = x_n + alpha r_n, so a block's residuals are its first one
-    (computed directly from its iterate) times M^0 ... M^(L-1). They are
-    built by doubling from the squares M, M^2, ..., M^32, made once per
-    attempt: about log2(ADJOINT_BLOCK) (k*d)^3 multiply-adds, and
-    ADJOINT_BLOCK*k*d floats of rows plus six (k*d)^2 squares. The cap,
-    tolerance and growth checks then run over the block in the loop's
-    order, to the first step where one decides. A step whose predicted
-    residual is below the tolerance starts the next block, where that
-    residual is computed directly; so roundoff that floors the true
-    residual leads to a stall, not to a return.
+    An attempt (_averaged_run) predicts residuals from one computed from x:
+    r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c, so rows h..2h-1 are
+    rows 0..h-1 times M^h, doubled as far as the checks reach, each square
+    made when first needed. A predicted norm that is below the tolerance or
+    not finite is computed directly, after x moves by alpha times the rows
+    before it; so roundoff that floors the true residual stalls.
     """
-    size = upstream.size
     alpha = backend.alpha0
-    limit = backend.max_adjoint_iters
     attempts = backend.max_restarts + 1
     for _ in range(attempts):
-        squares = [(1.0 - alpha) * np.eye(size) + alpha * j_c]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while 2 ** len(squares) < ADJOINT_BLOCK:
-                squares.append(squares[-1] @ squares[-1])
-        x = upstream.copy()
-        prev_res = np.inf
-        growth = 0
-        done = 0
-        # Every break is a divergence; running out of steps is a stall.
-        while done < limit:
-            length = min(ADJOINT_BLOCK, limit - done)
-            first = upstream + x @ j_c - x
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = _residual_rows(first, squares, length)
-                res = np.sqrt(np.einsum("ij,ij->i", block, block))
-            res[0] = np.linalg.norm(first)
-            finite = np.isfinite(res)
-            if not finite[0]:
-                break
-            # A prediction that is not finite (an overflowed square of M times
-            # a zero, say) is computed directly, as the next block's first.
-            if not finite.all():
-                length = int(np.argmin(finite))
-                res = res[:length]
-            # runs[i]: consecutive increases ending at step i, carried over
-            # from the previous block while there has been no fall.
-            steps = np.arange(length)
-            rose = res > np.concatenate(([prev_res], res[:-1]))
-            last_fall = np.maximum.accumulate(np.where(rose, -1, steps))
-            runs = np.where(last_fall >= 0, steps - last_fall, growth + steps + 1)
-            over = res > DIVERGENCE_CAP
-            below = res < backend.adjoint_eps
-            stop = over | below | (runs >= DIVERGENCE_GROWTH_STEPS)
-            if stop.any():
-                at = int(np.argmax(stop))
-                if over[at] or not below[at]:
-                    break
-                if at == 0:
-                    return x
-                length = at
-            x = x + alpha * block[:length].sum(axis=0)
-            prev_res, growth = res[length - 1], runs[length - 1]
-            done += length
-        else:
-            raise AdjointStalled(
-                f"adjoint: residual still above {backend.adjoint_eps:g} after "
-                f"{limit} iterations at alpha={alpha:g}"
-            )
+        x = _averaged_run(upstream, j_c, alpha, backend)
+        if x is not None:
+            return x
         alpha *= 0.5
     raise AdjointDivergence(
         f"adjoint: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"
     )
-
-
-def neumann_inverse(j_c: np.ndarray, backend: GradBackend) -> np.ndarray:
-    """(I - j_c)^-1, row r being the adjoint solve vjp_dC_dW runs for e_r."""
-    j_c = np.asarray(j_c, dtype=np.float64)
-    if j_c.ndim != 2 or j_c.shape[0] != j_c.shape[1]:
-        raise ShapeError(f"j_c must be square, got {j_c.shape}")
-    return np.stack([_averaged_solve(e, j_c, backend) for e in np.eye(len(j_c))])
 
 
 def vjp_dC_dW(

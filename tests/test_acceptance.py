@@ -21,8 +21,9 @@ from idkm.gradcheck import (
     check_oracle_equivalence,
     check_update_blocks,
     make_instance,
+    neumann_inverse,
 )
-from idkm.gradients import GradBackend, neumann_inverse
+from idkm.gradients import GradBackend
 from idkm.pq import (
     Codebook,
     attention,

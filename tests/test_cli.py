@@ -217,6 +217,22 @@ class TestParseConfig:
                          f"--{key}", value])
             assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section", ["run", "pretrain", "quantize"])
+    def test_negative_seed_key_exits_three(self, tiny_config, capsys, section):
+        path = tiny_config()
+        text = path.read_text().replace("seed = 0\n", "")
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\nseed = -1\n"))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] seed must be >= 0"):
+            parse_config(path)
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "quantize", "eval"])
+    def test_negative_seed_flag_exits_three(self, tiny_config, capsys, command):
+        argv = [command, "--config", str(tiny_config()), "--seed", "-1"]
+        assert main(argv) == EXIT_CONFIG
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_pretrain_quantize_eval_roundtrip(self, tiny_config, tmp_path, capsys):
@@ -346,6 +362,22 @@ class TestGradcheckCommand:
         assert code == EXIT_CHECK
         assert "gradcheck FAILED" in capsys.readouterr().out
 
+    def test_skipped_checks_are_reported_as_skipped(self, capsys):
+        assert main(["gradcheck", "--instances", "1", "--skip-fd"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^.*: skipped$", out, re.MULTILINE)) == 3
+        assert "finite diff  : skipped" in out
+        assert "0.000e+00" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--instances", "0"], ["--instances", "-2"], ["--seed", "-1"],
+    ])
+    def test_bad_flag_exits_three(self, argv, capsys):
+        assert main(["gradcheck", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{argv[0]} must be >= " in captured.err
+        assert "PASSED" not in captured.out
+
 
 class TestBenchCommand:
     def test_tiny_grid_reports_every_cell(self, tmp_path, capsys):
@@ -366,7 +398,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--t", ""], ["--k", " , "], ["--d", ","], ["--backends", ""],
-        ["--repeats", "0"], ["--repeats", "-1"],
+        ["--repeats", "0"], ["--repeats", "-1"], ["--seed", "-1"],
     ])
     def test_empty_grid_exits_three(self, argv, capsys):
         assert main(["bench", *argv, "--assert-ordering"]) == EXIT_CONFIG

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idkm.errors import AdjointDivergence, AdjointStalled, ParamError, ShapeError
 from idkm.gradcheck import (
@@ -16,18 +17,17 @@ from idkm.gradcheck import (
     dense_dC_dW,
     fd_solve_jacobian,
     make_instance,
+    neumann_inverse,
     rel_err,
     run_suite,
 )
 from idkm.gradients import (
-    ADJOINT_BLOCK,
     DIVERGENCE_CAP,
     DIVERGENCE_GROWTH_STEPS,
     GradBackend,
     _averaged_solve,
     dense_weight_jacobian,
     jacobians_of_F,
-    neumann_inverse,
     vjp_dC_dW,
 )
 from idkm.pq import (
@@ -155,6 +155,15 @@ def test_gradcheck_fails_on_a_planted_weight_vjp_error(monkeypatch):
     report = run_suite(4, with_fd=False)
     assert not report.passed
     assert report.jfb_block_err > 1e-4
+
+
+def test_skipped_finite_difference_checks_read_skipped():
+    report = run_suite(1, with_fd=False)
+    assert report.passed
+    lines = report.lines()
+    assert [line.split(":")[1].strip() for line in lines[2:5]] == ["skipped"] * 3
+    assert all(line.endswith("ok") for line in lines[1:2] + lines[5:])
+    assert not any("skipped" in line for line in run_suite(1).lines())
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-301])
@@ -348,6 +357,9 @@ def _decaying_diagonal(converge_at, alpha=0.25):
     return np.diag(diag), upstream, eps
 
 
+# A doubling edge of _averaged_solve: its predicted rows 64..127 are rows
+# 0..63 times M^64, the seventh square it makes.
+EDGE = 64
 # Upstream and j_c for which the residual, at alpha 1, grows 1.5-fold from
 # 1.5e7 a step and passes the cap at step 5, before ten increases.
 CAP_FIRST = (1e7 * np.ones(3), np.diag([-1.5, 0.3, 0.2]))
@@ -387,7 +399,7 @@ class TestBlockedAdjointMatchesTheLoop:
         upstream = np.random.default_rng(5).normal(size=6)
         log = self._check(upstream, j_c, GradBackend(max_adjoint_iters=4000))
         assert [event[0] for event in log] == ["converged"]
-        assert log[0][1] > ADJOINT_BLOCK
+        assert log[0][1] > EDGE
 
     @pytest.mark.parametrize("limit", [50, 500])
     def test_stall_at_the_iteration_limit(self, limit):
@@ -430,16 +442,16 @@ class TestBlockedAdjointMatchesTheLoop:
         assert [event[0] for event in log] == [reason]
 
     @pytest.mark.parametrize(
-        "converge_at", [ADJOINT_BLOCK - 1, ADJOINT_BLOCK, ADJOINT_BLOCK + 1]
+        "converge_at", [EDGE - 1, EDGE, EDGE + 1]
     )
     def test_convergence_at_a_block_edge(self, converge_at):
         j_c, upstream, eps = _decaying_diagonal(converge_at)
         log = self._check(upstream, j_c, GradBackend(adjoint_eps=eps))
         assert log == [("converged", converge_at, 0.25)]
 
-    @pytest.mark.parametrize("converge_at", [ADJOINT_BLOCK + 35, ADJOINT_BLOCK + 36])
+    @pytest.mark.parametrize("converge_at", [EDGE + 35, EDGE + 36])
     def test_limit_that_is_not_a_multiple_of_the_block(self, converge_at):
-        limit = ADJOINT_BLOCK + 36
+        limit = EDGE + 36
         j_c, upstream, eps = _decaying_diagonal(converge_at)
         log = self._check(upstream, j_c,
                           GradBackend(adjoint_eps=eps, max_adjoint_iters=limit))
@@ -451,7 +463,7 @@ class TestBlockedAdjointMatchesTheLoop:
         # the residual never has a component along it: the loop converges.
         log = self._check(np.array([0.0, 1.0]), np.diag([1e7, 0.5]), GradBackend())
         assert [event[0] for event in log] == ["converged"]
-        assert log[0][1] > ADJOINT_BLOCK
+        assert log[0][1] > EDGE
 
     def test_tolerance_below_the_roundoff_floor(self):
         # The recurrence's residual falls past 1e-17; the directly computed
@@ -467,7 +479,7 @@ class TestBlockedAdjointMatchesTheLoop:
         log = self._check(upstream, _spectral(95, 64, 0.95),
                           GradBackend(max_adjoint_iters=4000))
         assert [event[0] for event in log] == ["converged"]
-        assert log[0][1] > 4 * ADJOINT_BLOCK
+        assert log[0][1] > 4 * EDGE
 
     @pytest.mark.parametrize("limit", [50, 500])
     def test_stall_at_kd_64(self, limit):
@@ -485,6 +497,25 @@ class TestBlockedAdjointMatchesTheLoop:
         j_c = (basis * eigs) @ basis.T
         log = self._check(rng.normal(size=64), j_c, GradBackend())
         assert [event[0] for event in log] == ["growth", "converged"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        size=st.integers(1, 8),
+        radius=st.floats(0.0, 1.6),
+        seed=st.integers(0, 2**32 - 1),
+        alpha0=st.sampled_from([1.0, 0.5, 0.25]),
+        max_restarts=st.integers(0, 3),
+        max_adjoint_iters=st.integers(1, 300),
+        log_eps=st.floats(-12.0, -3.0),
+    )
+    def test_random_systems(self, size, radius, seed, alpha0, max_restarts,
+                            max_adjoint_iters, log_eps):
+        # Limits that are not powers of two cut the last doubling short.
+        backend = GradBackend(alpha0=alpha0, max_restarts=max_restarts,
+                              max_adjoint_iters=max_adjoint_iters,
+                              adjoint_eps=10.0**log_eps)
+        upstream = np.random.default_rng(seed + 1).normal(size=size)
+        self._check(upstream, _spectral(seed, size, radius), backend)
 
 
 class TestImplicit:
