@@ -117,8 +117,15 @@ def _datasets(cfg: RunConfig):
     return train_set, eval_set
 
 
-def _check_arch(net: Network, ckpt) -> None:
-    """Refuse a checkpoint whose layers or tensors are not the config's."""
+def _checkpoint(args, cfg: RunConfig, net: Network):
+    """The --checkpoint (default <out>/pretrained.ckpt) and its path, loaded;
+    refused when its layers or tensors are not the config's."""
+    ckpt_path = Path(args.checkpoint or Path(cfg.out) / "pretrained.ckpt")
+    if not ckpt_path.exists():
+        raise FileNotFoundError(
+            f"checkpoint {ckpt_path} not found; run `idkm pretrain` first"
+        )
+    ckpt = load_checkpoint(ckpt_path)
     expected = net.param_shapes()
     stored = {t["name"]: tuple(t["shape"]) for t in ckpt.manifest["tensors"]}
     if expected != stored or not same_architecture(net.layers, ckpt.layers):
@@ -127,6 +134,7 @@ def _check_arch(net: Network, ckpt) -> None:
             f"{[s.kind for s in net.layers]}, tensors {sorted(expected)}; "
             f"checkpoint {[s.kind for s in ckpt.layers]}, {sorted(stored)}"
         )
+    return ckpt_path, ckpt
 
 
 def _fresh_report(out: Path, name: str, echo: dict) -> Path:
@@ -177,15 +185,7 @@ def cmd_quantize(args) -> int:
     cfg = _config_with_overrides(args)
     net = cfg.network()
     tcfg = build_train_config(cfg, vars(args))
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else (
-        Path(cfg.out) / "pretrained.ckpt"
-    )
-    if not ckpt_path.exists():
-        raise FileNotFoundError(
-            f"checkpoint {ckpt_path} not found; run `idkm pretrain` first"
-        )
-    ckpt = load_checkpoint(ckpt_path)
-    _check_arch(net, ckpt)
+    ckpt_path, ckpt = _checkpoint(args, cfg, net)
     train_set, eval_set = _datasets(cfg)
     echo = {
         "command": "quantize",
@@ -219,13 +219,7 @@ def cmd_quantize(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _config_with_overrides(args)
     net = cfg.network()
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else (
-        Path(cfg.out) / "pretrained.ckpt"
-    )
-    if not ckpt_path.exists():
-        raise FileNotFoundError(f"checkpoint {ckpt_path} not found")
-    ckpt = load_checkpoint(ckpt_path)
-    _check_arch(net, ckpt)
+    _, ckpt = _checkpoint(args, cfg, net)
     _, eval_set = _datasets(cfg)
     mode = args.mode or ("hard" if ckpt.codebooks else "float")
     marked = set(net.quantized_keys())
@@ -251,7 +245,6 @@ def cmd_gradcheck(args) -> int:
     report = run_suite(
         instances=args.instances,
         base_seed=_seed_flag(args) or 0,
-        inject_identity_m=args.inject_identity_m,
         with_fd=not args.skip_fd,
     )
     for line in report.lines():
@@ -393,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gradcheck", help="verify the gradient backends")
     sp.add_argument("--instances", type=int, default=20)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--inject-identity-m", action="store_true",
-                    help="deliberately skip the adjoint inverse (self-test)")
     sp.add_argument("--skip-fd", action="store_true",
                     help="skip the slower finite-difference comparisons")
     sp.set_defaults(func=cmd_gradcheck)

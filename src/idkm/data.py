@@ -200,8 +200,8 @@ def synthetic_blobs(
     """
     if classes < 1 or points_per_class < 1 or dim < 1:
         raise ParamError("classes, points_per_class, and dim must all be >= 1")
-    if separation < 0:
-        raise ParamError(f"separation must be >= 0, got {separation}")
+    if not 0 <= separation < float("inf"):
+        raise ParamError(f"separation must be finite and >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     center_rng = np.random.default_rng(1_000_003 * classes + dim)
     raw = center_rng.normal(size=(dim, classes))

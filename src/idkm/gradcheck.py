@@ -131,20 +131,13 @@ def dense_dC_dW(
     return np.stack([vjp_dC_dW(e, w, c, tau, backend) for e in basis])
 
 
-def check_oracle_equivalence(inst: GradInstance, backend: GradBackend,
-                             inject_identity_m: bool = False) -> float:
-    """Implicit gradient vs the unrolled sweep, as relative L2 error.
-
-    inject_identity_m deliberately replaces the adjoint inverse with the
-    identity (i.e. runs jfb in implicit's place) so the harness can prove
-    it detects a broken implicit path.
-    """
+def check_oracle_equivalence(inst: GradInstance, backend: GradBackend) -> float:
+    """Implicit gradient vs the unrolled sweep, as relative L2 error."""
     reference = dense_dC_dW(
         inst.w, inst.c0, inst.tau, dataclasses.replace(backend, kind="unrolled")
     )
-    kind = "jfb" if inject_identity_m else "implicit"
     candidate = dense_dC_dW(
-        inst.w, inst.c_star, inst.tau, dataclasses.replace(backend, kind=kind)
+        inst.w, inst.c_star, inst.tau, dataclasses.replace(backend, kind="implicit")
     )
     return rel_err(candidate, reference)
 
@@ -293,7 +286,6 @@ class SuiteReport:
 def run_suite(
     instances: int = 20,
     base_seed: int = 0,
-    inject_identity_m: bool = False,
     with_fd: bool = True,
 ) -> SuiteReport:
     """Run every check; with_fd=False skips the slow finite-difference half."""
@@ -302,8 +294,7 @@ def run_suite(
     for index in range(instances):
         inst = make_instance(base_seed + index)
         report.oracle_err = max(
-            report.oracle_err,
-            check_oracle_equivalence(inst, backend, inject_identity_m),
+            report.oracle_err, check_oracle_equivalence(inst, backend)
         )
         report.jfb_block_err = max(report.jfb_block_err, check_jfb_block(inst))
         if with_fd:

@@ -267,18 +267,14 @@ def softmax_cross_entropy(
     return loss, probs / n
 
 
-def squared_error(
-    logits: np.ndarray, labels: np.ndarray, num_classes: int | None = None
-) -> tuple[float, np.ndarray]:
+def squared_error(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared 2-norm against one-hot targets, with gradient.
 
-    Integer labels are one-hot encoded against the logit width (or
-    num_classes when given); a float array of matching shape is used as
-    targets directly.
+    Integer labels are one-hot encoded against the logit width; a float
+    array of matching shape is used as targets directly.
     """
     if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
-        width = num_classes if num_classes is not None else logits.shape[1]
-        targets = np.zeros((labels.shape[0], width))
+        targets = np.zeros((labels.shape[0], logits.shape[1]))
         targets[np.arange(labels.shape[0]), labels] = 1.0
     else:
         targets = np.asarray(labels, dtype=np.float64)

@@ -22,10 +22,11 @@ training step, one unvalidated SoftAssignment per layer carries the
 distances, attention and column sums at the converged codebook, and every
 consumer of the soft assignment reuses it. It is also the one home of the
 soft k-means center update F, which the solver iterates (`update`, with the
-clusters it keeps stale in `degenerate`), and of its linearisation: the
-backward pass through the softmax and the distances (att_vjp), F's
-matrix-free VJP (f_vjp) and the small dense dF/dC (j_c), which the soft
-quantizer's VJP and every gradient backend call.
+clusters it keeps stale in `degenerate`), and of its linearisation: F's
+matrix-free VJP (f_vjp) and the small dense dF/dC (j_c), which every
+gradient backend calls. The backward pass through the softmax and the
+distances (_att_vjp_cols) is one column kernel, which f_vjp and the soft
+quantizer's VJP both run.
 
 Every pass over a layer's k x m arrays is column-local or a sum over the m
 columns, so a large layer runs each pass by contiguous column blocks at once
@@ -114,9 +115,11 @@ def _thread_pool():
 
 def _forget_pool() -> None:
     """In a forked child: the parent's pool threads do not exist there, and
-    a job queued for them would wait forever."""
-    global _pool
+    a job queued for them would wait forever; nor does a parent thread that
+    held the lock at the fork, and the child's copy would stay locked."""
+    global _pool, _pool_lock
     _pool = None
+    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -223,8 +226,7 @@ class WeightMatrix:
             )
         if not 0 <= self.pad_count < d:
             raise ShapeError(f"pad_count {self.pad_count} outside [0, d={d})")
-        if not np.all(np.isfinite(data)):
-            raise NumericsError("weight matrix contains non-finite entries")
+        _finite(data, "weight matrix")
 
     @property
     def d(self) -> int:
@@ -247,8 +249,7 @@ class Codebook:
             raise ShapeError(f"codebook must be 2-D, got {data.ndim}-D")
         if data.shape[0] < 1:
             raise ParamError("codebook needs at least one codeword")
-        if not np.all(np.isfinite(data)):
-            raise NumericsError("codebook contains non-finite entries")
+        _finite(data, "codebook")
         object.__setattr__(self, "data", data)
 
     @property
@@ -277,8 +278,7 @@ class DistanceMatrix:
         data = _as_locked_f64(self.data)
         if data.ndim != 2:
             raise ShapeError("distance matrix must be 2-D")
-        if not np.all(np.isfinite(data)):
-            raise NumericsError("distance matrix contains non-finite entries")
+        _finite(data, "distance matrix")
         if np.any(data < 0):
             raise NumericsError("distance matrix contains negative entries")
         object.__setattr__(self, "data", data)
@@ -296,6 +296,7 @@ class AttentionMatrix:
         if data.ndim != 2:
             raise ShapeError("attention matrix must be 2-D")
         require_positive_finite("tau", self.tau)
+        _finite(data, "attention matrix")
         if np.any(data < 0) or np.any(data > 1):
             raise NumericsError("attention entries outside [0, 1]")
         row_sums = data.sum(axis=1)
@@ -328,9 +329,8 @@ class SoftAssignment:
 
     It also holds the center update F(C, W) the solver iterates, `update`:
     the attention-weighted `means`, with each `degenerate` cluster's center
-    kept stale. Its linearisation is att_vjp(), the backward pass through
-    att that every derivative goes through; f_vjp(), F's matrix-free VJP;
-    and j_c, the small dense dF/dC the implicit adjoint iterates on.
+    kept stale. Its linearisation is f_vjp(), F's matrix-free VJP, and j_c,
+    the small dense dF/dC the implicit adjoint iterates on.
 
     f_vjp and j_c linearise `means`, not `update`: a degenerate cluster
     draws next to no attention, so j_c is about 0 in its row and column,
@@ -380,25 +380,13 @@ class SoftAssignment:
         _by_columns(_unit_directions, k, m, (self.w, self.dist, g), self.c)
         return g
 
-    def att_vjp(self, d_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients (d x m, k x d) of sum(d_att * att) in w and in c.
-
-        d_att is k x m, like att. It goes back through each column's softmax
-        to the distances, then along the unit directions.
-        """
-        k, m = self.att.shape
-        grad_w = np.empty(self.w.shape)
-        grad_c = _by_columns(
-            _att_vjp_cols, k, m, (self.att, self.directions, d_att, grad_w), self.tau
-        )
-        return grad_w, grad_c
-
     def f_vjp(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(v @ dF/dC, v @ dF/dW) for a length-k*d row vector v.
 
         With s_j = scale[j], v reaches the attention as d_att[j, i] =
-        <v_j, w_i - F_j> / s_j, which att_vjp takes on; dF/dW adds the
-        direct term sum_j a_ij v_j / s_j. O(m*k*d).
+        <v_j, w_i - F_j> / s_j, which goes back through each column's
+        softmax to the distances, then along the unit directions; dF/dW adds
+        the direct term sum_j a_ij v_j / s_j. O(m*k*d).
         """
         v = np.asarray(v, dtype=np.float64).reshape(self.c.shape)
         k, m = self.att.shape
@@ -475,8 +463,8 @@ def _unit_directions(w, dist, g, c) -> None:
 
 
 def _att_vjp_cols(a, g, d_att, grad_w, tau) -> np.ndarray:
-    """SoftAssignment.att_vjp on a block: writes its grad_w and returns its
-    part of grad_c."""
+    """Gradients of sum(d_att * att) on a block, d_att being k x m like att:
+    writes its grad_w (d x m) and returns its part of grad_c (k x d)."""
     # coef[j, i] is the gradient with respect to distance (i, j), negated.
     coef = d_att * a
     np.subtract(d_att, coef.sum(axis=0), out=coef)
@@ -609,11 +597,7 @@ def attention(
     dist = dmat if raw else dmat.data.T
     att = np.empty_like(dist)
     _by_columns(_softmax_cols, *dist.shape, (dist, att), tau)
-    if raw:
-        return att
-    if not np.all(np.isfinite(att)):
-        raise NumericsError("attention produced non-finite entries")
-    return AttentionMatrix(data=att.T, tau=tau)
+    return att if raw else AttentionMatrix(data=att.T, tau=tau)
 
 
 def nearest_indices(w: WeightMatrix, c: Codebook) -> np.ndarray:

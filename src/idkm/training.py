@@ -10,14 +10,14 @@ The solver evaluates each layer's distances, attention and column sums once
 at its starting codebook and once after each update, and stops at C*, the
 first iterate that evaluation certifies. The soft quantizer, its VJP and
 the cluster backward (including a jfb retry after a failed adjoint) all
-reuse that last evaluation, a pq.SoftAssignment, which also
-holds the center update F and its linearisation: the backward pass through
-the softmax and the distances (att_vjp) that the soft quantizer's VJP runs,
-and F's VJP (f_vjp) and dF/dC (j_c) that the cluster backward runs. Beyond
-the network's own arrays, a step therefore holds per layer one m x k
-distance and one m x k attention matrix (float64), and, during that layer's
-backward pass, its m x k x d unit distance directions.
-For the 100,352-weight layer at k=4, d=1 each is 401,408 entries, 3.2 MB.
+reuse that last evaluation, a pq.SoftAssignment, which also holds the
+center update F and F's VJP (f_vjp) and dF/dC (j_c), which the cluster
+backward runs. f_vjp and the soft quantizer's VJP run one backward pass
+through the softmax and the distances (pq._att_vjp_cols). Beyond the
+network's own arrays, a step therefore holds per layer one m x k distance
+and one m x k attention matrix (float64), and, during that layer's backward
+pass, its m x k x d unit distance directions. For the 100,352-weight layer
+at k=4, d=1 each is 401,408 entries, 3.2 MB.
 No backend forms a dense (k*d) x (d*m) Jacobian. A layer with at least
 2 * pq.SPLIT_FLOOR of those entries runs each of these passes by column
 blocks over the CPUs the process may use (see pq); the arrays a step holds

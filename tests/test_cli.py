@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 import idkm.bench as bench_mod
+import idkm.gradients as gradients
 from idkm.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     build_parser,
     main,
 )
 from idkm.config import ConfigError, build_train_config, parse_config
 from idkm.data import load_checkpoint, read_jsonl
+from idkm.errors import AdjointStalled
 from idkm.gradients import GradBackend
 from idkm.solver import InitStrategy
 from idkm.training import TrainConfig
@@ -71,6 +74,60 @@ eps = 1e-7
 backend = implicit
 """
 
+# Image-shaped blobs through a strided, padded conv layer: the layer kind
+# and [data] keys the paper's MNIST net runs on.
+CONV_INI = """\
+[run]
+dataset = blobs
+out = {out}
+seed = 0
+
+[data]
+classes = 3
+points_per_class = 40
+dim = 36
+separation = 6.0
+image_channels = 1
+image_height = 6
+image_width = 6
+
+[layer.0]
+kind = conv2d
+in_channels = 1
+out_channels = 3
+kernel = 3
+stride = 2
+padding = same
+quantize = true
+
+[layer.1]
+kind = relu
+
+[layer.2]
+kind = flatten
+
+[layer.3]
+kind = dense
+in_features = 27
+out_features = 3
+quantize = true
+
+[pretrain]
+lr = 0.1
+epochs = 8
+batch_size = 32
+accuracy_floor = 0.9
+
+[quantize]
+k = 4
+d = 1
+tau = 0.001
+lr = 0.01
+epochs = 1
+batch_size = 32
+max_cluster_iters = 60
+eps = 1e-7
+"""
 
 # Each `quantize` flag, and the TrainConfig fields it sets.
 FLAG_OVERRIDES = [
@@ -264,6 +321,49 @@ class TestPipeline:
         assert "mode hard" in shown
         assert "2 bits/weight" in shown
 
+    def test_conv_pipeline_roundtrips_the_layer_specs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "conv.ini"
+        cfg_path.write_text(CONV_INI.format(out=tmp_path / "run"))
+        out = tmp_path / "run"
+        layers = parse_config(cfg_path).network().layers
+        assert layers[0].padding == "same" and layers[0].stride == 2
+
+        assert main(["pretrain", "--config", str(cfg_path)]) == EXIT_OK
+        assert load_checkpoint(out / "pretrained.ckpt").layers == layers
+        assert main(["quantize", "--config", str(cfg_path)]) == EXIT_OK
+        ckpt = load_checkpoint(out / "quantized-implicit.ckpt")
+        assert ckpt.layers == layers
+        assert ckpt.weights["layer0.w"].shape == (3, 1, 3, 3)
+        assert ckpt.bits_per_weight() == {"layer0.w": 2.0, "layer3.w": 2.0}
+
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint",
+                     str(out / "quantized-implicit.ckpt")]) == EXIT_OK
+        assert "mode hard" in capsys.readouterr().out
+
+    def test_failed_adjoint_without_fallback_exits_four(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        cfg_path = str(tiny_config())
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+
+        def stalled(upstream, j_c, backend):
+            raise AdjointStalled("adjoint: planted stall")
+
+        monkeypatch.setattr(gradients, "_averaged_solve", stalled)
+        capsys.readouterr()
+        assert main(["quantize", "--config", cfg_path]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "planted stall" in err
+        assert not (tmp_path / "run" / "quantized-implicit.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_separation_exits_three(self, tiny_config, capsys, value):
+        # A bad setting exits 3, before it can make non-finite data (exit 2).
+        cfg_path = str(tiny_config(**{"separation = 6.0": f"separation = {value}"}))
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_CONFIG
+        assert "separation must be finite and >= 0" in capsys.readouterr().err
+
     def test_soft_eval_with_non_finite_tau_exits_three(
         self, tiny_config, tmp_path, capsys
     ):
@@ -356,11 +456,19 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--instances", "2", "--skip-fd"]) == EXIT_OK
         assert "gradcheck PASSED" in capsys.readouterr().out
 
-    def test_identity_adjoint_injection_is_caught(self, capsys):
-        code = main(["gradcheck", "--instances", "2", "--skip-fd",
-                     "--inject-identity-m"])
+    def test_identity_adjoint_injection_is_caught(self, capsys, monkeypatch):
+        # An adjoint solve that returns its upstream runs jfb in implicit's
+        # place. The dense-inverse check keeps gradcheck's own reference to
+        # the solve, so only the oracle line may fail.
+        monkeypatch.setattr(gradients, "_averaged_solve",
+                            lambda upstream, j_c, backend: upstream)
+        code = main(["gradcheck", "--instances", "2", "--skip-fd"])
         assert code == EXIT_CHECK
-        assert "gradcheck FAILED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gradcheck FAILED" in out
+        failing = [line.split(":")[0].strip()
+                   for line in out.splitlines() if "FAIL (tol" in line]
+        assert failing == ["implicit vs unrolled"]
 
     def test_skipped_checks_are_reported_as_skipped(self, capsys):
         assert main(["gradcheck", "--instances", "1", "--skip-fd"]) == EXIT_OK

@@ -205,29 +205,28 @@ def _central_differences(f, x):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_soft_assignment_vjp_matches_central_differences(d):
-    # SoftAssignment.att_vjp is the one backward pass through the softmax
-    # and the distances. Sub-vector 5 sits exactly on codeword 2, so that
-    # pair has no direction, as central differences straddling the kink see
-    # it (to O(h): the |delta| * delta terms there do not cancel). f_vjp,
-    # which goes through att_vjp, must drop it as j_c and the oracle do.
+    # f_vjp goes back through the softmax and the distances. Sub-vector 5
+    # sits exactly on codeword 2, so that pair has no direction, as central
+    # differences straddling the kink see it (to O(h): the |delta| * delta
+    # terms there do not cancel); f_vjp must drop it as j_c and the oracle do.
     rng = np.random.default_rng(40 + d)
     wd = rng.normal(size=(d, 9))
     cd = rng.normal(size=(4, d))
     wd[:, 5] = cd[2]
     tau = 0.7
-    d_att = rng.normal(size=(4, 9))
+    v = rng.normal(size=(4, d))
 
     def phi(wd, cd):
-        return float((d_att * soft_assign(wd, cd, tau).att).sum())
+        w = WeightMatrix(data=wd, n=wd.size, pad_count=0)
+        return float((v * fixed_point_map_F(w, Codebook(cd), tau).data).sum())
 
     asg = soft_assign(wd, cd, tau)
     assert asg.dist[2, 5] == 0.0
-    grad_w, grad_c = asg.att_vjp(d_att)
-    assert grad_w.shape == (d, 9) and grad_c.shape == (4, d)
+    grad_c, grad_w = asg.f_vjp(v.ravel())
     fd_w = _central_differences(lambda x: phi(x, cd), wd)
     fd_c = _central_differences(lambda x: phi(wd, x), cd)
-    assert rel_err(grad_w, fd_w) <= TOL_FD_BLOCKS
-    assert rel_err(grad_c, fd_c) <= TOL_FD_BLOCKS
+    assert rel_err(grad_w, fd_w.ravel()) <= TOL_FD_BLOCKS
+    assert rel_err(grad_c, fd_c.ravel()) <= TOL_FD_BLOCKS
     _assert_vjp_matches_dense(asg, seed=40 + d)
 
 

@@ -137,6 +137,16 @@ class TestDistancesAndAttention:
         with pytest.raises(NumericsError):
             AttentionMatrix(data=[[0.5, 0.4]], tau=1.0)
 
+    def test_attention_entries_must_be_finite(self):
+        # Every comparison with nan is false, so the range and row-sum
+        # checks alone let a nan row through.
+        with pytest.raises(NumericsError, match="non-finite"):
+            AttentionMatrix(data=[[np.nan, np.nan]], tau=1.0)
+        # Distances too large for tau overflow the softmax to nan.
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                attention(DistanceMatrix([[1e300, 1e300]]), tau=1e-10)
+
 
 class TestQuantizers:
     def test_nearest_tie_goes_to_lowest_index(self):
@@ -365,7 +375,8 @@ def _close_pool() -> None:
 
 
 def _kernel_outputs(w, c, tau, seed=0) -> dict:
-    """Every output of the eight kernels that run by column blocks."""
+    """Every output of the kernels that run by column blocks; the backward
+    pass through the attention is in both VJPs."""
     rng = np.random.default_rng(seed)
     asg = soft_assign(w.data, c.data, tau)
     out = {
@@ -378,12 +389,35 @@ def _kernel_outputs(w, c, tau, seed=0) -> dict:
         "soft_quantize": soft_quantize(w, c, tau, asg).data,
         "validated_attention": attention(distance_matrix(w, c), tau).data,
     }
-    out["att_vjp_w"], out["att_vjp_c"] = asg.att_vjp(rng.normal(size=asg.att.shape))
     out["f_vjp_c"], out["f_vjp_w"] = asg.f_vjp(rng.normal(size=c.data.size))
     out["sq_vjp_w"], out["sq_vjp_c"] = soft_quantize_vjp(
         rng.normal(size=w.data.shape), w, c, tau, asg
     )
     return out
+
+
+def _split_in_a_child(w, c, want) -> int:
+    """Exit code of a forked child that recomputes `want`, the attention of
+    w against c at tau 0.05; a test failure if it runs past 30 s."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a threaded process may deadlock.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:  # the child must never return into the test run
+            got = soft_assign(w.data, c.data, 0.05).att
+            code = 0 if np.array_equal(got, want) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split never finished")
+        time.sleep(0.01)
+    return os.waitstatus_to_exitcode(done[1])
 
 
 def _split_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-300) -> float:
@@ -502,26 +536,29 @@ class TestColumnBlocks:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_splits_without_the_parents_threads(self):
+        # The child has neither the parent's pool threads nor a parent
+        # thread that held the pool lock as it forked.
         w, c = _random_instance(4, 64, 4, 1)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_the_pool_lock():
+            with pq._pool_lock:
+                holding.set()
+                release.wait()
+
         with pytest.MonkeyPatch.context() as mp:
             _split(mp, 2)
             want = soft_assign(w.data, c.data, 0.05).att
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that forking a threaded process may deadlock.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                got = soft_assign(w.data, c.data, 0.05).att
-                os._exit(0 if np.array_equal(got, want) else 1)
-            deadline = time.monotonic() + 30.0
-            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-                if time.monotonic() > deadline:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    pytest.fail("the forked child's split never finished")
-                time.sleep(0.01)
+            assert _split_in_a_child(w, c, want) == 0
+            holder = threading.Thread(target=hold_the_pool_lock)
+            holder.start()
+            holding.wait()
+            try:
+                assert _split_in_a_child(w, c, want) == 0
+            finally:
+                release.set()
+                holder.join()
             _close_pool()
-        assert os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_a_layer_below_the_floor_never_makes_the_pool(self, monkeypatch):
         monkeypatch.setattr(pq, "_pool", None)
