@@ -203,8 +203,13 @@ def cmd_quantize(args) -> int:
               f"hard {rec['top1_hard']:.4f}  soft {rec['top1_soft']:.4f}  "
               f"retained {rec['retained_iterates']}")
 
-    history, state = train(net, ckpt.weights, tcfg, train_set, eval_set,
-                           on_epoch=on_epoch)
+    try:
+        history, state = train(net, ckpt.weights, tcfg, train_set, eval_set,
+                               on_epoch=on_epoch)
+    except (AdjointDivergence, NumericsError) as exc:
+        append_jsonl(report, {"type": "failure", "error": type(exc).__name__,
+                              "message": str(exc)})
+        raise
     out_path = Path(cfg.out) / f"quantized-{tcfg.backend.kind}.ckpt"
     save_checkpoint(out_path, net, state.weights, config=echo,
                     codebooks=state.codebooks)
@@ -267,6 +272,8 @@ def _grid_list(flag: str, text: str, convert=int) -> list:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     results = bench_mod.run_grid(
         t_values=_grid_list("--t", args.t),
         k_values=_grid_list("--k", args.k),

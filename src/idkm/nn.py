@@ -160,10 +160,6 @@ class Network:
             if spec.quantize and spec.has_params
         )
 
-    @property
-    def num_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.param_shapes().values())
-
     def init_weights(self, seed: int = 0) -> dict[str, np.ndarray]:
         """He-normal weights, zero biases, deterministic in the seed."""
         rng = np.random.default_rng(seed)

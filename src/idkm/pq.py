@@ -30,16 +30,16 @@ quantizer's VJP both run.
 
 Every pass over a layer's k x m arrays is column-local or a sum over the m
 columns, so a large layer runs each pass by contiguous column blocks at once
-(_by_columns): one thread per CPU the process may use, so `taskset` limits
-them, the calling thread and helpers from a pool made on first use; at most
-BLOCKS_PER_THREAD blocks a thread, and at least SPLIT_FLOOR of the k*m
-entries a block. Blocks write their columns into the same arrays one block
-would, and sums over m add the blocks' partial sums in block order: the same
-CPU count gives the same bits, and another count differs at rounding level.
-The measured gains are for one BLAS thread, as the benchmark runs; a BLAS
-left to start its own threads may split a block's matrix products again (the
-README gives one check of that). A layer below the floor, or in a process
-limited to one CPU, runs as one block on the calling thread.
+(_by_columns). The blocks depend on (k, m) alone: the largest power of two
+of them that keeps SPLIT_FLOOR of the k*m entries a block. The CPU count
+decides only how many threads take them: the calling thread and a helper per
+further CPU the process may use (so `taskset` limits them), from a pool made
+on first use. Blocks write their columns into the arrays one block would, and
+sums over m add the blocks' partial sums in block order, so the bits are the
+same on any CPU count. The measured gains are for one BLAS thread, as the
+benchmark runs; a BLAS left to start its own threads may split a block's
+matrix products again (the README gives one check of that). A layer below
+2 * SPLIT_FLOOR entries runs as one block on the calling thread.
 """
 
 from __future__ import annotations
@@ -65,16 +65,13 @@ DEGENERATE_FLOOR = 1e-12
 # over a layer-step's work (seven evaluations and one backward), two blocks
 # of 2^15 ran 0.86-1.04x as fast as one, and two of 2^16 1.23-1.42x.
 SPLIT_FLOOR = 1 << 16
-# Blocks per thread, at most: a thread that falls behind, on a CPU taken by
-# another process, holds up the pass by one block at most.
-BLOCKS_PER_THREAD = 2
 
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on, so `taskset` limits the split."""
+    """CPUs this process may run on, so `taskset` limits the helpers."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -83,15 +80,12 @@ def _cpu_count() -> int:
 
 def _column_blocks(k: int, m: int) -> list[slice] | None:
     """Contiguous column blocks of near-equal width for a pass over k x m
-    entries: at most BLOCKS_PER_THREAD a usable CPU, each holding at least
-    SPLIT_FLOOR of the entries. None where that leaves one block, or the
-    process may use one CPU."""
+    entries, from (k, m) alone: the largest power of two of them not above
+    k*m // SPLIT_FLOOR, so each holds SPLIT_FLOOR to 2 * SPLIT_FLOOR of the
+    entries. None below 2 * SPLIT_FLOOR, where that is one block."""
     if k * m < 2 * SPLIT_FLOOR:
         return None
-    cpus = _cpu_count()
-    if cpus < 2:
-        return None
-    count = min(BLOCKS_PER_THREAD * cpus, k * m // SPLIT_FLOOR)
+    count = 1 << ((k * m // SPLIT_FLOOR).bit_length() - 1)
     edges = [m * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -145,16 +139,16 @@ def _by_columns(kernel, k: int, m: int, columns: tuple, *args):
     of the arrays in `columns`, whose last axis has the m columns. A kernel
     writes its per-column results into views of output arrays, and returns
     its block's part of any sum over the m columns, or a tuple of such
-    parts; _by_columns returns their sums, added in block order, so a given
-    block count always gives the same bits. Below the floor the kernel runs
+    parts; _by_columns returns their sums, added in block order, so a pass
+    gives the same bits on any CPU count. Below the floor the kernel runs
     once, on the calling thread, on the whole arrays. Otherwise the calling
-    thread and helpers on the thread pool take blocks from one queue until
-    it is empty; NumPy releases the interpreter lock inside each array
-    operation, so the blocks overlap. The calling thread works instead of
-    waiting: a pool that ran every block while it waited took 39.7 against
-    35.9 ms for a layer-step on 2 CPUs. Helpers run only these raw kernels,
-    never a public function, so a caller sees each public call entered
-    once, from its own thread.
+    thread and min(CPUs, blocks) - 1 pool helpers take blocks from one queue
+    until it is empty (on one CPU, no pool is made); NumPy releases the
+    interpreter lock inside each array operation, so the blocks overlap.
+    The calling thread works instead of waiting: a pool that ran every
+    block while it waited took 39.7 against 35.9 ms for a layer-step on 2
+    CPUs. Helpers run only these raw kernels, never a public function, so a
+    caller sees each public call entered once, from its own thread.
     """
     blocks = _column_blocks(k, m)
     if blocks is None:
@@ -164,9 +158,8 @@ def _by_columns(kernel, k: int, m: int, columns: tuple, *args):
         todo.put(index)
     results = [None] * len(blocks)
     work = (todo, blocks, results, kernel, columns, args)
-    pool = _thread_pool()
     helpers = [
-        pool.submit(_take_blocks, *work)
+        _thread_pool().submit(_take_blocks, *work)
         for _ in range(min(_cpu_count(), len(blocks)) - 1)
     ]
     try:

@@ -20,8 +20,10 @@ pass, its m x k x d unit distance directions. For the 100,352-weight layer
 at k=4, d=1 each is 401,408 entries, 3.2 MB.
 No backend forms a dense (k*d) x (d*m) Jacobian. A layer with at least
 2 * pq.SPLIT_FLOOR of those entries runs each of these passes by column
-blocks over the CPUs the process may use (see pq); the arrays a step holds
-are the same, and a worker thread holds only its block's temporaries.
+blocks chosen from (k, m) alone; the CPU count sets only how many threads
+take them, so the bits are the same on any CPU count (see pq). The arrays a
+step holds are the same, and a worker thread holds only its block's
+temporaries.
 
 StepMetrics.retained_iterate_count records how many codebook snapshots a
 step held for backward: 1 for the implicit and jfb backends regardless of

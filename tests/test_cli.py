@@ -356,6 +356,9 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "planted stall" in err
         assert not (tmp_path / "run" / "quantized-implicit.ckpt").exists()
+        last = read_jsonl(tmp_path / "run" / "quantize-implicit.jsonl")[-1]
+        assert last["type"] == "failure" and last["error"] == "AdjointStalled"
+        assert "layer0.w" in last["message"] and "planted stall" in last["message"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_separation_exits_three(self, tiny_config, capsys, value):
@@ -507,6 +510,7 @@ class TestBenchCommand:
     @pytest.mark.parametrize("argv", [
         ["--t", ""], ["--k", " , "], ["--d", ","], ["--backends", ""],
         ["--repeats", "0"], ["--repeats", "-1"], ["--seed", "-1"],
+        ["--batch-size", "-5"],
     ])
     def test_empty_grid_exits_three(self, argv, capsys):
         assert main(["bench", *argv, "--assert-ordering"]) == EXIT_CONFIG

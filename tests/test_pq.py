@@ -357,13 +357,13 @@ def test_soft_quantize_is_bit_deterministic():
 
 
 # Column blocks. SPLIT_FLOOR and the CPU count are patched so that small
-# seeded instances split into 2 to 6 blocks; unpatched, they run as one.
+# seeded instances split into 2 or 4 blocks; unpatched, they run as one.
 SPLIT_TOL = 1e-12
 
 
-def _split(mp: pytest.MonkeyPatch, cpus: int, floor: int = 1) -> None:
-    """Patch pq to split by `floor` entries a block over `cpus` CPUs, on a
-    pool of its own."""
+def _split(mp: pytest.MonkeyPatch, cpus: int, floor: int) -> None:
+    """Patch pq to split by at least `floor` entries a block over `cpus`
+    CPUs, on a pool of its own."""
     mp.setattr(pq, "SPLIT_FLOOR", floor)
     mp.setattr(pq, "_cpu_count", lambda: cpus)
     mp.setattr(pq, "_pool", None)
@@ -426,31 +426,55 @@ def _split_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-300) -> fl
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), floor))
 
 
+# With this floor, _train_blobs' layers (k*m = 384 and 192) split into 4 and
+# 2 blocks.
+TRAIN_FLOOR = 64
+
+
+def _train_blobs():
+    """(history, state) of a fixed-seed two-epoch implicit training run on a
+    small blobs task with two clustered layers."""
+    data = synthetic_blobs(3, classes=4, points_per_class=30, dim=8, separation=6.0)
+    net = Network(layers=(
+        LayerSpec(kind="dense", in_features=8, out_features=12, quantize=True),
+        LayerSpec(kind="relu"),
+        LayerSpec(kind="dense", in_features=12, out_features=4, quantize=True),
+    ))
+    cfg = TrainConfig(
+        k=4, d=1, tau=0.01, eps=1e-8, max_cluster_iters=200,
+        backend=GradBackend(kind="implicit"), learning_rate=0.05, epochs=2,
+        batch_size=32, init=InitStrategy(seed=0), seed=0,
+    )
+    return train(net, net.init_weights(3), cfg, data)
+
+
 class TestColumnBlocks:
-    def test_blocks_cover_the_columns_in_order(self, monkeypatch):
-        monkeypatch.setattr(pq, "_cpu_count", lambda: 3)
+    def test_blocks_cover_the_columns_in_order(self):
+        # The layout depends on (k, m) alone: no CPU count is patched.
         assert pq._column_blocks(4, 2 * pq.SPLIT_FLOOR // 4 - 1) is None
         blocks = pq._column_blocks(4, 100_352)
         assert [(b.start, b.stop) for b in blocks] == [
-            (0, 16_725), (16_725, 33_450), (33_450, 50_176),
-            (50_176, 66_901), (66_901, 83_626), (83_626, 100_352),
+            (0, 25_088), (25_088, 50_176), (50_176, 75_264), (75_264, 100_352),
         ]
-        # Each block keeps at least SPLIT_FLOOR of the k*m entries.
-        assert len(pq._column_blocks(4, 3 * pq.SPLIT_FLOOR // 4 - 4)) == 2
-        monkeypatch.setattr(pq, "_cpu_count", lambda: 2)
-        assert len(pq._column_blocks(4, 100_352)) == 4
-        monkeypatch.setattr(pq, "_cpu_count", lambda: 1)
-        assert pq._column_blocks(4, 100_352) is None
+        # A power of two of blocks, each keeping at least SPLIT_FLOOR of the
+        # k*m entries: 2 from 2 to 4 floors' worth, 4 from 4 to 8.
+        assert len(pq._column_blocks(4, 2 * pq.SPLIT_FLOOR // 4)) == 2
+        assert len(pq._column_blocks(4, 4 * pq.SPLIT_FLOOR // 4 - 1)) == 2
+        assert len(pq._column_blocks(4, 4 * pq.SPLIT_FLOOR // 4)) == 4
+        assert len(pq._column_blocks(4, 8 * pq.SPLIT_FLOOR // 4 - 1)) == 4
 
-    @pytest.mark.parametrize("cpus,blocks", [(2, 2), (2, 3), (3, 6)])
+    # The floor is a `floors`-th of the k*m entries, which gives the largest
+    # power of two not above `floors` blocks: 2, 2 and 4. With 3 CPUs and 4
+    # blocks, the helpers take uneven shares.
+    @pytest.mark.parametrize("cpus,floors", [(2, 2), (2, 3), (3, 6)])
     @pytest.mark.parametrize("k,d,tau", [(4, 1, 0.05), (16, 2, 0.5), (5, 3, 5e-3)])
-    def test_split_kernels_match_one_block(self, cpus, blocks, k, d, tau):
+    def test_split_kernels_match_one_block(self, cpus, floors, k, d, tau):
         w, c = _random_instance(3, 301, k, d)
         whole = _kernel_outputs(w, c, tau)
         with pytest.MonkeyPatch.context() as mp:
-            _split(mp, cpus, floor=k * w.m // blocks)
+            _split(mp, cpus, floor=k * w.m // floors)
             split = _kernel_outputs(w, c, tau)
-            assert len(pq._column_blocks(k, w.m)) == blocks
+            assert len(pq._column_blocks(k, w.m)) == {2: 2, 3: 2, 6: 4}[floors]
             _close_pool()
         assert split.keys() == whole.keys()
         for name in whole:
@@ -459,7 +483,7 @@ class TestColumnBlocks:
     def test_split_results_repeat_bit_for_bit(self):
         w, c = _random_instance(5, 257, 16, 2)
         with pytest.MonkeyPatch.context() as mp:
-            _split(mp, 3)
+            _split(mp, 3, floor=16 * 257 // 4)
             first = _kernel_outputs(w, c, 0.1)
             second = _kernel_outputs(w, c, 0.1)
             _close_pool()
@@ -467,22 +491,10 @@ class TestColumnBlocks:
             np.testing.assert_array_equal(first[name], second[name], err_msg=name)
 
     def test_split_training_matches_one_block(self):
-        data = synthetic_blobs(3, classes=4, points_per_class=30, dim=8, separation=6.0)
-        net = Network(layers=(
-            LayerSpec(kind="dense", in_features=8, out_features=12, quantize=True),
-            LayerSpec(kind="relu"),
-            LayerSpec(kind="dense", in_features=12, out_features=4, quantize=True),
-        ))
-        cfg = TrainConfig(
-            k=4, d=1, tau=0.01, eps=1e-8, max_cluster_iters=200,
-            backend=GradBackend(kind="implicit"), learning_rate=0.05, epochs=2,
-            batch_size=32, init=InitStrategy(seed=0), seed=0,
-        )
-        weights = net.init_weights(3)
-        whole_history, whole = train(net, weights, cfg, data)
+        whole_history, whole = _train_blobs()
         with pytest.MonkeyPatch.context() as mp:
-            _split(mp, 2)
-            split_history, split = train(net, weights, cfg, data)
+            _split(mp, 2, floor=TRAIN_FLOOR)
+            split_history, split = _train_blobs()
             _close_pool()
         assert [r["fallbacks"] for r in split_history] == [
             r["fallbacks"] for r in whole_history
@@ -491,6 +503,28 @@ class TestColumnBlocks:
             assert _split_error(split.weights[name], want) <= SPLIT_TOL, name
         for name, book in whole.codebooks.items():
             assert _split_error(split.codebooks[name].data, book.data) <= SPLIT_TOL
+
+    def test_split_training_is_bit_identical_on_any_cpu_count(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pq, "SPLIT_FLOOR", TRAIN_FLOOR)
+            assert all(len(pq._column_blocks(4, m)) > 1 for m in (96, 48))
+        states = {}
+        for cpus in (1, 2, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                _split(mp, cpus, floor=TRAIN_FLOOR)
+                _, states[cpus] = _train_blobs()
+                _close_pool()
+        want = states.pop(1)
+        for cpus, got in states.items():
+            for name in want.weights:
+                np.testing.assert_array_equal(
+                    got.weights[name], want.weights[name], err_msg=f"{cpus} {name}"
+                )
+            for name in want.codebooks:
+                np.testing.assert_array_equal(
+                    got.codebooks[name].data, want.codebooks[name].data,
+                    err_msg=f"{cpus} {name}",
+                )
 
     def test_a_failing_block_raises_once_no_block_runs(self):
         running = []
@@ -505,7 +539,7 @@ class TestColumnBlocks:
                 raise ValueError("block 0")
 
         with pytest.MonkeyPatch.context() as mp:
-            _split(mp, 2)
+            _split(mp, 2, floor=16)
             with pytest.raises(ValueError, match="block 0"):
                 pq._by_columns(kernel, 1, 64, (np.arange(64.0), np.zeros(64)))
             assert running == []
@@ -528,7 +562,7 @@ class TestColumnBlocks:
                 monkeypatch.setattr(pq, name, recording(name, value))
         w, c = _random_instance(2, 301, 4, 2)
         with pytest.MonkeyPatch.context() as mp:
-            _split(mp, 3)
+            _split(mp, 3, floor=4 * 301 // 4)
             _kernel_outputs(w, c, 0.05)
             _close_pool()
         assert ("attention", threading.main_thread()) in calls
@@ -547,7 +581,7 @@ class TestColumnBlocks:
                 release.wait()
 
         with pytest.MonkeyPatch.context() as mp:
-            _split(mp, 2)
+            _split(mp, 2, floor=4 * 64 // 4)
             want = soft_assign(w.data, c.data, 0.05).att
             assert _split_in_a_child(w, c, want) == 0
             holder = threading.Thread(target=hold_the_pool_lock)
@@ -559,6 +593,22 @@ class TestColumnBlocks:
                 release.set()
                 holder.join()
             _close_pool()
+
+    def test_one_cpu_runs_every_block_on_the_calling_thread(self):
+        threads = []
+
+        def kernel(columns, out):
+            threads.append(threading.current_thread())
+            out[...] = columns
+            return columns.sum()
+
+        columns, out = np.arange(64.0), np.zeros(64)
+        with pytest.MonkeyPatch.context() as mp:
+            _split(mp, 1, floor=16)
+            assert pq._by_columns(kernel, 1, 64, (columns, out)) == columns.sum()
+            assert pq._pool is None
+        assert threads == [threading.main_thread()] * 4
+        np.testing.assert_array_equal(out, columns)
 
     def test_a_layer_below_the_floor_never_makes_the_pool(self, monkeypatch):
         monkeypatch.setattr(pq, "_pool", None)
