@@ -2,8 +2,12 @@
 
 Four layer kinds (dense, conv2d, relu, flatten) cover the models trained
 here. Convolution uses the cross-correlation convention with valid or same
-padding. Weights live in a plain dict keyed by layer name so the training
-loop can swap quantized tensors in and out without touching the network.
+padding. It gathers the input's windows into one (c·k·k) × (n·out_h·out_w)
+patch matrix and runs as one GEMM each way: the forward pass, the weight
+gradient and the input gradient. The backward sweep forms no gradient for
+the input of the first layer with parameters, since nothing reads it.
+Weights live in a plain dict keyed by layer name so the training loop can
+swap quantized tensors in and out without touching the network.
 """
 
 from __future__ import annotations
@@ -77,56 +81,56 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int]:
 
 
 def _conv_patches(x: np.ndarray, kernel: int, stride: int, padding: str):
-    """Expand padded input into per-offset strided views.
+    """Gather every kernel window of x into one patch matrix.
 
-    Returns (patches, padded_shape, pads) where patches has shape
-    (n, c, kernel, kernel, out_h, out_w). The views alias the padded copy,
-    so callers must not mutate them.
+    Returns (patches, padded_shape, pads). patches has shape
+    (c·kernel·kernel, n, out_h, out_w), its rows in w.reshape(o, -1)'s order,
+    so a convolution is one GEMM. x is padded only when padding adds pixels.
     """
     n, c, h, w = x.shape
+    ph = pw = (0, 0)
     if padding == "same":
         ph, pw = _same_pad(h, kernel, stride), _same_pad(w, kernel, stride)
-    else:
-        ph, pw = (0, 0), (0, 0)
-    xp = np.pad(x, ((0, 0), (0, 0), ph, pw))
-    hp, wp = xp.shape[2], xp.shape[3]
+    if any(ph + pw):
+        x = np.pad(x, ((0, 0), (0, 0), ph, pw))
+    hp, wp = x.shape[2], x.shape[3]
     if hp < kernel or wp < kernel:
-        raise ShapeError(
-            f"kernel {kernel} exceeds padded input {hp}x{wp}"
-        )
-    out_h = (hp - kernel) // stride + 1
-    out_w = (wp - kernel) // stride + 1
-    patches = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+        raise ShapeError(f"kernel {kernel} exceeds padded input {hp}x{wp}")
+    out_h, out_w = (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
+    patches = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=x.dtype)
+    xc = x.transpose(1, 0, 2, 3)
     for i in range(kernel):
         for j in range(kernel):
-            patches[:, :, i, j] = xp[
-                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ]
-    return patches, xp.shape, (ph, pw)
+            patches[:, i, j] = xc[:, :, i : i + stride * out_h : stride,
+                                  j : j + stride * out_w : stride]
+    return patches.reshape(-1, n, out_h, out_w), x.shape, (ph, pw)
 
 
 def _conv_forward(x, w, b, spec: LayerSpec):
     patches, padded_shape, pads = _conv_patches(x, spec.kernel, spec.stride,
                                                 spec.padding)
-    y = np.einsum("ncijhw,ocij->nohw", patches, w) + b[None, :, None, None]
-    return y, (patches, padded_shape, pads, x.shape)
+    y = w.reshape(len(w), -1) @ patches.reshape(len(patches), -1)
+    y = (y + b[:, None]).reshape(len(w), *patches.shape[1:])
+    return y.transpose(1, 0, 2, 3), (patches, padded_shape, pads, x.shape)
 
 
-def _conv_backward(gy, w, spec: LayerSpec, cache):
-    patches, padded_shape, (ph, pw), x_shape = cache
-    gw = np.einsum("nohw,ncijhw->ocij", gy, patches)
-    gb = gy.sum(axis=(0, 2, 3))
-    gpatch = np.einsum("nohw,ocij->ncijhw", gy, w)
-    gxp = np.zeros(padded_shape, dtype=gy.dtype)
-    out_h, out_w = gy.shape[2], gy.shape[3]
-    s = spec.stride
-    for i in range(spec.kernel):
-        for j in range(spec.kernel):
-            gxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += gpatch[:, :, i, j]
-    gx = gxp[:, :, ph[0] : padded_shape[2] - ph[1], pw[0] : padded_shape[3] - pw[1]]
+def _conv_backward(gy, spec: LayerSpec, cache, w=None):
+    """Weight and bias gradients, and the input gradient when w is given."""
+    patches, (_, c, hp, wp), (ph, pw), x_shape = cache
+    k, s, out_h, out_w = spec.kernel, spec.stride, gy.shape[2], gy.shape[3]
+    g = gy.transpose(1, 0, 2, 3).reshape(gy.shape[1], -1)
+    gw = (g @ patches.reshape(len(patches), -1).T).reshape(-1, c, k, k)
+    if w is None:
+        return gw, g.sum(axis=1), None
+    gpatch = (w.reshape(len(w), -1).T @ g).reshape(c, k, k, *patches.shape[1:])
+    gxp = np.zeros((c, x_shape[0], hp, wp))
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += gpatch[:, i, j]
+    gx = gxp.transpose(1, 0, 2, 3)[:, :, ph[0] : hp - ph[1], pw[0] : wp - pw[1]]
     if gx.shape != x_shape:
         raise ShapeError(f"conv backward produced {gx.shape}, expected {x_shape}")
-    return gx, gw, gb
+    return gw, g.sum(axis=1), gx
 
 
 @dataclass
@@ -225,25 +229,43 @@ class Network:
         caches: list,
         grad_out: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        """Reverse sweep from d(loss)/d(output); returns grads per tensor."""
+        """Reverse sweep from d(loss)/d(output); returns grads per tensor.
+
+        A conv layer's weight and input gradients are one GEMM each against
+        its patch matrix. The sweep ends at the lowest-index layer with
+        parameters and forms no gradient for that layer's input, which no
+        tensor's gradient needs; so that layer's weights are not read.
+        """
         grads: dict[str, np.ndarray] = {}
+        first = next((i for i, s in enumerate(self.layers) if s.has_params),
+                     len(self.layers))
         g = grad_out
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, first - 1, -1):
             spec = self.layers[i]
             cache = caches[i]
+            w = weights[f"layer{i}.w"] if spec.has_params and i > first else None
             if spec.kind == "dense":
                 grads[f"layer{i}.w"] = g.T @ cache
                 grads[f"layer{i}.b"] = g.sum(axis=0)
-                g = g @ weights[f"layer{i}.w"]
+                g = None if w is None else g @ w
             elif spec.kind == "conv2d":
-                g, gw, gb = _conv_backward(g, weights[f"layer{i}.w"], spec, cache)
-                grads[f"layer{i}.w"] = gw
-                grads[f"layer{i}.b"] = gb
+                grads[f"layer{i}.w"], grads[f"layer{i}.b"], g = _conv_backward(
+                    g, spec, cache, w
+                )
             elif spec.kind == "relu":
                 g = np.where(cache, g, 0.0)
             else:
                 g = g.reshape(cache)
         return grads
+
+
+def _check_labels(labels: np.ndarray, width: int):
+    """Class labels must index a logit: 0 <= label < width."""
+    if labels.size and (labels.min() < 0 or labels.max() >= width):
+        raise ShapeError(
+            f"labels span {labels.min()}..{labels.max()}, outside 0..{width - 1} "
+            f"for {width} logits"
+        )
 
 
 def softmax_cross_entropy(
@@ -254,6 +276,7 @@ def softmax_cross_entropy(
         raise ShapeError(f"logits must be 2-D, got {logits.shape}")
     if labels.shape != (logits.shape[0],):
         raise ShapeError(f"labels shape {labels.shape} != ({logits.shape[0]},)")
+    _check_labels(labels, logits.shape[1])
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -270,6 +293,7 @@ def squared_error(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     array of matching shape is used as targets directly.
     """
     if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
+        _check_labels(labels, logits.shape[1])
         targets = np.zeros((labels.shape[0], logits.shape[1]))
         targets[np.arange(labels.shape[0]), labels] = 1.0
     else:

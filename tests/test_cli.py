@@ -398,6 +398,15 @@ class TestPipeline:
         assert main(["pretrain", "--config", cfg_path]) == EXIT_CHECK
         assert "below the configured floor" in capsys.readouterr().err
 
+    def test_readout_narrower_than_the_classes_exits_three(
+        self, tiny_config, capsys
+    ):
+        # Three classes, two logits: label 2 indexes no logit.
+        cfg_path = str(tiny_config(**{"in_features = 10\nout_features = 3":
+                                      "in_features = 10\nout_features = 2"}))
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_CONFIG
+        assert "outside 0..1 for 2 logits" in capsys.readouterr().err
+
     def test_bad_config_exits_three(self, tiny_config, capsys):
         path = tiny_config()
         path.write_text(path.read_text().replace("cross_entropy", "hinge"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from idkm import nn
 from idkm.errors import ParamError, ShapeError
 from idkm.nn import (
     LayerSpec,
@@ -89,18 +90,24 @@ class TestForward:
         out = net.forward({}, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
-    @pytest.mark.parametrize("stride,padding", [(1, "valid"), (2, "valid"),
-                                                (2, "same")])
-    def test_conv_matches_the_naive_loop(self, stride, padding):
+    @pytest.mark.parametrize("channels,stride,padding,hw", [
+        pytest.param(2, 1, "valid", (7, 6), id="1-valid"),
+        pytest.param(2, 2, "valid", (7, 6), id="2-valid"),
+        pytest.param(2, 2, "same", (7, 6), id="2-same"),
+        # The paper layer's kernel 3 at stride 4: windows skip pixels.
+        pytest.param(1, 4, "valid", (28, 28), id="4-valid-1ch-28x28"),
+        pytest.param(2, 1, "same", (5, 9), id="1-same-2ch-5x9"),
+    ])
+    def test_conv_matches_the_naive_loop(self, channels, stride, padding, hw):
         rng = np.random.default_rng(17)
-        spec = LayerSpec(kind="conv2d", in_channels=2, out_channels=3,
+        spec = LayerSpec(kind="conv2d", in_channels=channels, out_channels=3,
                          kernel=3, stride=stride, padding=padding)
         net = Network(layers=(spec,))
         weights = {
-            "layer0.w": rng.normal(size=(3, 2, 3, 3)),
+            "layer0.w": rng.normal(size=(3, channels, 3, 3)),
             "layer0.b": rng.normal(size=3),
         }
-        x = rng.normal(size=(2, 2, 7, 6))
+        x = rng.normal(size=(2, channels, *hw))
         got = net.forward(weights, x)
         ref = naive_conv2d(x, weights["layer0.w"], weights["layer0.b"],
                            stride, padding)
@@ -176,6 +183,12 @@ class TestLosses:
         with pytest.raises(ShapeError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
 
+    @pytest.mark.parametrize("loss", [softmax_cross_entropy, squared_error])
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_labels_outside_the_logit_width_rejected(self, loss, label):
+        with pytest.raises(ShapeError, match=r"outside 0\.\.2 for 3 logits"):
+            loss(np.zeros((2, 3)), np.array([0, label]))
+
     def test_squared_error_one_hot_encoding(self):
         loss, grad = squared_error(np.array([[0.5, 0.25]]), np.array([0]))
         assert loss == pytest.approx(0.25 + 0.0625, abs=1e-12)
@@ -233,21 +246,8 @@ class TestLosses:
                           loss_kind="hinge")
 
 
-@pytest.mark.parametrize("loss_kind", ["cross_entropy", "squared_error"])
-def test_gradients_match_finite_differences(loss_kind):
-    """Whole-net reverse mode against central differences, h = 1e-5."""
-    rng = np.random.default_rng(23)
-    net = Network(layers=(
-        LayerSpec(kind="conv2d", in_channels=1, out_channels=2, kernel=3,
-                  stride=2, padding="same"),
-        LayerSpec(kind="relu"),
-        LayerSpec(kind="flatten"),
-        LayerSpec(kind="dense", in_features=32, out_features=3),
-    ))
-    weights = net.init_weights(23)
-    x = rng.normal(size=(4, 1, 7, 7))
-    y = rng.integers(0, 3, size=4)
-
+def assert_matches_central_differences(net, weights, x, y, loss_kind):
+    """Every tensor's reverse-mode gradient against central differences."""
     _, grads = loss_and_grad(net, weights, x, y, loss_kind=loss_kind)
     for name, tensor in weights.items():
         fd = np.zeros_like(tensor)
@@ -263,3 +263,118 @@ def test_gradients_match_finite_differences(loss_kind):
             it.iternext()
         err = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-30)
         assert err <= 1e-4, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "squared_error"])
+def test_gradients_match_finite_differences(loss_kind):
+    """Whole-net reverse mode against central differences, h = 1e-5."""
+    rng = np.random.default_rng(23)
+    net = Network(layers=(
+        LayerSpec(kind="conv2d", in_channels=1, out_channels=2, kernel=3,
+                  stride=2, padding="same"),
+        LayerSpec(kind="relu"),
+        LayerSpec(kind="flatten"),
+        LayerSpec(kind="dense", in_features=32, out_features=3),
+    ))
+    weights = net.init_weights(23)
+    x = rng.normal(size=(4, 1, 7, 7))
+    y = rng.integers(0, 3, size=4)
+    assert_matches_central_differences(net, weights, x, y, loss_kind)
+
+
+def _two_conv_net():
+    return Network(layers=(
+        LayerSpec(kind="conv2d", in_channels=1, out_channels=2, kernel=3),
+        LayerSpec(kind="relu"),
+        LayerSpec(kind="conv2d", in_channels=2, out_channels=2, kernel=3,
+                  stride=2, padding="same"),
+        LayerSpec(kind="flatten"),
+        LayerSpec(kind="dense", in_features=18, out_features=3),
+    ))
+
+
+@pytest.mark.parametrize("loss_kind", ["cross_entropy", "squared_error"])
+def test_conv_input_gradient_matches_finite_differences(loss_kind):
+    """The first conv's gradients reach it through the second conv's input
+    gradient: its GEMM and strided scatter-add, with same padding."""
+    rng = np.random.default_rng(29)
+    net = _two_conv_net()
+    weights = net.init_weights(29)
+    x = rng.normal(size=(3, 1, 7, 7))
+    y = rng.integers(0, 3, size=3)
+    assert_matches_central_differences(net, weights, x, y, loss_kind)
+
+
+class _ReadLog(dict):
+    """A weights dict that records every key the network reads."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def _backward_reads(net, weights, x, y):
+    caches = []
+    logits = net.forward(weights, x, caches=caches)
+    _, grad_out = softmax_cross_entropy(logits, y)
+    log = _ReadLog(weights)
+    grads = net.backward(log, caches, grad_out)
+    return grads, caches, grad_out, log.reads
+
+
+class TestNoInputGradientAtTheFirstLayer:
+    """The sweep forms no gradient for the first parameterized layer's input:
+    nothing reads it, and that layer's weights enter only through it."""
+
+    def test_conv_first(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        net = _two_conv_net()
+        weights = net.init_weights(31)
+        formed = {}
+        conv_backward = nn._conv_backward
+
+        def spy(gy, spec, cache, w=None):
+            out = conv_backward(gy, spec, cache, w)
+            formed[spec.in_channels] = out[2] is not None
+            return out
+
+        monkeypatch.setattr(nn, "_conv_backward", spy)
+        _, _, _, reads = _backward_reads(net, weights, rng.normal(size=(2, 1, 7, 7)),
+                                         np.array([0, 2]))
+        # layer0 takes 1 channel in, layer2 takes 2.
+        assert formed == {1: False, 2: True}
+        assert sorted(reads) == ["layer2.w", "layer4.w"]
+
+    def test_flatten_dense_first_matches_a_full_sweep_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        net = Network(layers=(
+            LayerSpec(kind="flatten"),
+            LayerSpec(kind="dense", in_features=12, out_features=5),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="dense", in_features=5, out_features=3),
+        ))
+        weights = net.init_weights(37)
+        grads, caches, g, reads = _backward_reads(
+            net, weights, rng.normal(size=(4, 3, 2, 2)), np.array([0, 1, 2, 1])
+        )
+        assert reads == ["layer3.w"]
+        # The full sweep: every layer passes its input gradient down.
+        ref = {}
+        for i in range(len(net.layers) - 1, -1, -1):
+            kind, cache = net.layers[i].kind, caches[i]
+            if kind == "dense":
+                ref[f"layer{i}.w"] = g.T @ cache
+                ref[f"layer{i}.b"] = g.sum(axis=0)
+                g = g @ weights[f"layer{i}.w"]
+            elif kind == "relu":
+                g = np.where(cache, g, 0.0)
+            else:
+                g = g.reshape(cache)
+        assert g.shape == (4, 3, 2, 2)
+        assert grads.keys() == ref.keys()
+        for key in ref:
+            np.testing.assert_array_equal(grads[key], ref[key])
