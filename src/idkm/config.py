@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ConfigError, ParamError
 from .gradients import BACKEND_KINDS, GradBackend
 from .nn import LAYER_KINDS, LOSS_KINDS, LayerSpec, Network
-from .solver import INIT_KINDS, InitStrategy
+from .solver import InitStrategy
 from .training import TrainConfig
 
 DATASET_KINDS = ("blobs", "mnist")
@@ -54,7 +54,6 @@ SECTION_TYPES = {
         "eps": float,
         "backend": BACKEND_KINDS,
         "fallback_jfb": bool,
-        "init": INIT_KINDS,
         "seed": int,
     },
 }
@@ -231,18 +230,17 @@ def pretrain_params(cfg: RunConfig, overrides: dict | None = None) -> dict:
 def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainConfig:
     """Merge [quantize] values with flag overrides into a TrainConfig.
 
-    Only the keys that the file or a flag set are passed on. backend and
-    init set the kind of GradBackend and InitStrategy, and the run seed is
-    the default seed of both the run and its init.
+    Only the keys that the file or a flag set are passed on. backend sets
+    the kind of GradBackend, and the run seed is the default seed of both
+    the run and its init.
     """
     params = _params("quantize", cfg.quantize, overrides)
     seed = params.setdefault("seed", cfg.seed)
     backend = {"kind": params.pop("backend")} if "backend" in params else {}
-    init = {"kind": params.pop("init")} if "init" in params else {}
     try:
         return TrainConfig(
             backend=GradBackend(**backend),
-            init=InitStrategy(seed=seed, **init),
+            init=InitStrategy(seed=seed),
             loss_kind=cfg.loss,
             **params,
         )

@@ -74,10 +74,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
-
     def batches(self, batch_size: int, rng: np.random.Generator | None = None):
         """Yield (inputs, labels) slices; shuffles when an rng is given."""
         if batch_size < 1:
@@ -239,9 +235,6 @@ class Checkpoint:
     weights: dict[str, np.ndarray]
     layers: tuple[LayerSpec, ...]
     codebooks: dict[str, Codebook] = field(default_factory=dict)
-
-    def network(self) -> Network:
-        return Network(layers=self.layers)
 
     def bits_per_weight(self) -> dict[str, float]:
         """Effective bits per weight for each stored codebook, from its shape."""

@@ -5,10 +5,6 @@ class IdkmError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PartitionError(IdkmError):
-    """A flat weight vector cannot be split into whole sub-vectors."""
-
-
 class ShapeError(IdkmError):
     """Operands have incompatible shapes."""
 

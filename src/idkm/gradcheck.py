@@ -212,9 +212,9 @@ def check_update_blocks(inst: GradInstance) -> tuple[float, float]:
 def check_jfb_block(inst: GradInstance) -> float:
     """jfb's dC*/dW, probed through vjp_dC_dW, vs the dense dF/dW oracle.
 
-    The oracle shares no contraction with SoftAssignment.f_vjp, so an error
-    in the matrix-free v @ dF/dW, which all three backends train with, shows
-    here.
+    The oracle shares no kernel with SoftAssignment.f_vjp, not even the
+    softmax, so an error in the attention or in the matrix-free v @ dF/dW,
+    which all three backends train with, shows here.
     """
     jfb = dense_dC_dW(inst.w, inst.c_star, inst.tau, GradBackend(kind="jfb"))
     oracle = dense_weight_jacobian(inst.w.data, inst.c_star.data, inst.tau)

@@ -28,8 +28,8 @@ never forms a (k*d) x (d*m) block; ``unrolled`` evaluates one soft
 assignment per recorded iterate. Each backend has one implementation:
 vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). A dense dC*/dW
 exists only in gradcheck, which stacks these VJPs over basis rows, and the
-dense dF/dW (dense_weight_jacobian) is the independent oracle they are
-checked against.
+dense dF/dW (dense_weight_jacobian), with a softmax of its own, is the
+independent oracle they are checked against.
 
 Flattening conventions: a k x d codebook flattens row-major to length k*d
 (codeword j, coordinate p maps to j*d + p); a d x m weight matrix flattens
@@ -50,11 +50,11 @@ from .errors import (
     ShapeError,
     require_positive_finite,
 )
-from .pq import (
+# attention stays a name of this module: perfbench traces it as gradients.attention.
+from .pq import (  # noqa: F401
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
     Codebook,
-    DistanceMatrix,
     SoftAssignment,
     WeightMatrix,
     _finite,
@@ -100,14 +100,15 @@ def dense_weight_jacobian(wd: np.ndarray, cd: np.ndarray, tau: float) -> np.ndar
     """dF/dW at (cd, wd) materialised entry by entry, from a fresh evaluation.
 
     The oracle SoftAssignment.f_vjp is checked against, O(m*k*d^2) in
-    memory. It shares neither the soft assignment nor the contraction
-    order with f_vjp, only the zero-distance rule.
+    memory. It shares no kernel with f_vjp, not even the softmax, only the
+    zero-distance rule.
     """
     d, m = wd.shape
     k = cd.shape[0]
     diff = cd[None, :, :] - wd.T[:, None, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    a = attention(DistanceMatrix(dist), tau).data
+    a = np.exp((dist.min(axis=1, keepdims=True) - dist) / tau)
+    a /= a.sum(axis=1, keepdims=True)
     s = np.maximum(a.sum(axis=0), DEGENERATE_FLOOR)
     f_out = (a.T @ wd.T) / s[:, None]
     far = (dist > SAFE_DIV_EPS)[:, :, None]

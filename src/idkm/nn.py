@@ -215,7 +215,7 @@ class Network:
                 )
             elif spec.kind == "relu":
                 cache = out > 0
-                out = np.where(cache, out, 0.0)
+                out = np.maximum(out, 0.0)
             else:
                 cache = out.shape
                 out = out.reshape(out.shape[0], -1)
@@ -253,14 +253,22 @@ class Network:
                     g, spec, cache, w
                 )
             elif spec.kind == "relu":
-                g = np.where(cache, g, 0.0)
+                g = g * cache
             else:
                 g = g.reshape(cache)
         return grads
 
 
-def _check_labels(labels: np.ndarray, width: int):
-    """Class labels must index a logit: 0 <= label < width."""
+def _check_labels(logits: np.ndarray, labels: np.ndarray):
+    """One integer label per row of 2-D logits, each indexing a logit:
+    0 <= label < width."""
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be 2-D, got {logits.shape}")
+    if labels.shape != (logits.shape[0],):
+        raise ShapeError(f"labels shape {labels.shape} != ({logits.shape[0]},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ShapeError(f"labels must be integers, got {labels.dtype}")
+    width = logits.shape[1]
     if labels.size and (labels.min() < 0 or labels.max() >= width):
         raise ShapeError(
             f"labels span {labels.min()}..{labels.max()}, outside 0..{width - 1} "
@@ -272,11 +280,7 @@ def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. logits."""
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} != ({logits.shape[0]},)")
-    _check_labels(labels, logits.shape[1])
+    _check_labels(logits, labels)
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -287,21 +291,11 @@ def softmax_cross_entropy(
 
 
 def squared_error(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared 2-norm against one-hot targets, with gradient.
-
-    Integer labels are one-hot encoded against the logit width; a float
-    array of matching shape is used as targets directly.
-    """
-    if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
-        _check_labels(labels, logits.shape[1])
-        targets = np.zeros((labels.shape[0], logits.shape[1]))
-        targets[np.arange(labels.shape[0]), labels] = 1.0
-    else:
-        targets = np.asarray(labels, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ShapeError(f"targets {targets.shape} != logits {logits.shape}")
+    """Mean squared 2-norm against one-hot targets, with gradient."""
+    _check_labels(logits, labels)
     n = logits.shape[0]
-    diff = logits - targets
+    diff = np.array(logits, dtype=np.float64)
+    diff[np.arange(n), labels] -= 1.0
     loss = float((diff * diff).sum() / n)
     return loss, 2.0 * diff / n
 

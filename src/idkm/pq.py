@@ -11,8 +11,10 @@ Conventions used throughout the package:
 * weight matrices are d x m with column i holding sub-vector w_i,
 * codebooks are k x d with row j holding codeword c_j,
 * distances are plain 2-norms (never squared inside the attention),
-* attention rows are softmax(-distances / tau) with row-max subtraction,
-  so temperatures as small as 5e-4 cannot overflow,
+* attention is softmax(-distances / tau) over the codewords, maximum
+  subtracted so temperatures as small as 5e-4 cannot overflow; the package
+  runs it k x m, codeword-major (attention), and attention_matrix gives the
+  validated m x k form,
 * a distance at most SAFE_DIV_EPS has no direction: the norm is not
   differentiable there, and every derivative drops that pair's direction term.
 
@@ -53,9 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NumericsError, ParamError, PartitionError, ShapeError, require_positive_finite,
-)
+from .errors import NumericsError, ParamError, ShapeError, require_positive_finite
 
 ROW_SUM_TOL = 1e-9
 SAFE_DIV_EPS = 1e-300
@@ -407,7 +407,8 @@ class SoftAssignment:
         return _finite(jc.reshape(k * d, k * d), "dF/dC")
 
     def check(self, w: WeightMatrix, c: Codebook, tau: float) -> "SoftAssignment":
-        """Reject an evaluation taken for another layer size, k or tau."""
+        """Reject an evaluation taken anywhere but at (w, c, tau): the k*d
+        codewords must be equal, and the weights the same array or equal."""
         if self.w.shape != w.data.shape or self.c.shape != c.data.shape:
             raise ShapeError(
                 f"soft assignment is for weights {self.w.shape} and codebook "
@@ -415,6 +416,10 @@ class SoftAssignment:
             )
         if self.tau != tau:
             raise ParamError(f"soft assignment is at tau={self.tau}, not {tau}")
+        if not np.array_equal(self.c, c.data):
+            raise ParamError("soft assignment was taken at another codebook")
+        if self.w is not w.data and not np.array_equal(self.w, w.data):
+            raise ParamError("soft assignment was taken at other weights")
         return self
 
 
@@ -530,20 +535,22 @@ def assignment_at(
     have been taken there, else a fresh evaluation."""
     if assignment is not None:
         return assignment.check(w, c, tau)
-    if w.d != c.d:
-        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
+    require_same_dim(w, c)
     return soft_assign(w.data, c.data, tau)
 
 
-def partition_weights(flat, d: int, allow_pad: bool = False) -> WeightMatrix:
+def require_same_dim(w: WeightMatrix, c: Codebook) -> None:
+    """The sub-vectors and the codewords must have one dimension d."""
+    if w.d != c.d:
+        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
+
+
+def partition_weights(flat, d: int) -> WeightMatrix:
     """Split a flat vector into d x m column sub-vectors.
 
     Consecutive entries of `flat` form each sub-vector, so column i is
-    flat[i*d : (i+1)*d]. When d does not divide the length and `allow_pad`
-    is set, trailing zeros are appended and tracked in `pad_count`.
-
-    Raises:
-        PartitionError: length not divisible by d and padding not allowed.
+    flat[i*d : (i+1)*d]. When d does not divide the length, trailing zeros
+    are appended and tracked in `pad_count`.
     """
     flat = np.asarray(flat, dtype=np.float64).ravel()
     n = flat.size
@@ -553,8 +560,6 @@ def partition_weights(flat, d: int, allow_pad: bool = False) -> WeightMatrix:
         raise ParamError(f"sub-vector dimension must be >= 1, got {d}")
     rem = n % d
     pad_count = 0 if rem == 0 else d - rem
-    if pad_count and not allow_pad:
-        raise PartitionError(f"length {n} is not divisible by d={d}")
     if pad_count:
         flat = np.concatenate([flat, np.zeros(pad_count)])
     data = flat.reshape(-1, d).T
@@ -568,35 +573,28 @@ def flatten_weights(w: WeightMatrix) -> np.ndarray:
 
 def distance_matrix(w: WeightMatrix, c: Codebook) -> DistanceMatrix:
     """Entry (i, j) is the 2-norm ||w_i - c_j||."""
-    if w.d != c.d:
-        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
+    require_same_dim(w, c)
     return DistanceMatrix(_distances(w.data, c.data).T)
 
 
-def attention(
-    dmat: DistanceMatrix | np.ndarray, tau: float
-) -> AttentionMatrix | np.ndarray:
-    """Row-wise softmax of -distances/tau, computed with max subtraction.
+def attention_matrix(dmat: DistanceMatrix, tau: float) -> AttentionMatrix:
+    """Row-wise softmax of -distances/tau: the validated m x k attention."""
+    return AttentionMatrix(data=attention(dmat.data.T, tau).T, tau=tau)
 
-    The subtraction keeps the largest exponent at exactly 0, so sharp
-    temperatures produce hard assignments instead of overflow.
 
-    A DistanceMatrix gives a validated m x k AttentionMatrix. A raw array is
-    the codeword-major k x m distances soft_assign computes on every solve
-    iteration; it gives the k x m attention, with no validation or copy.
-    """
+def attention(dist: np.ndarray, tau: float) -> np.ndarray:
+    """k x m attention of raw k x m distances, soft_assign's kernel: column
+    i is the softmax of -dist[:, i] / tau less its maximum, so a sharp
+    temperature saturates to a hard assignment instead of overflowing."""
     require_positive_finite("tau", tau)
-    raw = isinstance(dmat, np.ndarray)
-    dist = dmat if raw else dmat.data.T
     att = np.empty_like(dist)
     _by_columns(_softmax_cols, *dist.shape, (dist, att), tau)
-    return att if raw else AttentionMatrix(data=att.T, tau=tau)
+    return att
 
 
 def nearest_indices(w: WeightMatrix, c: Codebook) -> np.ndarray:
     """Index of the closest codeword per sub-vector; ties go to the lowest index."""
-    if w.d != c.d:
-        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c.d}")
+    require_same_dim(w, c)
     return np.argmin(_distances(w.data, c.data), axis=0)
 
 

@@ -1,7 +1,8 @@
 """Soft k-means as repeated application of a fixed-point map.
 
 One update F(C, W) recomputes the attention against the current centers and
-replaces every center with its attention-weighted mean of sub-vectors. The
+replaces every center with its attention-weighted mean of sub-vectors. A
+cold solve starts from a seeded k-means++ draw (init_codebook). The
 solver iterates F until the current codebook's fixed-point gap ||F(C) - C||
 drops below a tolerance, with an optional recorded trace of the codebook
 entering every update. The trace is what an unrolled backward pass must
@@ -25,30 +26,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParamError, ShapeError, require_positive_finite
+from .errors import ParamError, require_positive_finite
 # attention stays a name of this module: perfbench traces it as solver.attention.
 from .pq import (  # noqa: F401
-    Codebook, SoftAssignment, WeightMatrix, assignment_at, attention, soft_assign,
+    Codebook, SoftAssignment, WeightMatrix, assignment_at, attention,
+    require_same_dim, soft_assign,
 )
-
-INIT_KINDS = ("kmeans_pp", "random_subset")
 
 
 @dataclass(frozen=True)
 class InitStrategy:
-    """How the first codebook of a cold solve is chosen.
+    """The seed of a cold solve's k-means++ draw of its first codebook.
 
-    kmeans_pp draws centers by distance-squared sampling over sub-vectors,
-    and random_subset draws k distinct sub-vectors uniformly. A warm solve
-    passes its previous codebook to solve_fixed_point instead.
+    A warm solve passes its previous codebook to solve_fixed_point instead.
     """
 
-    kind: str = "kmeans_pp"
     seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ParamError(f"unknown init kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +74,10 @@ class FixedPointResult:
 
 
 def init_codebook(w: WeightMatrix, k: int, strategy: InitStrategy) -> Codebook:
-    """Pick k initial centers from the sub-vectors of w.
+    """Pick k initial centers from the sub-vectors of w by k-means++.
 
-    Deterministic for a given strategy seed. Both strategies return rows
-    drawn from distinct sub-vector indices.
+    Deterministic for a given strategy seed. The rows are drawn from
+    distinct sub-vector indices.
     """
     if k < 1:
         raise ParamError(f"k must be >= 1, got {k}")
@@ -92,11 +85,7 @@ def init_codebook(w: WeightMatrix, k: int, strategy: InitStrategy) -> Codebook:
         raise ParamError(f"k={k} exceeds the number of sub-vectors m={w.m}")
     rng = np.random.default_rng(strategy.seed)
     points = w.data.T
-    if strategy.kind == "random_subset":
-        idx = rng.choice(w.m, size=k, replace=False)
-        return Codebook(points[idx])
-
-    # kmeans++: D^2 sampling. Already-chosen points have distance 0 and are
+    # D^2 sampling. Already-chosen points have distance 0 and are
     # never redrawn; if every remaining point coincides with a center, fall
     # back to uniform sampling over the unchosen indices.
     chosen = [int(rng.integers(w.m))]
@@ -141,8 +130,7 @@ def solve_fixed_point(
     require_positive_finite("eps", eps)
     if max_iters < 1:
         raise ParamError(f"max_iters must be >= 1, got {max_iters}")
-    if w.d != c0.d:
-        raise ShapeError(f"sub-vector dim {w.d} != codeword dim {c0.d}")
+    require_same_dim(w, c0)
     if c0.k > w.m:
         raise ParamError(f"k={c0.k} exceeds the number of sub-vectors m={w.m}")
 

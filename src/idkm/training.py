@@ -144,7 +144,7 @@ def _solve_layer(
 ) -> tuple[WeightMatrix, FixedPointResult]:
     """Partition one weight tensor and run the clustering solve, starting
     from the layer's codebook in `state` if it has one, else from cfg.init."""
-    wm = partition_weights(tensor.ravel(), cfg.d, allow_pad=True)
+    wm = partition_weights(tensor.ravel(), cfg.d)
     c0 = state.codebooks.get(key)
     if c0 is None:
         strategy = dataclasses.replace(cfg.init, seed=cfg.init.seed + index)
@@ -205,7 +205,7 @@ def quantized_train_step(
             "degenerate": result.degenerate_clusters,
             "fallback": False,
         }
-        upstream = partition_weights(grads[name].ravel(), wm.d, allow_pad=True)
+        upstream = partition_weights(grads[name].ravel(), wm.d)
         grad_direct, grad_book = soft_quantize_vjp(
             upstream.data, wm, result.codebook, cfg.tau,
             assignment=result.assignment,
@@ -272,7 +272,7 @@ def quantize_weights(
         if key not in codebooks:
             raise ShapeError(f"no codebook for quantized layer {key!r}")
         book = codebooks[key]
-        wm = partition_weights(weights[key].ravel(), book.d, allow_pad=True)
+        wm = partition_weights(weights[key].ravel(), book.d)
         if mode == "hard":
             quantized = hard_quantize(wm, book)
         else:

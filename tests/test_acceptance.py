@@ -26,7 +26,7 @@ from idkm.gradcheck import (
 from idkm.gradients import GradBackend
 from idkm.pq import (
     Codebook,
-    attention,
+    attention_matrix,
     distance_matrix,
     hard_quantize,
     partition_weights,
@@ -162,7 +162,7 @@ def test_criterion_8_attention_rows_are_stochastic_and_sharpen_to_hard():
         dmat = distance_matrix(w, c)
 
         tau = 0.05 * float(np.median(dmat.data))
-        rows = attention(dmat, tau).data
+        rows = attention_matrix(dmat, tau).data
         worst_sum = max(worst_sum, float(np.abs(rows.sum(axis=1) - 1).max()))
         assert np.all(rows >= 0)
 

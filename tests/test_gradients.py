@@ -10,8 +10,10 @@ from idkm.gradcheck import (
     FORWARD_MAX_ITERS,
     TOL_FD_BLOCKS,
     TOL_FD_SOLVE,
+    TOL_JFB_BLOCK,
     GradInstance,
     central_differences,
+    check_jfb_block,
     check_oracle_equivalence,
     check_update_blocks,
     dense_dC_dW,
@@ -30,6 +32,7 @@ from idkm.gradients import (
     jacobians_of_F,
     vjp_dC_dW,
 )
+import idkm.pq as pq
 from idkm.pq import (
     Codebook,
     SoftAssignment,
@@ -155,6 +158,17 @@ def test_gradcheck_fails_on_a_planted_weight_vjp_error(monkeypatch):
     report = run_suite(4, with_fd=False)
     assert not report.passed
     assert report.jfb_block_err > 1e-4
+
+
+def test_gradcheck_fails_on_a_planted_softmax_error(monkeypatch):
+    # The dense dF/dW oracle computes its own softmax, so an error in the
+    # column kernel every soft assignment runs shows on the jfb line.
+    real = pq._softmax_cols
+    inst = make_instance(0)
+    assert check_jfb_block(inst) <= TOL_JFB_BLOCK
+    monkeypatch.setattr(pq, "_softmax_cols",
+                        lambda dist, att, tau: real(dist, att, 1.5 * tau))
+    assert check_jfb_block(inst) > 1e-2
 
 
 def test_skipped_finite_difference_checks_read_skipped():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import idkm.pq as pq
 from idkm.data import synthetic_blobs
-from idkm.errors import NumericsError, ParamError, PartitionError, ShapeError
+from idkm.errors import NumericsError, ParamError, ShapeError
 from idkm.gradients import GradBackend
 from idkm.nn import LayerSpec, Network
 from idkm.pq import (
@@ -22,6 +22,7 @@ from idkm.pq import (
     DistanceMatrix,
     WeightMatrix,
     attention,
+    attention_matrix,
     distance_matrix,
     flatten_weights,
     hard_quantize,
@@ -53,17 +54,13 @@ class TestPartition:
         np.testing.assert_array_equal(w.data, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_padding_appends_zeros_and_counts_them(self):
-        w = partition_weights([1.0, 2.0, 3.0, 4.0, 5.0], 2, allow_pad=True)
+        w = partition_weights([1.0, 2.0, 3.0, 4.0, 5.0], 2)
         assert w.m == 3 and w.pad_count == 1
         np.testing.assert_array_equal(w.data[:, 2], [5.0, 0.0])
 
-    def test_indivisible_without_padding_is_rejected(self):
-        with pytest.raises(PartitionError):
-            partition_weights([1.0, 2.0, 3.0], 2)
-
     def test_round_trip_strips_padding(self):
         flat = np.arange(7.0)
-        w = partition_weights(flat, 3, allow_pad=True)
+        w = partition_weights(flat, 3)
         np.testing.assert_array_equal(flatten_weights(w), flat)
 
     def test_empty_vector_rejected(self):
@@ -97,23 +94,31 @@ class TestDistancesAndAttention:
         assert distance_matrix(w, c).data[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_softmax_row_at_unit_temperature(self):
-        a = attention(DistanceMatrix([[0.0, 1.0]]), tau=1.0)
+        a = attention_matrix(DistanceMatrix([[0.0, 1.0]]), tau=1.0)
         np.testing.assert_allclose(
             a.data, [[0.7310585786, 0.2689414214]], atol=1e-9, rtol=0
         )
 
+    def test_raw_kernel_takes_the_codeword_major_layout(self):
+        # attention is soft_assign's k x m kernel: each column is one
+        # sub-vector's softmax. attention_matrix takes the m x k matrix.
+        dmat = DistanceMatrix([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
+        rows = attention_matrix(dmat, tau=0.7).data
+        np.testing.assert_array_equal(attention(dmat.data.T, tau=0.7), rows.T)
+        np.testing.assert_array_equal(attention(np.array([[0.0, 1.0]]), 1.0), [[1.0, 1.0]])
+
     def test_sharp_temperature_saturates_without_overflow(self):
-        a = attention(DistanceMatrix([[0.0, 1.0]]), tau=1e-6)
+        a = attention_matrix(DistanceMatrix([[0.0, 1.0]]), tau=1e-6)
         np.testing.assert_allclose(a.data, [[1.0, 0.0]], atol=1e-12, rtol=0)
         assert np.all(np.isfinite(a.data))
 
     def test_equal_distances_give_uniform_rows(self):
-        a = attention(DistanceMatrix([[3.0, 3.0, 3.0, 3.0]]), tau=0.7)
+        a = attention_matrix(DistanceMatrix([[3.0, 3.0, 3.0, 3.0]]), tau=0.7)
         np.testing.assert_array_equal(a.data, np.full((1, 4), 0.25))
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ParamError):
-            attention(DistanceMatrix([[1.0]]), tau=0.0)
+            attention_matrix(DistanceMatrix([[1.0]]), tau=0.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, tau):
@@ -121,7 +126,7 @@ class TestDistancesAndAttention:
         # tau = nan failed as "non-finite entries" of the weight matrix.
         w, c = _scalar_weights([0.0, 1.0]), _scalar_codebook([0.0, 1.0])
         with pytest.raises(ParamError, match="tau must be positive and finite"):
-            attention(DistanceMatrix([[1.0]]), tau=tau)
+            attention_matrix(DistanceMatrix([[1.0]]), tau=tau)
         with pytest.raises(ParamError, match="tau must be positive and finite"):
             soft_quantize(w, c, tau)
 
@@ -145,7 +150,7 @@ class TestDistancesAndAttention:
         # Distances too large for tau overflow the softmax to nan.
         with np.errstate(all="ignore"):
             with pytest.raises(NumericsError, match="non-finite"):
-                attention(DistanceMatrix([[1e300, 1e300]]), tau=1e-10)
+                attention_matrix(DistanceMatrix([[1e300, 1e300]]), tau=1e-10)
 
 
 class TestQuantizers:
@@ -176,7 +181,7 @@ class TestQuantizers:
         np.testing.assert_allclose(soft.data, hard.data, atol=1e-9, rtol=0)
 
     def test_quantized_output_keeps_layout_fields(self):
-        w = partition_weights(np.arange(5.0), 2, allow_pad=True)
+        w = partition_weights(np.arange(5.0), 2)
         c = Codebook([[0.0, 0.0], [3.0, 4.0]])
         for q in (hard_quantize(w, c), soft_quantize(w, c, 0.5)):
             assert (q.n, q.pad_count, q.data.shape) == (5, 1, (2, 3))
@@ -195,6 +200,26 @@ class TestSoftQuantizeVjp:
         np.testing.assert_allclose(
             grad_c, upstream.sum(axis=1)[None, :], atol=1e-12, rtol=0
         )
+
+    def test_assignment_taken_elsewhere_is_refused(self):
+        # Equal shapes and tau do not make an evaluation at another
+        # codebook or at other weights valid: its grad_c would be wrong.
+        rng = np.random.default_rng(5)
+        w, other = (partition_weights(rng.normal(size=12), 2) for _ in range(2))
+        c1, c2 = (Codebook(rng.normal(size=(3, 2))) for _ in range(2))
+        up = rng.normal(size=w.data.shape)
+        at_c1 = soft_assign(w.data, c1.data, 0.1)
+        with pytest.raises(ParamError, match="another codebook"):
+            soft_quantize_vjp(up, w, c2, 0.1, assignment=at_c1)
+        with pytest.raises(ParamError, match="other weights"):
+            soft_quantize_vjp(up, other, c1, 0.1, assignment=at_c1)
+        # Equal values in other arrays are the same point.
+        copy = partition_weights(flatten_weights(w), 2)
+        for got, want in zip(
+            soft_quantize_vjp(up, copy, Codebook(c1.data), 0.1, assignment=at_c1),
+            soft_quantize_vjp(up, w, c1, 0.1),
+        ):
+            np.testing.assert_array_equal(got, want)
 
     def test_huge_tau_freezes_attention(self):
         # Uniform attention that no longer reacts to inputs: grad_w vanishes
@@ -272,7 +297,7 @@ def _random_instance(seed, m, k, d):
 @PROPERTY_SETTINGS
 def test_attention_rows_sum_to_one(seed, m, k, d, log_tau):
     w, c = _random_instance(seed, m, k, d)
-    a = attention(distance_matrix(w, c), tau=10.0**log_tau)
+    a = attention_matrix(distance_matrix(w, c), tau=10.0**log_tau)
     np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-9, rtol=0)
     assert np.all(a.data >= 0.0)
 
@@ -325,8 +350,8 @@ def test_codebook_permutation_equivariance(seed, m, k, d):
     perm = np.random.default_rng(seed + 1).permutation(k)
     permuted = Codebook(c.data[perm])
     tau = 0.5
-    a = attention(distance_matrix(w, c), tau)
-    a_perm = attention(distance_matrix(w, permuted), tau)
+    a = attention_matrix(distance_matrix(w, c), tau)
+    a_perm = attention_matrix(distance_matrix(w, permuted), tau)
     np.testing.assert_allclose(a_perm.data, a.data[:, perm], atol=1e-13, rtol=0)
     np.testing.assert_allclose(
         soft_quantize(w, permuted, tau).data,
@@ -344,7 +369,7 @@ def test_codebook_permutation_equivariance(seed, m, k, d):
 @PROPERTY_SETTINGS
 def test_partition_flatten_round_trip(seed, n, d):
     flat = np.random.default_rng(seed).normal(size=n)
-    w = partition_weights(flat, d, allow_pad=True)
+    w = partition_weights(flat, d)
     np.testing.assert_array_equal(flatten_weights(w), flat)
     assert w.m * d == n + w.pad_count
 
@@ -387,7 +412,7 @@ def _kernel_outputs(w, c, tau, seed=0) -> dict:
         "directions": asg.directions,
         "j_c": asg.j_c,
         "soft_quantize": soft_quantize(w, c, tau, asg).data,
-        "validated_attention": attention(distance_matrix(w, c), tau).data,
+        "validated_attention": attention_matrix(distance_matrix(w, c), tau).data,
     }
     out["f_vjp_c"], out["f_vjp_w"] = asg.f_vjp(rng.normal(size=c.data.size))
     out["sq_vjp_w"], out["sq_vjp_c"] = soft_quantize_vjp(

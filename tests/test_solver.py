@@ -45,17 +45,6 @@ def best_two_means(points):
 
 
 class TestInit:
-    def test_random_subset_with_k_equal_m_is_a_permutation(self):
-        w = _weights([3.0, 1.0, 4.0, 1.5, 9.0])
-        c = init_codebook(w, 5, InitStrategy(kind="random_subset", seed=7))
-        np.testing.assert_array_equal(
-            np.sort(c.data.ravel()), np.sort(w.data.ravel())
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParamError):
-            InitStrategy(kind="farthest")
-
     def test_kmeans_pp_is_deterministic_and_draws_points(self):
         rng = np.random.default_rng(0)
         w = partition_weights(rng.normal(size=24), 2)
