@@ -105,10 +105,7 @@ def run_cell(
         batch_size=len(x),
         seed=seed,
     )
-    warm_cfg = dataclasses.replace(
-        cfg, eps=1e-10, max_cluster_iters=3000,
-        backend=GradBackend(kind="jfb"),
-    )
+    warm_cfg = dataclasses.replace(cfg, eps=1e-10, max_cluster_iters=3000)
     warm_books = solve_codebooks(net, weights, warm_cfg)
 
     forwards, backwards, retained = [], [], 0

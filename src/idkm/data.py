@@ -133,32 +133,10 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
+    if not len(labels):
+        raise FormatError(f"{images_path}: holds no images")
     inputs = (images.astype(np.float32) / np.float32(255.0))[:, None, :, :]
     return Dataset(inputs=inputs, labels=labels.astype(np.int64))
-
-
-def write_idx(images_path, labels_path, dataset: Dataset):
-    """Inverse of load_idx for (count, 1, h, w) datasets; exact round-trip."""
-    if dataset.inputs.ndim != 4 or dataset.inputs.shape[1] != 1:
-        raise ShapeError(f"expected (n, 1, h, w) inputs, got {dataset.inputs.shape}")
-    n, _, h, w = dataset.inputs.shape
-    pixels = np.rint(np.asarray(dataset.inputs, dtype=np.float64) * 255.0)
-    if pixels.min() < 0 or pixels.max() > 255:
-        raise FormatError("pixel values outside [0, 1]")
-    with _open_maybe_gzip_write(images_path) as fh:
-        fh.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, n, h, w))
-        fh.write(pixels.astype(np.uint8).tobytes())
-    with _open_maybe_gzip_write(labels_path) as fh:
-        fh.write(struct.pack(">II", IDX_MAGIC_LABELS, n))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
-
-
-def _open_maybe_gzip_write(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        # mtime=0 keeps gzip output reproducible byte-for-byte.
-        return gzip.GzipFile(path, "wb", mtime=0)
-    return open(path, "wb")
 
 
 def mnist_paths(data_dir=None) -> dict[str, Path]:
@@ -275,33 +253,25 @@ def save_checkpoint(
     codebooks: dict[str, Codebook] | None = None,
 ):
     """Write magic + JSON manifest + contiguous little-endian float32 payload."""
-    tensors = []
-    blobs = []
-    offset = 0
-    for name in sorted(weights):
-        blob = np.ascontiguousarray(weights[name], dtype="<f4")
-        tensors.append(
-            {"name": name, "shape": list(blob.shape), "offset": offset}
-        )
-        blobs.append(blob.tobytes())
-        offset += len(blobs[-1])
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": [_layer_spec_dict(s) for s in net.layers],
-        "tensors": tensors,
         "config": config or {},
     }
+    sections = {"tensors": ("name", weights)}
     if codebooks:
-        entries = []
-        for layer_key in sorted(codebooks):
-            book = codebooks[layer_key]
-            blob = np.ascontiguousarray(book.data, dtype="<f4")
-            entries.append(
-                {"layer": layer_key, "shape": list(blob.shape), "offset": offset}
+        sections["codebooks"] = ("layer", {k: b.data for k, b in codebooks.items()})
+    blobs = []
+    offset = 0
+    for section, (label, arrays) in sections.items():
+        manifest[section] = []
+        for key in sorted(arrays):
+            blob = np.ascontiguousarray(arrays[key], dtype="<f4")
+            manifest[section].append(
+                {label: key, "shape": list(blob.shape), "offset": offset}
             )
             blobs.append(blob.tobytes())
             offset += len(blobs[-1])
-        manifest["codebooks"] = entries
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -312,16 +282,19 @@ def save_checkpoint(
 
 
 def _decode_tensor(payload: bytes, entry: dict, path) -> np.ndarray:
+    name = entry.get("name", entry.get("layer"))
     shape = tuple(int(s) for s in entry["shape"])
     nbytes = int(np.prod(shape)) * 4
     start = int(entry["offset"])
     if start < 0 or start + nbytes > len(payload):
         raise FormatError(
-            f"{path}: tensor {entry.get('name', entry.get('layer'))!r} spans "
+            f"{path}: tensor {name!r} spans "
             f"[{start}, {start + nbytes}) but payload is {len(payload)} bytes"
         )
     flat = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)),
                          offset=start)
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
     return flat.reshape(shape).astype(np.float64)
 
 
@@ -391,6 +364,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(
             f"{path}: manifest describes {expected} payload bytes, "
             f"file holds {len(payload)}"
+        )
+    stored = sorted((e["name"], tuple(e["shape"])) for e in tensors)
+    if stored != sorted(Network(layers=layers).param_shapes().items()):
+        raise FormatError(
+            f"{path}: tensors {stored} are not those of the stored architecture"
         )
     weights = {e["name"]: _decode_tensor(payload, e, path) for e in tensors}
     codebooks = {

@@ -12,6 +12,8 @@ cannot drift apart.
 Every dense dC*/dW here is dense_dC_dW: the VJP a training step runs
 (vjp_dC_dW, vjp_through_trace), probed with the k*d basis rows. So the
 checks certify the code that trains, not a second implementation of it.
+The one dense dF/dW is dense_weight_jacobian, which shares no kernel with
+that code; the gradients module forms no dense Jacobian but the small j_c.
 """
 
 from __future__ import annotations
@@ -25,12 +27,18 @@ from .errors import NumericsError, ShapeError
 from .gradients import (
     GradBackend,
     _averaged_solve,
-    dense_weight_jacobian,
     jacobians_of_F,
     vjp_dC_dW,
     vjp_through_trace,
 )
-from .pq import Codebook, WeightMatrix, partition_weights
+from .pq import (
+    DEGENERATE_FLOOR,
+    SAFE_DIV_EPS,
+    Codebook,
+    WeightMatrix,
+    _finite,
+    partition_weights,
+)
 from .solver import (
     InitStrategy,
     fixed_point_map_F,
@@ -67,7 +75,6 @@ class GradInstance:
     w: WeightMatrix
     c0: Codebook
     c_star: Codebook
-    k: int
     tau: float
 
 
@@ -102,9 +109,35 @@ def make_instance(seed: int) -> GradInstance:
         )
         if result.converged:
             return GradInstance(
-                seed=attempt, w=w, c0=c0, c_star=result.codebook, k=k, tau=tau
+                seed=attempt, w=w, c0=c0, c_star=result.codebook, tau=tau
             )
         attempt += 10_000
+
+
+def dense_weight_jacobian(wd: np.ndarray, cd: np.ndarray, tau: float) -> np.ndarray:
+    """dF/dW at (cd, wd) materialised entry by entry, from a fresh evaluation.
+
+    The oracle SoftAssignment.f_vjp is checked against, O(m*k*d^2) in
+    memory. It shares no kernel with f_vjp, not even the softmax, only the
+    zero-distance rule.
+    """
+    d, m = wd.shape
+    k = cd.shape[0]
+    diff = cd[None, :, :] - wd.T[:, None, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    a = np.exp((dist.min(axis=1, keepdims=True) - dist) / tau)
+    a /= a.sum(axis=1, keepdims=True)
+    s = np.maximum(a.sum(axis=0), DEGENERATE_FLOOR)
+    f_out = (a.T @ wd.T) / s[:, None]
+    far = (dist > SAFE_DIV_EPS)[:, :, None]
+    g_dir = np.divide(diff, dist[:, :, None], out=np.zeros_like(diff), where=far)
+    r_dev = wd.T[:, None, :] - f_out[None, :, :]
+    gh = g_dir - np.einsum("il,ilq->iq", a, g_dir)[:, None, :]
+    inv_ts = 1.0 / (tau * s)
+    jw4 = np.einsum("ij,ijp,ijq->jpqi", a, r_dev, gh) * inv_ts[:, None, None, None]
+    pidx = np.arange(d)
+    jw4[:, pidx, pidx, :] += (a.T / s[:, None])[:, None, :]
+    return _finite(jw4.reshape(k * d, d * m), "dF/dW")
 
 
 def dense_dC_dW(

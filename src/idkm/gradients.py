@@ -26,10 +26,10 @@ the small (k*d) x (k*d) dF/dC that ``implicit``'s adjoint iterates on. A
 training step reuses the soft assignment the forward solve kept at C* and
 never forms a (k*d) x (d*m) block; ``unrolled`` evaluates one soft
 assignment per recorded iterate. Each backend has one implementation:
-vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). A dense dC*/dW
-exists only in gradcheck, which stacks these VJPs over basis rows, and the
-dense dF/dW (dense_weight_jacobian), with a softmax of its own, is the
-independent oracle they are checked against.
+vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). j_c is the
+only Jacobian this module forms. The dense ones live in gradcheck: dC*/dW
+stacks these VJPs over basis rows, and dF/dW (dense_weight_jacobian), with
+a softmax of its own, is the independent oracle they are checked against.
 
 Flattening conventions: a k x d codebook flattens row-major to length k*d
 (codeword j, coordinate p maps to j*d + p); a d x m weight matrix flattens
@@ -52,12 +52,9 @@ from .errors import (
 )
 # attention stays a name of this module: perfbench traces it as gradients.attention.
 from .pq import (  # noqa: F401
-    DEGENERATE_FLOOR,
-    SAFE_DIV_EPS,
     Codebook,
     SoftAssignment,
     WeightMatrix,
-    _finite,
     assignment_at,
     attention,
 )
@@ -94,32 +91,6 @@ class GradBackend:
         if self.max_adjoint_iters < 1:
             raise ParamError("max_adjoint_iters must be >= 1")
         require_positive_finite("adjoint_eps", self.adjoint_eps)
-
-
-def dense_weight_jacobian(wd: np.ndarray, cd: np.ndarray, tau: float) -> np.ndarray:
-    """dF/dW at (cd, wd) materialised entry by entry, from a fresh evaluation.
-
-    The oracle SoftAssignment.f_vjp is checked against, O(m*k*d^2) in
-    memory. It shares no kernel with f_vjp, not even the softmax, only the
-    zero-distance rule.
-    """
-    d, m = wd.shape
-    k = cd.shape[0]
-    diff = cd[None, :, :] - wd.T[:, None, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    a = np.exp((dist.min(axis=1, keepdims=True) - dist) / tau)
-    a /= a.sum(axis=1, keepdims=True)
-    s = np.maximum(a.sum(axis=0), DEGENERATE_FLOOR)
-    f_out = (a.T @ wd.T) / s[:, None]
-    far = (dist > SAFE_DIV_EPS)[:, :, None]
-    g_dir = np.divide(diff, dist[:, :, None], out=np.zeros_like(diff), where=far)
-    r_dev = wd.T[:, None, :] - f_out[None, :, :]
-    gh = g_dir - np.einsum("il,ilq->iq", a, g_dir)[:, None, :]
-    inv_ts = 1.0 / (tau * s)
-    jw4 = np.einsum("ij,ijp,ijq->jpqi", a, r_dev, gh) * inv_ts[:, None, None, None]
-    pidx = np.arange(d)
-    jw4[:, pidx, pidx, :] += (a.T / s[:, None])[:, None, :]
-    return _finite(jw4.reshape(k * d, d * m), "dF/dW")
 
 
 def jacobians_of_F(

@@ -128,8 +128,6 @@ def _conv_backward(gy, spec: LayerSpec, cache, w=None):
         for j in range(k):
             gxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += gpatch[:, i, j]
     gx = gxp.transpose(1, 0, 2, 3)[:, :, ph[0] : hp - ph[1], pw[0] : wp - pw[1]]
-    if gx.shape != x_shape:
-        raise ShapeError(f"conv backward produced {gx.shape}, expected {x_shape}")
     return gw, g.sum(axis=1), gx
 
 

@@ -67,6 +67,9 @@ from .solver import (
     solve_fixed_point,
 )
 
+# Rows per forward pass in evaluate; the accuracy does not depend on it.
+EVAL_BATCH = 256
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -288,7 +291,6 @@ def evaluate(
     codebooks: Mapping[str, Codebook] | None = None,
     mode: str = "float",
     tau: float | None = None,
-    batch_size: int = 256,
 ) -> float:
     """Top-1 accuracy; quantizes through `codebooks` first unless mode=float."""
     if mode != "float":
@@ -296,7 +298,7 @@ def evaluate(
             raise ParamError(f"mode {mode!r} requires codebooks")
         weights = quantize_weights(net, weights, codebooks, mode=mode, tau=tau)
     hits = 0
-    for bx, by in dataset.batches(batch_size):
+    for bx, by in dataset.batches(EVAL_BATCH):
         logits = net.forward(weights, bx)
         hits += int((logits.argmax(axis=1) == by).sum())
     return hits / len(dataset)

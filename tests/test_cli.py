@@ -20,7 +20,7 @@ from idkm.cli import (
     main,
 )
 from idkm.config import ConfigError, build_train_config, parse_config
-from idkm.data import load_checkpoint, read_jsonl
+from idkm.data import load_checkpoint, read_jsonl, save_checkpoint
 from idkm.errors import AdjointStalled
 from idkm.gradients import GradBackend
 from idkm.solver import InitStrategy
@@ -442,6 +442,20 @@ class TestPipeline:
         unmarked = tiny_config(**{"out_features = 3\nquantize = true":
                                   "out_features = 3\nquantize = false"})
         assert main(["eval", "--config", str(unmarked)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_non_finite_checkpoint_is_a_data_error(
+        self, tiny_config, tmp_path, capsys, command
+    ):
+        cfg_path = str(tiny_config())
+        net = parse_config(cfg_path).network()
+        weights = net.init_weights(0)
+        weights["layer0.w"][0, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, net, weights)
+        code = main([command, "--config", cfg_path, "--checkpoint", str(ckpt)])
+        assert code == EXIT_DATA
+        assert "'layer0.w' holds non-finite values" in capsys.readouterr().err
 
     def test_eval_codebooks_must_be_the_marked_layers(
         self, tiny_config, tmp_path, capsys

@@ -12,6 +12,7 @@ from idkm.cli import EXIT_DATA, main
 from idkm.data import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    MNIST_FILES,
     Dataset,
     append_jsonl,
     as_images,
@@ -23,7 +24,6 @@ from idkm.data import (
     read_jsonl,
     save_checkpoint,
     synthetic_blobs,
-    write_idx,
 )
 from idkm.errors import FormatError, ParamError, ShapeError
 from idkm.nn import LayerSpec, Network
@@ -97,14 +97,22 @@ class TestIdx:
         np.testing.assert_array_equal(plain.inputs, zipped.inputs)
         np.testing.assert_array_equal(plain.labels, zipped.labels)
 
-    def test_write_idx_round_trips_the_original_bytes(self, tmp_path):
-        images, labels = write_fixture(tmp_path)
-        ds = load_idx(images, labels)
-        out_images = tmp_path / "out-images"
-        out_labels = tmp_path / "out-labels"
-        write_idx(out_images, out_labels, ds)
-        assert out_images.read_bytes() == images.read_bytes()
-        assert out_labels.read_bytes() == labels.read_bytes()
+    def test_pair_with_no_images_is_rejected(self, tmp_path, capsys):
+        empty_images = struct.pack(">IIII", 0x803, 0, 28, 28)
+        empty_labels = struct.pack(">II", 0x801, 0)
+        images, labels = write_fixture(tmp_path, empty_images, empty_labels)
+        with pytest.raises(FormatError, match="holds no images"):
+            load_idx(images, labels)
+        # Through the CLI: a data error, not a crash in the first epoch.
+        for name in MNIST_FILES.values():
+            raw = empty_images if "images" in name else empty_labels
+            (tmp_path / name).write_bytes(gzip.compress(raw))
+        config = tmp_path / "mnist.ini"
+        config.write_text((REPO / "configs" / "mnist.ini").read_text().replace(
+            "[run]\n", f"[run]\ndata_dir = {tmp_path}\n"))
+        code = main(["pretrain", "--config", str(config), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "holds no images" in capsys.readouterr().err
 
     def test_mnist_paths_honor_the_environment(self, monkeypatch):
         monkeypatch.setenv("IDKM_DATA_DIR", "/nonexistent/mnist")
@@ -292,6 +300,34 @@ class TestCheckpoint:
 
         self._tamper(path, grow)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["tensors", "codebooks"])
+    def test_non_finite_values_are_a_format_error(self, tmp_path, section):
+        net = small_net()
+        path = tmp_path / "n.ckpt"
+        books = {"layer0.w": Codebook(np.arange(4.0).reshape(4, 1))}
+        save_checkpoint(path, net, net.init_weights(0), codebooks=books)
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        entry = json.loads(blob[16 : 16 + header_len])[section][0]
+        at = 16 + header_len + entry["offset"]
+        blob[at : at + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop, add", [
+        ("layer2.b", {}),
+        (None, {"layer1.w": np.zeros((2, 2))}),
+        ("layer0.w", {"layer0.w": np.zeros((3, 4))}),
+    ], ids=["missing", "extra", "wrong-shape"])
+    def test_tensors_must_be_the_stored_architectures(self, tmp_path, drop, add):
+        net = small_net()
+        weights = {k: v for k, v in net.init_weights(0).items() if k != drop}
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, net, {**weights, **add})
+        with pytest.raises(FormatError, match="stored architecture"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -17,6 +17,7 @@ from idkm.gradcheck import (
     check_oracle_equivalence,
     check_update_blocks,
     dense_dC_dW,
+    dense_weight_jacobian,
     fd_solve_jacobian,
     make_instance,
     neumann_inverse,
@@ -28,7 +29,6 @@ from idkm.gradients import (
     DIVERGENCE_GROWTH_STEPS,
     GradBackend,
     _averaged_solve,
-    dense_weight_jacobian,
     jacobians_of_F,
     vjp_dC_dW,
 )
@@ -64,7 +64,7 @@ def _converged_instance(seed, m, k, d, tau_factor=0.05):
     c0 = init_codebook(w, k, InitStrategy(seed=seed))
     result = solve_fixed_point(w, c0, tau, FORWARD_EPS, FORWARD_MAX_ITERS)
     assert result.converged
-    return GradInstance(seed=seed, w=w, c0=c0, c_star=result.codebook, k=k, tau=tau)
+    return GradInstance(seed=seed, w=w, c0=c0, c_star=result.codebook, tau=tau)
 
 
 class TestJacobiansOfF:
@@ -194,7 +194,7 @@ def test_sub_vector_on_a_codeword_has_one_zero_distance_rule(offset):
     tau = 0.5
     _assert_vjp_matches_dense(jacobians_of_F(w, c, tau), seed=21)
     err_c, err_w = check_update_blocks(
-        GradInstance(seed=21, w=w, c0=c, c_star=c, k=3, tau=tau)
+        GradInstance(seed=21, w=w, c0=c, c_star=c, tau=tau)
     )
     assert err_c <= TOL_FD_BLOCKS and err_w <= TOL_FD_BLOCKS
 
@@ -590,7 +590,7 @@ class TestImplicit:
 
         out = dense_dC_dW(w, c_star, 0.01, GradBackend())
         np.testing.assert_array_equal(out[3], 0.0)
-        inst = GradInstance(seed=0, w=w, c0=c0, c_star=c_star, k=4, tau=0.01)
+        inst = GradInstance(seed=0, w=w, c0=c0, c_star=c_star, tau=0.01)
         assert rel_err(out, fd_solve_jacobian(inst)) <= TOL_FD_SOLVE
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import idkm.gradcheck as gradcheck
 import idkm.gradients as gradients
 import idkm.pq as pq
 import idkm.solver as solver
@@ -328,7 +329,7 @@ def count_soft_assignments(monkeypatch):
     for module in (pq, solver, gradients):
         monkeypatch.setattr(module, "attention", counted_attention)
     monkeypatch.setattr(training, "solve_fixed_point", solve)
-    monkeypatch.setattr(gradients, "dense_weight_jacobian",
+    monkeypatch.setattr(gradcheck, "dense_weight_jacobian",
                         lambda *args: dense_builds.append(args))
     return passes, after_solve, dense_builds
 
