@@ -2,10 +2,11 @@
 
 Subcommands: pretrain (float baseline), quantize (cluster-aware training),
 eval (checkpoint accuracy), gradcheck (derivative self-verification), bench
-(timing/memory grid), fetch-mnist (digest-verified download). Every run
-writes line-delimited JSON reports whose first record echoes the full
-configuration. Exit codes: 0 success, 1 check failure, 2 missing data,
-3 config error, 4 numerical failure.
+(timing/memory grid), fetch-mnist (digest-verified download). pretrain and
+quantize write line-delimited JSON reports whose first record echoes the full
+configuration; bench --out writes one record per cell. Exit codes: 0 success,
+1 check failure, 2 missing or malformed data, 3 config error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import math
-import os
 import sys
 import urllib.error
 import urllib.request
@@ -29,7 +29,6 @@ from .config import (
     pretrain_params,
 )
 from .data import (
-    MNIST_FILES,
     MNIST_SHA256,
     append_jsonl,
     as_images,
@@ -330,11 +329,12 @@ def _fetch_one(name: str, dest: Path) -> bool:
 
 
 def cmd_fetch_mnist(args) -> int:
-    root = Path(args.data_dir or os.environ.get("IDKM_DATA_DIR", "data"))
+    paths = mnist_paths(args.data_dir)
+    root = paths["train_images"].parent
     root.mkdir(parents=True, exist_ok=True)
-    for name in MNIST_FILES.values():
-        if not _fetch_one(name, root / name):
-            print(f"error: could not fetch {name} from any mirror",
+    for dest in paths.values():
+        if not _fetch_one(dest.name, dest):
+            print(f"error: could not fetch {dest.name} from any mirror",
                   file=sys.stderr)
             return EXIT_DATA
     print(f"MNIST ready under {root}")

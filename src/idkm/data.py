@@ -4,8 +4,10 @@ Everything here is deterministic and offline: IDX files are parsed
 bit-exactly, synthetic sets are seeded, and no function opens a network
 connection (downloads are a CLI convenience that verifies digests).
 
-Checkpoints store float32 payloads; training math runs in float64 and casts
-at the save boundary.
+A checkpoint is an uncompressed NumPy .npz archive: a UTF-8 JSON manifest
+(format version, architecture, config) plus one float32 member per tensor
+and per codebook. The archive's CRC-32s catch a corrupted payload. Training
+math runs in float64 and casts at the save boundary.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import gzip
 import json
 import os
 import struct
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +29,7 @@ from .pq import Codebook, bits_per_weight
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 
-CHECKPOINT_MAGIC = b"IDKMCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte.gz",
@@ -64,9 +66,11 @@ class Dataset:
             raise ShapeError(
                 f"{len(self.inputs)} inputs vs {len(self.labels)} labels"
             )
+        if not len(self.labels):
+            raise FormatError("dataset holds no rows")
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise FormatError(f"labels must be integers, got {self.labels.dtype}")
-        if len(self.labels) and self.labels.min() < 0:
+        if self.labels.min() < 0:
             raise FormatError("negative label")
         if not np.all(np.isfinite(self.inputs)):
             raise FormatError("non-finite input values")
@@ -86,15 +90,9 @@ class Dataset:
             yield self.inputs[sel], self.labels[sel]
 
 
-def _open_maybe_gzip(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _read_idx_array(path, expect_magic: int) -> np.ndarray:
-    with _open_maybe_gzip(path) as fh:
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with opener(path, "rb") as fh:
         head = fh.read(4)
         if len(head) < 4:
             raise FormatError(f"{path}: truncated before magic (offset 0)")
@@ -252,128 +250,80 @@ def save_checkpoint(
     config: dict | None = None,
     codebooks: dict[str, Codebook] | None = None,
 ):
-    """Write magic + JSON manifest + contiguous little-endian float32 payload."""
+    """Write an uncompressed .npz archive at exactly `path`: a JSON
+    `manifest` plus one little-endian float32 member per `tensor/<name>`
+    and `codebook/<layer>`, in sorted order."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": [_layer_spec_dict(s) for s in net.layers],
         "config": config or {},
     }
-    sections = {"tensors": ("name", weights)}
-    if codebooks:
-        sections["codebooks"] = ("layer", {k: b.data for k, b in codebooks.items()})
-    blobs = []
-    offset = 0
-    for section, (label, arrays) in sections.items():
-        manifest[section] = []
-        for key in sorted(arrays):
-            blob = np.ascontiguousarray(arrays[key], dtype="<f4")
-            manifest[section].append(
-                {label: key, "shape": list(blob.shape), "offset": offset}
-            )
-            blobs.append(blob.tobytes())
-            offset += len(blobs[-1])
-    header = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    members = {f"tensor/{name}": w for name, w in weights.items()}
+    members.update({f"codebook/{k}": b.data for k, b in (codebooks or {}).items()})
+    arrays = {
+        key: np.ascontiguousarray(members[key], dtype="<f4") for key in sorted(members)
+    }
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def _decode_tensor(payload: bytes, entry: dict, path) -> np.ndarray:
-    name = entry.get("name", entry.get("layer"))
-    shape = tuple(int(s) for s in entry["shape"])
-    nbytes = int(np.prod(shape)) * 4
-    start = int(entry["offset"])
-    if start < 0 or start + nbytes > len(payload):
-        raise FormatError(
-            f"{path}: tensor {name!r} spans "
-            f"[{start}, {start + nbytes}) but payload is {len(payload)} bytes"
-        )
-    flat = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)),
-                         offset=start)
-    if not np.isfinite(flat).all():
-        raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
-    return flat.reshape(shape).astype(np.float64)
-
-
-def _manifest_entries(manifest: dict, key: str, label: str, path) -> list:
-    """The manifest's `key` list, each entry checked to be decodable."""
-    entries = manifest.get(key, [])
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: manifest {key!r} is not a list")
-    for entry in entries:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get(label), str)
-            and isinstance(entry.get("shape"), list)
-            and all(isinstance(s, int) and s >= 0 for s in entry["shape"])
-            and isinstance(entry.get("offset"), int)
-        ):
-            raise FormatError(
-                f"{path}: {key} entry {entry!r} needs a {label!r} string, "
-                f"a 'shape' list of sizes and an integer 'offset'"
-            )
-    return entries
-
-
-def _manifest_layers(manifest: dict, path) -> tuple[LayerSpec, ...]:
-    """The stored architecture, a non-empty list of entries each exactly as
-    save_checkpoint writes it."""
-    entries = manifest.get("architecture")
-    try:
-        specs = tuple(LayerSpec(**entry) for entry in entries)
-        if specs and [_layer_spec_dict(s) for s in specs] == entries:
-            return specs
-    except (TypeError, ParamError):
-        pass
-    raise FormatError(f"{path}: manifest 'architecture' is not a list of layers")
+        text = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        np.savez(fh, manifest=np.array(text), **arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint; tensors come back as float64."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
-        size_field = fh.read(8)
-        body = fh.read()
-    if len(size_field) != 8:
-        raise FormatError(f"{path}: truncated header ({len(size_field)} of 8 bytes)")
-    (header_len,) = struct.unpack("<Q", size_field)
+    """Read and validate a checkpoint; tensors come back as float64. Any
+    failure to read the archive is a FormatError, so a corrupt file never
+    loads."""
+    if not zipfile.is_zipfile(path):
+        raise FormatError(
+            f"{path}: not a version-{CHECKPOINT_VERSION} checkpoint (no .npz archive)"
+        )
     try:
-        manifest = json.loads(body[:header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable manifest: {exc}") from exc
+        with np.load(path, allow_pickle=False) as archive:
+            infos = archive.zip.infolist()
+            if sum(i.file_size for i in infos) > os.path.getsize(path) or any(
+                i.compress_type != zipfile.ZIP_STORED for i in infos
+            ):
+                raise FormatError(f"{path}: members compressed or larger than the file")
+            members = {name: archive[name] for name in archive.files}
+        manifest = json.loads(members.pop("manifest").item())
+    except (AttributeError, KeyError, TypeError, ValueError, EOFError, MemoryError,
+            zipfile.BadZipFile) as exc:
+        raise FormatError(
+            f"{path}: unreadable archive or manifest: {type(exc).__name__}: {exc}"
+        ) from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
-    payload = body[header_len:]
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(
             f"{path}: format version {version!r}, expected {CHECKPOINT_VERSION}"
         )
-    if "tensors" not in manifest:
-        raise FormatError(f"{path}: manifest lists no 'tensors'")
-    layers = _manifest_layers(manifest, path)
-    tensors = _manifest_entries(manifest, "tensors", "name", path)
-    books = _manifest_entries(manifest, "codebooks", "layer", path)
-    expected = sum(int(np.prod(e["shape"])) * 4 for e in tensors + books)
-    if expected != len(payload):
-        raise FormatError(
-            f"{path}: manifest describes {expected} payload bytes, "
-            f"file holds {len(payload)}"
-        )
-    stored = sorted((e["name"], tuple(e["shape"])) for e in tensors)
+    entries = manifest.get("architecture")
+    try:
+        layers = tuple(LayerSpec(**entry) for entry in entries)
+    except (TypeError, ParamError):
+        layers = ()
+    # Each stored layer must be exactly as save_checkpoint writes it.
+    if not layers or [_layer_spec_dict(s) for s in layers] != entries:
+        raise FormatError(f"{path}: manifest 'architecture' is not a list of layers")
+    sections = {"tensor": {}, "codebook": {}}
+    for member, value in members.items():
+        section, _, name = member.partition("/")
+        if section not in sections or not isinstance(value, np.ndarray):
+            raise FormatError(f"{path}: unknown member {member!r}")
+        if value.dtype != np.dtype("<f4"):
+            raise FormatError(f"{path}: {member!r} is {value.dtype}, not float32")
+        if not np.isfinite(value).all():
+            raise FormatError(f"{path}: {section} {name!r} holds non-finite values")
+        if section == "codebook" and (value.ndim != 2 or 0 in value.shape):
+            raise FormatError(f"{path}: {member!r} has shape {value.shape}, not k x d")
+        sections[section][name] = value.astype(np.float64)
+    weights = sections["tensor"]
+    stored = sorted((name, w.shape) for name, w in weights.items())
     if stored != sorted(Network(layers=layers).param_shapes().items()):
         raise FormatError(
             f"{path}: tensors {stored} are not those of the stored architecture"
         )
-    weights = {e["name"]: _decode_tensor(payload, e, path) for e in tensors}
-    codebooks = {
-        e["layer"]: Codebook(_decode_tensor(payload, e, path)) for e in books
-    }
+    codebooks = {k: Codebook(data) for k, data in sections["codebook"].items()}
     return Checkpoint(manifest, weights, layers, codebooks)
 
 

@@ -20,7 +20,7 @@ from idkm.cli import (
     main,
 )
 from idkm.config import ConfigError, build_train_config, parse_config
-from idkm.data import load_checkpoint, read_jsonl, save_checkpoint
+from idkm.data import load_checkpoint, mnist_paths, read_jsonl, save_checkpoint
 from idkm.errors import AdjointStalled
 from idkm.gradients import GradBackend
 from idkm.solver import InitStrategy
@@ -561,3 +561,12 @@ class TestFetchMnist:
         code = main(["fetch-mnist", "--data-dir", str(tmp_path / "mnist")])
         assert code == EXIT_DATA
         assert "could not fetch" in capsys.readouterr().err
+
+    def test_files_go_where_the_readers_look(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("IDKM_DATA_DIR", str(tmp_path / "mnist"))
+        fetched = []
+        monkeypatch.setattr("idkm.cli._fetch_one",
+                            lambda *args: fetched.append(args[-1]) or True)
+        assert main(["fetch-mnist"]) == EXIT_OK
+        assert fetched == list(mnist_paths().values())
+        assert (tmp_path / "mnist").is_dir()

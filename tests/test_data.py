@@ -1,8 +1,11 @@
 """IDX parsing, synthetic blobs, checkpoint persistence, report files."""
 
 import gzip
+import io
 import json
+import re
 import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,6 @@ import pytest
 
 from idkm.cli import EXIT_DATA, main
 from idkm.data import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
     MNIST_FILES,
     Dataset,
     append_jsonl,
@@ -141,6 +142,10 @@ class TestDataset:
         with pytest.raises(FormatError):
             Dataset(inputs=np.zeros((2, 2)), labels=np.array([-1, 0]))
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(FormatError, match="no rows"):
+            Dataset(inputs=np.zeros((0, 8)), labels=np.zeros(0, dtype=np.int64))
+
     def test_batches_cover_everything_once(self):
         ds = Dataset(inputs=np.arange(10.0)[:, None],
                      labels=np.arange(10) % 3)
@@ -222,10 +227,55 @@ def small_net():
     ))
 
 
-def _with_header(manifest) -> bytes:
-    """Length-prefixed checkpoint header around a manifest (no payload)."""
-    blob = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
-    return struct.pack("<Q", len(blob)) + blob
+def _edit(change, save=np.savez):
+    """A tampering that re-saves the checkpoint's archive after
+    change(members), members keyed by name with the manifest as a string."""
+    def tamper(path):
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        change(members)
+        with open(path, "wb") as fh:
+            save(fh, **members)
+    return tamper
+
+
+def _edit_manifest(change):
+    """A tampering that rewrites the manifest's JSON through change(dict)."""
+    def edit(members):
+        manifest = json.loads(members["manifest"].item())
+        change(manifest)
+        members["manifest"] = np.array(json.dumps(manifest))
+    return _edit(edit)
+
+
+def _write(blob):
+    return lambda path: path.write_bytes(blob)
+
+
+def _flip_payload_byte(path):
+    blob = bytearray(path.read_bytes())
+    tensor = load_checkpoint(path).weights["layer0.w"].astype("<f4").tobytes()
+    blob[blob.index(tensor)] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def _overstate_member_size(path):
+    # The first central-directory record's uncompressed size, at byte 24.
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"PK\x01\x02") + 24
+    blob[at : at + 4] = struct.pack("<I", 2**31)
+    path.write_bytes(bytes(blob))
+
+
+def _append_short_member(path):
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(100, dtype="<f4"))
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("tensor/layer9.w.npy", buf.getvalue()[:-40])
+
+
+def _set_architecture(entries):
+    return _edit_manifest(lambda m: m.update(architecture=entries))
 
 
 class TestCheckpoint:
@@ -263,44 +313,19 @@ class TestCheckpoint:
         )
 
         # Bits come from the stored shape alone; no derived field is written.
-        assert [sorted(e) for e in ckpt.manifest["codebooks"]] == [
-            ["layer", "offset", "shape"]
-        ]
+        assert sorted(ckpt.manifest) == ["architecture", "config", "format_version"]
 
-    def _tamper(self, path, mutate):
-        blob = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        manifest = json.loads(blob[16 : 16 + header_len])
-        mutate(manifest)
-        header = json.dumps(manifest, sort_keys=True).encode()
-        path.write_bytes(
-            blob[:8] + struct.pack("<Q", len(header)) + header
-            + blob[16 + header_len :]
-        )
-
-    def test_version_mismatch_rejected(self, tmp_path):
+    def test_archive_is_written_at_the_given_path(self, tmp_path):
         net = small_net()
         path = tmp_path / "e.ckpt"
         save_checkpoint(path, net, net.init_weights(0))
-
-        def bump(manifest):
-            manifest["format_version"] = 99
-
-        self._tamper(path, bump)
-        with pytest.raises(FormatError, match="version"):
-            load_checkpoint(path)
-
-    def test_manifest_payload_disagreement_rejected(self, tmp_path):
-        net = small_net()
-        path = tmp_path / "f.ckpt"
-        save_checkpoint(path, net, net.init_weights(0))
-
-        def grow(manifest):
-            manifest["tensors"][0]["shape"] = [100, 100]
-
-        self._tamper(path, grow)
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["e.ckpt"]
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+            assert archive.namelist() == [
+                "manifest.npy", "tensor/layer0.b.npy", "tensor/layer0.w.npy",
+                "tensor/layer2.b.npy", "tensor/layer2.w.npy",
+            ]
 
     @pytest.mark.parametrize("section", ["tensors", "codebooks"])
     def test_non_finite_values_are_a_format_error(self, tmp_path, section):
@@ -308,13 +333,13 @@ class TestCheckpoint:
         path = tmp_path / "n.ckpt"
         books = {"layer0.w": Codebook(np.arange(4.0).reshape(4, 1))}
         save_checkpoint(path, net, net.init_weights(0), codebooks=books)
-        blob = bytearray(path.read_bytes())
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        entry = json.loads(blob[16 : 16 + header_len])[section][0]
-        at = 16 + header_len + entry["offset"]
-        blob[at : at + 4] = struct.pack("<f", float("nan"))
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="non-finite"):
+        member = {"tensors": "tensor/layer0.w", "codebooks": "codebook/layer0.w"}
+
+        def poison(members):
+            members[member[section]].flat[0] = np.nan
+
+        _edit(poison)(path)
+        with pytest.raises(FormatError, match="'layer0.w' holds non-finite"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("drop, add", [
@@ -330,39 +355,61 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="stored architecture"):
             load_checkpoint(path)
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "g.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
+    @pytest.mark.parametrize("book", [np.arange(4.0), np.zeros((0, 1)),
+                                      np.zeros((4, 0))],
+                             ids=["one-dimensional", "no-codewords", "zero-width"])
+    def test_malformed_codebook_is_a_data_error(self, tmp_path, capsys, book):
+        net = small_net()
+        path = tmp_path / "b.ckpt"
+        save_checkpoint(path, net, net.init_weights(0))
+        _edit(lambda m: m.update({"codebook/layer0.w": book.astype("<f4")}))(path)
+        with pytest.raises(FormatError, match="'codebook/layer0.w' has shape"):
             load_checkpoint(path)
+        config = str(REPO / "configs" / "blobs.ini")
+        code = main(["eval", "--config", config, "--checkpoint", str(path)])
+        assert code == EXIT_DATA
+        assert "'codebook/layer0.w' has shape" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body, error", [
-        (b"\x05\x00\x00", "truncated header"),
-        (_with_header(b"[1, 2]"), "not a JSON object"),
-        (_with_header({"format_version": CHECKPOINT_VERSION}), "lists no 'tensors'"),
-        (_with_header({"format_version": CHECKPOINT_VERSION,
-                       "tensors": [{"name": "layer0.w", "offset": 0}],
-                       "architecture": [{"kind": "relu", "quantize": False}]}),
-         "needs a 'name' string"),
-        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": []}),
+    @pytest.mark.parametrize("tamper, error", [
+        (_write(b"not a checkpoint"), "no .npz archive"),
+        (_write(b"IDKMCKPT" + struct.pack("<Q", 2) + b"{}"),
+         "not a version-2 checkpoint"),
+        (lambda path: path.write_bytes(path.read_bytes()[:20]), "no .npz archive"),
+        (_flip_payload_byte, "Bad CRC-32"),
+        (_edit(lambda members: None, save=np.savez_compressed), "compressed"),
+        (_overstate_member_size, "larger than the file"),
+        (_append_short_member, "EOF: reading array data"),
+        (_edit(lambda m: m.pop("manifest")), "KeyError: 'manifest'"),
+        (_edit(lambda m: m.update(manifest=np.array("[1, 2]"))),
+         "not a JSON object"),
+        (_edit(lambda m: m.update(manifest=np.array("{"))), "JSONDecodeError"),
+        (_edit_manifest(lambda m: m.update(format_version=1)), "format version"),
+        (_edit_manifest(lambda m: m.pop("architecture")),
          "'architecture' is not a list"),
-        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
-                       "architecture": []}),
+        (_set_architecture([]), "'architecture' is not a list"),
+        (_set_architecture([{"kind": "pool", "quantize": False}]),
          "'architecture' is not a list"),
-        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
-                       "architecture": [{"kind": "pool", "quantize": False}]}),
+        (_set_architecture([{"kind": "relu", "quantize": False, "in_features": 3}]),
          "'architecture' is not a list"),
-        (_with_header({"format_version": CHECKPOINT_VERSION, "tensors": [],
-                       "architecture": [{"kind": "relu", "quantize": False,
-                                         "in_features": 3}]}),
-         "'architecture' is not a list"),
-    ], ids=["short-header", "manifest-not-object", "no-tensors",
-            "entry-without-shape", "no-architecture", "empty-architecture",
-            "unknown-layer-kind", "stray-layer-field"])
-    def test_malformed_file_is_a_format_error(self, tmp_path, capsys, body, error):
+        (_edit(lambda m: [m.pop(k) for k in list(m) if k.startswith("tensor/")]),
+         "stored architecture"),
+        (_edit(lambda m: m.update(extra=np.zeros(2, dtype="<f4"))),
+         "unknown member 'extra'"),
+        (_edit(lambda m: m.update({"tensor/layer0.w": m["tensor/layer0.w"]
+                                   .astype(np.float64)})),
+         "'tensor/layer0.w' is float64, not float32"),
+    ], ids=["not-an-archive", "version-1", "short-header", "flipped-byte",
+            "deflated", "oversized", "short-member", "no-manifest",
+            "manifest-not-object", "manifest-not-json", "wrong-version",
+            "no-architecture", "empty-architecture", "unknown-layer-kind",
+            "stray-layer-field", "no-tensors", "unknown-member", "float64-member"])
+    def test_malformed_file_is_a_format_error(self, tmp_path, capsys, tamper, error):
         path = tmp_path / "h.ckpt"
-        path.write_bytes(CHECKPOINT_MAGIC + body)
-        with pytest.raises(FormatError, match=error):
+        net = small_net()
+        books = {"layer0.w": Codebook(np.arange(4.0).reshape(4, 1))}
+        save_checkpoint(path, net, net.init_weights(0), codebooks=books)
+        tamper(path)
+        with pytest.raises(FormatError, match=re.escape(error)):
             load_checkpoint(path)
         config = str(REPO / "configs" / "blobs.ini")
         code = main(["eval", "--config", config, "--checkpoint", str(path)])

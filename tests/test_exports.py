@@ -27,8 +27,9 @@ UNREFERENCED_ON_PURPOSE = {"read_jsonl"}
 
 
 def test_every_module_level_definition_is_used_or_exported():
-    # A function or class that no code in the package refers to (docstrings
-    # do not count) and that idkm does not export is dead code.
+    # A function, class or UPPER_CASE constant that no code in the package
+    # reads (docstrings and the assignment itself do not count) and that
+    # idkm does not export is dead code.
     trees = {
         path.name: ast.parse(path.read_text())
         for path in Path(idkm.__file__).parent.glob("*.py")
@@ -36,15 +37,26 @@ def test_every_module_level_definition_is_used_or_exported():
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     kept = used | set(idkm.__all__) | UNREFERENCED_ON_PURPOSE
     dead = sorted(
-        f"{module}:{node.name}"
+        f"{module}:{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in kept
+        for name in _definitions(tree)
+        if name not in kept
     )
     assert dead == []
+
+
+def _definitions(tree):
+    """A module's functions, classes and UPPER_CASE constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id
