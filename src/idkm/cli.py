@@ -203,7 +203,7 @@ def cmd_quantize(args) -> int:
     try:
         history, state = train(net, ckpt.weights, tcfg, train_set, eval_set,
                                on_epoch=on_epoch)
-    except (AdjointDivergence, NumericsError) as exc:
+    except NumericsError as exc:
         append_jsonl(report, {"type": "failure", "error": type(exc).__name__,
                               "message": str(exc)})
         raise

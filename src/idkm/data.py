@@ -318,10 +318,17 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{path}: {member!r} has shape {value.shape}, not k x d")
         sections[section][name] = value.astype(np.float64)
     weights = sections["tensor"]
+    net = Network(layers=layers)
     stored = sorted((name, w.shape) for name, w in weights.items())
-    if stored != sorted(Network(layers=layers).param_shapes().items()):
+    if stored != sorted(net.param_shapes().items()):
         raise FormatError(
             f"{path}: tensors {stored} are not those of the stored architecture"
+        )
+    stray = sorted(set(sections["codebook"]) - set(net.quantized_keys()))
+    if stray:
+        raise FormatError(
+            f"{path}: codebooks {stray} name no quantized tensor of the stored "
+            "architecture"
         )
     codebooks = {k: Codebook(data) for k, data in sections["codebook"].items()}
     return Checkpoint(manifest, weights, layers, codebooks)

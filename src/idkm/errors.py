@@ -23,14 +23,21 @@ class NumericsError(IdkmError):
     """A computation produced non-finite values."""
 
 
+class AdjointSingular(NumericsError):
+    """I - dF/dC* at a layer's fixed point is singular, or its condition
+    number is past gradients.COND_LIMIT, so the implicit adjoint solve
+    cannot be trusted."""
+
+
 class AdjointDivergence(IdkmError):
-    """The averaged adjoint iteration diverged on every alpha-halving restart;
-    also the base of AdjointStalled, so one except clause takes both."""
+    """gradcheck's averaged adjoint iteration diverged on every alpha-halving
+    restart; also the base of AdjointStalled, so one except clause takes both."""
 
 
 class AdjointStalled(AdjointDivergence):
-    """An attempt of the averaged adjoint iteration ran its iteration limit
-    without diverging and without its residual getting below the tolerance."""
+    """An attempt of gradcheck's averaged adjoint iteration ran its iteration
+    limit without diverging and without its residual getting below the
+    tolerance."""
 
 
 class FormatError(IdkmError):

@@ -4,10 +4,15 @@ Generates seeded clustering instances, solves them tightly, and compares
 every derivative route against an independent reference: the implicit
 gradient against the unrolled sweep, the implicit gradient against central
 finite differences of the converged solve, the analytic update Jacobians
-against finite differences of a single update, the jfb gradient against the
-dense dF/dW, and the adjoint solve against a dense LU solve. The CLI's
-gradcheck command and the test suite both run through this module so they
-cannot drift apart.
+against finite differences of a single update, and the jfb gradient against
+the dense dF/dW. The CLI's gradcheck command and the test suite both run
+through this module so they cannot drift apart.
+
+It also holds the paper's matrix-free adjoint, the averaged fixed-point
+iteration with alpha-halving restarts (_averaged_solve), which training no
+longer runs: it inverts I - dF/dC* directly (gradients.adjoint_inverse).
+neumann_inverse stacks the averaged solve over basis rows, and the last
+check holds it to a dense solve.
 
 Every dense dC*/dW here is dense_dC_dW: the VJP a training step runs
 (vjp_dC_dW, vjp_through_trace), probed with the k*d basis rows. So the
@@ -23,14 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
-from .gradients import (
-    GradBackend,
-    _averaged_solve,
-    jacobians_of_F,
-    vjp_dC_dW,
-    vjp_through_trace,
+from .errors import (
+    AdjointDivergence,
+    AdjointStalled,
+    NumericsError,
+    ParamError,
+    ShapeError,
+    require_positive_finite,
 )
+from .gradients import GradBackend, jacobians_of_F, vjp_dC_dW, vjp_through_trace
 from .pq import (
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
@@ -254,35 +260,143 @@ def check_jfb_block(inst: GradInstance) -> float:
     return rel_err(jfb, oracle)
 
 
-def neumann_inverse(j_c: np.ndarray, backend: GradBackend) -> np.ndarray:
-    """(I - j_c)^-1, row r being the adjoint solve vjp_dC_dW runs for e_r."""
+DIVERGENCE_CAP = 1e8
+DIVERGENCE_GROWTH_STEPS = 10
+
+
+@dataclass(frozen=True)
+class AveragedAdjoint:
+    """Controls of the averaged adjoint iteration.
+
+    alpha0 is the initial averaging weight; each detected divergence restarts
+    the iteration from the identity with alpha halved, at most max_restarts
+    times before raising AdjointDivergence. An attempt that runs
+    max_adjoint_iters steps without diverging raises AdjointStalled.
+    """
+
+    alpha0: float = 0.25
+    max_adjoint_iters: int = 500
+    max_restarts: int = 5
+    adjoint_eps: float = 1e-8
+
+    def __post_init__(self):
+        if not 0 < self.alpha0 <= 1:
+            raise ParamError(f"alpha0 must be in (0, 1], got {self.alpha0}")
+        if self.max_restarts < 0:
+            raise ParamError("max_restarts must be >= 0")
+        if self.max_adjoint_iters < 1:
+            raise ParamError("max_adjoint_iters must be >= 1")
+        require_positive_finite("adjoint_eps", self.adjoint_eps)
+
+
+def _averaged_run(
+    upstream: np.ndarray, j_c: np.ndarray, alpha: float, controls: AveragedAdjoint
+) -> np.ndarray | None:
+    """One attempt of _averaged_solve at alpha: an iterate whose directly
+    computed residual is below controls.adjoint_eps, or None on divergence.
+    Raises AdjointStalled when max_adjoint_iters steps decide nothing. Holds
+    at most max_adjoint_iters rows of k*d floats, and one square per doubling."""
+    eps = controls.adjoint_eps
+    limit = controls.max_adjoint_iters
+    squares = [(1.0 - alpha) * np.eye(upstream.size) + alpha * j_c]
+    rows = np.empty((limit, upstream.size))
+    x = upstream.copy()
+    prev = np.inf
+    growth = 0
+    start = 0
+    while True:
+        rows[0] = upstream + x @ j_c - x
+        res = [float(np.linalg.norm(rows[0]))]
+        # res grows, by doubling, each time the loop reaches its end.
+        for at, r in enumerate(res):
+            if not eps <= r <= DIVERGENCE_CAP:
+                if at and (r < eps or not np.isfinite(r)):
+                    break
+                return x if r < eps else None
+            if r > prev:
+                growth += 1
+                if growth >= DIVERGENCE_GROWTH_STEPS:
+                    return None
+            else:
+                growth = 0
+            prev = r
+            held = at + 1
+            if held == len(res):
+                if start + held == limit:
+                    raise AdjointStalled(f"adjoint: residual still above {eps:g} "
+                                         f"after {limit} iterations at alpha={alpha:g}")
+                level = held.bit_length() - 1
+                take = min(held, limit - start - held)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if level == len(squares):
+                        squares.append(squares[-1] @ squares[-1])
+                    new = rows[:take] @ squares[level]
+                    res += np.sqrt(np.einsum("ij,ij->i", new, new)).tolist()
+                rows[held:held + take] = new
+        x = x + alpha * rows[:at].sum(axis=0)
+        start += at
+
+
+def _averaged_solve(
+    upstream: np.ndarray, j_c: np.ndarray, controls: AveragedAdjoint
+) -> np.ndarray:
+    """Adjoint row v = upstream + v j_c by averaged iteration from upstream.
+
+    Each step maps x to g(x) = upstream + x j_c and moves to
+    alpha*g(x) + (1-alpha)*x. Divergence (ten consecutive residual increases,
+    a residual above the cap, or non-finite values) restarts from upstream
+    with alpha halved; reaching max_adjoint_iters without diverging raises
+    AdjointStalled. Returns an iterate whose directly computed residual
+    ||g(x) - x|| is below controls.adjoint_eps.
+
+    An attempt (_averaged_run) predicts residuals from one computed from x:
+    r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c, so rows h..2h-1 are
+    rows 0..h-1 times M^h, doubled as far as the checks reach, each square
+    made when first needed. A predicted norm that is below the tolerance or
+    not finite is computed directly, after x moves by alpha times the rows
+    before it; so roundoff that floors the true residual stalls.
+    """
+    alpha = controls.alpha0
+    attempts = controls.max_restarts + 1
+    for _ in range(attempts):
+        x = _averaged_run(upstream, j_c, alpha, controls)
+        if x is not None:
+            return x
+        alpha *= 0.5
+    raise AdjointDivergence(
+        f"adjoint: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"
+    )
+
+
+def neumann_inverse(j_c: np.ndarray, controls: AveragedAdjoint) -> np.ndarray:
+    """(I - j_c)^-1, row r being the averaged adjoint solve for e_r."""
     j_c = np.asarray(j_c, dtype=np.float64)
     if j_c.ndim != 2 or j_c.shape[0] != j_c.shape[1]:
         raise ShapeError(f"j_c must be square, got {j_c.shape}")
-    return np.stack([_averaged_solve(e, j_c, backend) for e in np.eye(len(j_c))])
+    return np.stack([_averaged_solve(e, j_c, controls) for e in np.eye(len(j_c))])
 
 
 def check_neumann(seed: int, count: int = 10) -> float:
-    """The adjoint solve, as neumann_inverse, vs a dense solve.
+    """The averaged adjoint solve, as neumann_inverse, vs a dense solve.
 
     Matrices are scaled to 2-norm 0.9 (hence spectral radius <= 0.9); one
     extra case carries an eigenvalue at -1.5 and starts at alpha0 = 1 so the
     divergence detector must kick in and recover by halving alpha.
     """
     rng = np.random.default_rng(seed)
-    backend = GradBackend(max_adjoint_iters=4000)
+    controls = AveragedAdjoint(max_adjoint_iters=4000)
     worst = 0.0
     for _ in range(count):
         n = int(rng.integers(4, 13))
         mat = rng.normal(size=(n, n))
         mat *= 0.9 / np.linalg.norm(mat, ord=2)
         direct = np.linalg.solve(np.eye(n) - mat, np.eye(n))
-        worst = max(worst, rel_err(neumann_inverse(mat, backend), direct))
+        worst = max(worst, rel_err(neumann_inverse(mat, controls), direct))
 
     spiky = np.diag([-1.5, 0.3, 0.2])
-    restart_backend = GradBackend(alpha0=1.0, max_adjoint_iters=4000)
+    restart = AveragedAdjoint(alpha0=1.0, max_adjoint_iters=4000)
     direct = np.linalg.solve(np.eye(3) - spiky, np.eye(3))
-    worst = max(worst, rel_err(neumann_inverse(spiky, restart_backend), direct))
+    worst = max(worst, rel_err(neumann_inverse(spiky, restart), direct))
     return worst
 
 
@@ -322,7 +436,7 @@ def run_suite(
     with_fd: bool = True,
 ) -> SuiteReport:
     """Run every check; with_fd=False skips the slow finite-difference half."""
-    backend = GradBackend(max_adjoint_iters=4000)
+    backend = GradBackend()
     report = SuiteReport(instances=instances, with_fd=with_fd)
     for index in range(instances):
         inst = make_instance(base_seed + index)

@@ -9,12 +9,12 @@ to the weights being clustered:
   for the computed iterate, but must retain the whole trace, so its memory
   and time grow linearly with the iteration count.
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
-  solution only. The adjoint row u (I - dF/dC*)^-1 is obtained by an
-  averaged fixed-point iteration with alpha-halving restarts on divergence.
-  Its residuals are predicted from one computed residual by doubling, with
-  squares of the averaged step made as they are needed, and checked one
-  step at a time, so it decides as the step-by-step loop does and raises
-  AdjointStalled or AdjointDivergence when it fails.
+  solution only. The adjoint row v = u (I - dF/dC*)^-1 is one product with
+  the inverse of the small (k*d) x (k*d) matrix I - dF/dC*, formed once per
+  layer-step by adjoint_inverse, which raises AdjointSingular when that
+  matrix is singular or its condition number is past COND_LIMIT. A training
+  step keeps the inverse for the layer's next warm solve, whose first update
+  is a chord step with it (solver.solve_fixed_point).
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.
@@ -22,7 +22,7 @@ to the weights being clustered:
 All three run one matrix-free linearisation of the center update, which
 lives with F on pq.SoftAssignment and is reached through jacobians_of_F:
 f_vjp contracts a row vector with dF/dC and dF/dW in O(m*k*d), and j_c is
-the small (k*d) x (k*d) dF/dC that ``implicit``'s adjoint iterates on. A
+the small (k*d) x (k*d) dF/dC that ``implicit``'s adjoint inverts. A
 training step reuses the soft assignment the forward solve kept at C* and
 never forms a (k*d) x (d*m) block; ``unrolled`` evaluates one soft
 assignment per recorded iterate. Each backend has one implementation:
@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AdjointDivergence,
-    AdjointStalled,
-    ParamError,
-    ShapeError,
-    require_positive_finite,
-)
+from .errors import AdjointSingular, ParamError, ShapeError, require_positive_finite
 # attention stays a name of this module: perfbench traces it as gradients.attention.
 from .pq import (  # noqa: F401
     Codebook,
@@ -61,35 +55,25 @@ from .pq import (  # noqa: F401
 
 BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
-DIVERGENCE_CAP = 1e8
-DIVERGENCE_GROWTH_STEPS = 10
+# I - dF/dC* is refused past this 1-norm condition number. Its inverse then
+# keeps about 8 correct digits, as roundoff grows as cond * 2.2e-16.
+COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
 class GradBackend:
-    """Backend choice plus the averaged-iteration controls.
+    """Backend choice plus the implicit adjoint's early-exit tolerance.
 
-    alpha0 is the initial averaging weight; each detected divergence restarts
-    the iteration from the identity with alpha halved, at most max_restarts
-    times before raising AdjointDivergence. An attempt that runs
-    max_adjoint_iters steps without diverging raises AdjointStalled.
+    An upstream row u with ||u dF/dC*|| below adjoint_eps already solves
+    v = u + v dF/dC* to within it, so the implicit backend returns u there.
     """
 
     kind: str = "implicit"
-    alpha0: float = 0.25
-    max_adjoint_iters: int = 500
-    max_restarts: int = 5
     adjoint_eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ParamError(f"unknown gradient backend {self.kind!r}")
-        if not 0 < self.alpha0 <= 1:
-            raise ParamError(f"alpha0 must be in (0, 1], got {self.alpha0}")
-        if self.max_restarts < 0:
-            raise ParamError("max_restarts must be >= 0")
-        if self.max_adjoint_iters < 1:
-            raise ParamError("max_adjoint_iters must be >= 1")
         require_positive_finite("adjoint_eps", self.adjoint_eps)
 
 
@@ -109,83 +93,22 @@ def jacobians_of_F(
     return assignment_at(w, c_star, tau, assignment)
 
 
-def _averaged_run(
-    upstream: np.ndarray, j_c: np.ndarray, alpha: float, backend: GradBackend
-) -> np.ndarray | None:
-    """One attempt of _averaged_solve at alpha: an iterate whose directly
-    computed residual is below backend.adjoint_eps, or None on divergence.
-    Raises AdjointStalled when max_adjoint_iters steps decide nothing. Holds
-    at most max_adjoint_iters rows of k*d floats, and one square per doubling."""
-    eps = backend.adjoint_eps
-    limit = backend.max_adjoint_iters
-    squares = [(1.0 - alpha) * np.eye(upstream.size) + alpha * j_c]
-    rows = np.empty((limit, upstream.size))
-    x = upstream.copy()
-    prev = np.inf
-    growth = 0
-    start = 0
-    while True:
-        rows[0] = upstream + x @ j_c - x
-        res = [float(np.linalg.norm(rows[0]))]
-        # res grows, by doubling, each time the loop reaches its end.
-        for at, r in enumerate(res):
-            if not eps <= r <= DIVERGENCE_CAP:
-                if at and (r < eps or not np.isfinite(r)):
-                    break
-                return x if r < eps else None
-            if r > prev:
-                growth += 1
-                if growth >= DIVERGENCE_GROWTH_STEPS:
-                    return None
-            else:
-                growth = 0
-            prev = r
-            held = at + 1
-            if held == len(res):
-                if start + held == limit:
-                    raise AdjointStalled(f"adjoint: residual still above {eps:g} "
-                                         f"after {limit} iterations at alpha={alpha:g}")
-                level = held.bit_length() - 1
-                take = min(held, limit - start - held)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if level == len(squares):
-                        squares.append(squares[-1] @ squares[-1])
-                    new = rows[:take] @ squares[level]
-                    res += np.sqrt(np.einsum("ij,ij->i", new, new)).tolist()
-                rows[held:held + take] = new
-        x = x + alpha * rows[:at].sum(axis=0)
-        start += at
+def adjoint_inverse(j_c: np.ndarray) -> np.ndarray:
+    """(I - j_c)^-1 for the (k*d) x (k*d) dF/dC* at a fixed point.
 
-
-def _averaged_solve(
-    upstream: np.ndarray, j_c: np.ndarray, backend: GradBackend
-) -> np.ndarray:
-    """Adjoint row v = upstream + v j_c by averaged iteration from upstream.
-
-    Each step maps x to g(x) = upstream + x j_c and moves to
-    alpha*g(x) + (1-alpha)*x. Divergence (ten consecutive residual increases,
-    a residual above the cap, or non-finite values) restarts from upstream
-    with alpha halved; reaching max_adjoint_iters without diverging raises
-    AdjointStalled. Returns an iterate whose directly computed residual
-    ||g(x) - x|| is below backend.adjoint_eps.
-
-    An attempt (_averaged_run) predicts residuals from one computed from x:
-    r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c, so rows h..2h-1 are
-    rows 0..h-1 times M^h, doubled as far as the checks reach, each square
-    made when first needed. A predicted norm that is below the tolerance or
-    not finite is computed directly, after x moves by alpha times the rows
-    before it; so roundoff that floors the true residual stalls.
+    Raises AdjointSingular when I - j_c is singular, or when its 1-norm
+    condition number ||I - j_c|| ||(I - j_c)^-1|| is past COND_LIMIT.
     """
-    alpha = backend.alpha0
-    attempts = backend.max_restarts + 1
-    for _ in range(attempts):
-        x = _averaged_run(upstream, j_c, alpha, backend)
-        if x is not None:
-            return x
-        alpha *= 0.5
-    raise AdjointDivergence(
-        f"adjoint: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"
-    )
+    a = np.eye(len(j_c)) - j_c
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise AdjointSingular("adjoint: I - dF/dC* is singular") from None
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inverse, 1))
+    if not cond <= COND_LIMIT:
+        raise AdjointSingular(f"adjoint: I - dF/dC* has condition number "
+                              f"{cond:.3g}, past {COND_LIMIT:g}")
+    return inverse
 
 
 def vjp_dC_dW(
@@ -195,14 +118,17 @@ def vjp_dC_dW(
     tau: float,
     backend: GradBackend,
     assignment: SoftAssignment | None = None,
+    inverse: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-contracted form: upstream @ dC*/dW without materializing M*.
 
-    Solves v = upstream + v j_c by averaged iteration (or takes
-    v = upstream for the jfb backend) and returns v @ dF/dW, matrix-free.
-    `assignment` is the solver's soft assignment at c_star; with it, no
-    distance or attention pass runs here. The unrolled backend needs the
-    forward trace and is served by vjp_through_trace.
+    Takes v = upstream @ (I - j_c)^-1 (or v = upstream for the jfb backend,
+    and wherever ||upstream @ j_c|| is below backend.adjoint_eps) and
+    returns v @ dF/dW, matrix-free. `assignment` is the solver's soft
+    assignment at c_star; with it, no distance or attention pass runs here.
+    `inverse` is adjoint_inverse(j_c) at c_star, formed here when needed and
+    not given. The unrolled backend needs the forward trace and is served by
+    vjp_through_trace.
     """
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     if upstream.size != c_star.k * c_star.d:
@@ -213,9 +139,12 @@ def vjp_dC_dW(
         raise ParamError("unrolled VJPs require the forward trace; "
                          "use vjp_through_trace")
     asg = jacobians_of_F(w, c_star, tau, assignment=assignment)
-    if backend.kind == "jfb":
-        return asg.f_vjp(upstream)[1]
-    return asg.f_vjp(_averaged_solve(upstream, asg.j_c, backend))[1]
+    v = upstream
+    if backend.kind == "implicit" and (
+        np.linalg.norm(upstream @ asg.j_c) >= backend.adjoint_eps
+    ):
+        v = upstream @ (adjoint_inverse(asg.j_c) if inverse is None else inverse)
+    return asg.f_vjp(v)[1]
 
 
 def vjp_through_trace(

@@ -323,7 +323,7 @@ class SoftAssignment:
     It also holds the center update F(C, W) the solver iterates, `update`:
     the attention-weighted `means`, with each `degenerate` cluster's center
     kept stale. Its linearisation is f_vjp(), F's matrix-free VJP, and j_c,
-    the small dense dF/dC the implicit adjoint iterates on.
+    the small dense dF/dC the implicit adjoint inverts.
 
     f_vjp and j_c linearise `means`, not `update`: a degenerate cluster
     draws next to no attention, so j_c is about 0 in its row and column,

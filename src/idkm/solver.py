@@ -18,6 +18,11 @@ whether C is returned, and otherwise its update is the next iterate. So
 the loop stops at the first iterate it has certified, and that iterate's
 soft assignment is kept on the result for the training step's soft
 quantizer and backward pass to reuse.
+
+A warm solve may also be given `chord`, the (I - dF/dC)^-1 that the
+implicit adjoint formed at the previous fixed point. Its first update is
+then the guarded chord-Newton step C + chord (F(C) - C) (Kelley 1995),
+kept only if it halves the fixed-point gap; every other update is plain.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParamError, require_positive_finite
+from .errors import ParamError, ShapeError, require_positive_finite
 # attention stays a name of this module: perfbench traces it as solver.attention.
 from .pq import (  # noqa: F401
     Codebook, SoftAssignment, WeightMatrix, assignment_at, attention,
@@ -52,11 +57,15 @@ class FixedPointResult:
     codebook, the gap the loop stopped on, so a converged result satisfies
     the fixed-point condition to within eps by construction. `assignment` is
     the soft assignment of that last evaluation, taken at the returned
-    codebook. `iterations` counts the updates applied, at least one. `trace`
-    holds the codebook entering each update, in order, and only when
-    recording was requested. `degenerate_clusters` counts the clusters
-    degenerate at C*: those whose attention sum there is below the floor,
-    so F keeps their centers stale.
+    codebook. `iterations` counts the updates applied, at least one; a kept
+    chord step is one of them. `chord_kept` is None for a solve given no
+    chord, else whether its chord step was kept. A rejected chord step
+    applies no update but costs an evaluation, so a solve takes
+    iterations + 1 evaluations of F, plus one when `chord_kept` is False.
+    `trace` holds the codebook entering each update, in order, and only when
+    recording was requested. `degenerate_clusters` counts the clusters degenerate at C*:
+    those whose attention sum there is below the floor, so F keeps their
+    centers stale.
     """
 
     codebook: Codebook
@@ -65,6 +74,7 @@ class FixedPointResult:
     converged: bool
     trace: tuple[Codebook, ...] | None = None
     degenerate_clusters: int = field(default=0)
+    chord_kept: bool | None = None
     assignment: SoftAssignment | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -107,6 +117,10 @@ def fixed_point_map_F(w: WeightMatrix, c: Codebook, tau: float) -> Codebook:
     return Codebook(assignment_at(w, c, tau).update)
 
 
+def _gap(asg: SoftAssignment) -> float:
+    return float(np.linalg.norm(asg.update - asg.c))
+
+
 def solve_fixed_point(
     w: WeightMatrix,
     c0: Codebook,
@@ -114,6 +128,7 @@ def solve_fixed_point(
     eps: float,
     max_iters: int,
     record_trace: bool = False,
+    chord: np.ndarray | None = None,
 ) -> FixedPointResult:
     """Iterate C <- F(C, W) until the returned codebook is a fixed point
     to within eps.
@@ -124,7 +139,13 @@ def solve_fixed_point(
     converged c0 returns F(c0). The reported residual is the gap of the
     returned codebook itself, so `converged` certifies ||F(C*) - C*|| < eps
     exactly, and that evaluation's soft assignment is returned with the
-    result. A solve takes iterations + 1 evaluations of F.
+    result.
+
+    `chord` is a (k*d) x (k*d) (I - dF/dC)^-1 taken at an earlier fixed
+    point. The first update is then c0 + chord (F(c0) - c0) if the gap
+    there is below half the gap at c0, else the plain F(c0). A chord step is
+    no update of F, so a recorded trace cannot hold it: the two exclude each
+    other.
     """
     require_positive_finite("tau", tau)
     require_positive_finite("eps", eps)
@@ -135,12 +156,26 @@ def solve_fixed_point(
         raise ParamError(f"k={c0.k} exceeds the number of sub-vectors m={w.m}")
 
     asg = soft_assign(w.data, c0.data, tau)
+    kept = trial = None
+    if chord is not None:
+        if record_trace:
+            raise ParamError("a chord step cannot be recorded in a trace")
+        if chord.shape != (c0.data.size,) * 2:
+            raise ShapeError(f"chord is {chord.shape}, expected "
+                             f"{(c0.data.size,) * 2} for a {c0.k}x{c0.d} codebook")
+        step = asg.update - asg.c
+        newton = (chord @ step.ravel()).reshape(step.shape)
+        trial = soft_assign(w.data, asg.c + newton, tau)
+        kept = _gap(trial) < 0.5 * float(np.linalg.norm(step))
     trace: list[Codebook] | None = [] if record_trace else None
     for iterations in range(1, max_iters + 1):
         if record_trace:
             trace.append(Codebook(asg.c))
-        asg = soft_assign(w.data, asg.update, tau)
-        residual = float(np.linalg.norm(asg.update - asg.c))
+        if kept and iterations == 1:
+            asg = trial
+        else:
+            asg = soft_assign(w.data, asg.update, tau)
+        residual = _gap(asg)
         if residual < eps:
             break
 
@@ -151,5 +186,6 @@ def solve_fixed_point(
         converged=residual < eps,
         trace=tuple(trace) if record_trace else None,
         degenerate_clusters=int(asg.degenerate.sum()),
+        chord_kept=kept,
         assignment=asg,
     )

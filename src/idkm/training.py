@@ -9,15 +9,19 @@ Plain SGD, no momentum. Biases are never quantized.
 The solver evaluates each layer's distances, attention and column sums once
 at its starting codebook and once after each update, and stops at C*, the
 first iterate that evaluation certifies. The soft quantizer, its VJP and
-the cluster backward (including a jfb retry after a failed adjoint) all
-reuse that last evaluation, a pq.SoftAssignment, which also holds the
+the cluster backward (including a jfb fallback after a singular adjoint)
+all reuse that last evaluation, a pq.SoftAssignment, which also holds the
 center update F and F's VJP (f_vjp) and dF/dC (j_c), which the cluster
-backward runs. f_vjp and the soft quantizer's VJP run one backward pass
-through the softmax and the distances (pq._att_vjp_cols). Beyond the
-network's own arrays, a step therefore holds per layer one m x k distance
-and one m x k attention matrix (float64), and, during that layer's backward
-pass, its m x k x d unit distance directions. For the 100,352-weight layer
-at k=4, d=1 each is 401,408 entries, 3.2 MB.
+backward runs. The implicit backend inverts the small I - j_c once per
+layer-step (gradients.adjoint_inverse); TrainState keeps that inverse next
+to the layer's warm codebook, and the next step's warm solve takes its
+first update as a chord step with it. f_vjp and the soft quantizer's VJP
+run one backward pass through the softmax and the distances
+(pq._att_vjp_cols). Beyond the network's own arrays, a step therefore holds
+per layer one m x k distance and one m x k attention matrix (float64), its
+(k*d) x (k*d) inverse, and, during that layer's backward pass, its
+m x k x d unit distance directions. For the 100,352-weight layer at k=4,
+d=1 each m x k array is 401,408 entries, 3.2 MB.
 No backend forms a dense (k*d) x (d*m) Jacobian. A layer with at least
 2 * pq.SPLIT_FLOOR of those entries runs each of these passes by column
 blocks chosen from (k, m) alone; the CPU count sets only how many threads
@@ -42,14 +46,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    AdjointDivergence,
-    AdjointStalled,
-    ParamError,
-    ShapeError,
-    require_positive_finite,
-)
-from .gradients import GradBackend, vjp_dC_dW, vjp_through_trace
+from .errors import AdjointSingular, ParamError, ShapeError, require_positive_finite
+from .gradients import GradBackend, adjoint_inverse, vjp_dC_dW, vjp_through_trace
 from .nn import LOSS_KINDS, Network, loss_and_grad
 from .pq import (
     Codebook,
@@ -116,7 +114,8 @@ class StepMetrics:
     residual, converged flag, retained codebooks and clusters degenerate at
     C* ("degenerate", SoftAssignment.degenerate at the returned codebook),
     whether its gradient fell back to jfb, and, for the implicit backend,
-    how its adjoint solve ended ("adjoint": converged, stalled or diverged).
+    how its adjoint solve ended ("adjoint": solved, or singular when
+    adjoint_inverse refused I - dF/dC*).
     """
 
     loss: float
@@ -130,10 +129,16 @@ class StepMetrics:
 
 @dataclass
 class TrainState:
-    """Mutable loop state: float weights plus warm-start codebooks."""
+    """Mutable loop state: float weights plus warm-start codebooks.
+
+    `chords` holds, for a layer whose last step took the implicit adjoint,
+    the (I - dF/dC*)^-1 at its warm codebook, which the layer's next warm
+    solve takes its chord step with.
+    """
 
     weights: dict[str, np.ndarray]
     codebooks: dict[str, Codebook] = field(default_factory=dict)
+    chords: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
 
@@ -146,7 +151,8 @@ def _solve_layer(
     record: bool,
 ) -> tuple[WeightMatrix, FixedPointResult]:
     """Partition one weight tensor and run the clustering solve, starting
-    from the layer's codebook in `state` if it has one, else from cfg.init."""
+    from the layer's codebook in `state` if it has one, with its chord if it
+    has one, else from cfg.init."""
     wm = partition_weights(tensor.ravel(), cfg.d)
     c0 = state.codebooks.get(key)
     if c0 is None:
@@ -157,7 +163,8 @@ def _solve_layer(
             f"{key}: warm codebook is {c0.k}x{c0.d}, expected {cfg.k}x{cfg.d}"
         )
     result = solve_fixed_point(
-        wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record
+        wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record,
+        chord=state.chords.get(key),
     )
     return wm, result
 
@@ -172,8 +179,8 @@ def quantized_train_step(
     """One step: solve codebooks, step SGD through the soft quantizer.
 
     Returns fresh weight arrays; `state` is only read except for the warm
-    codebooks, which are refreshed so the next step starts near the previous
-    solution. Layers without the quantize flag get plain SGD.
+    codebooks and chords, which are refreshed so the next step starts near
+    the previous solution. Layers without the quantize flag get plain SGD.
     """
     qkeys = net.quantized_keys()
     record = cfg.backend.kind == "unrolled"
@@ -214,32 +221,32 @@ def quantized_train_step(
             assignment=result.assignment,
         )
         u_vec = grad_book.ravel()
-        if cfg.backend.kind == "unrolled":
+        backend, inverse = cfg.backend, None
+        if backend.kind == "implicit":
+            try:
+                inverse = adjoint_inverse(result.assignment.j_c)
+                stats["adjoint"] = "solved"
+            except AdjointSingular as exc:
+                stats["adjoint"] = "singular"
+                if not cfg.fallback_jfb:
+                    raise AdjointSingular(f"{name}: {exc}") from exc
+                stats["fallback"] = True
+                backend = dataclasses.replace(backend, kind="jfb")
+        if backend.kind == "unrolled":
             flat_grad = vjp_through_trace(u_vec, wm, result.trace, cfg.tau)
         else:
-            if cfg.backend.kind == "implicit":
-                stats["adjoint"] = "converged"
-            try:
-                flat_grad = vjp_dC_dW(
-                    u_vec, wm, result.codebook, cfg.tau, cfg.backend,
-                    assignment=result.assignment,
-                )
-            except AdjointDivergence as exc:
-                stats["adjoint"] = (
-                    "stalled" if isinstance(exc, AdjointStalled) else "diverged"
-                )
-                if not cfg.fallback_jfb:
-                    raise type(exc)(f"{name}: {exc}") from exc
-                stats["fallback"] = True
-                fallback = dataclasses.replace(cfg.backend, kind="jfb")
-                flat_grad = vjp_dC_dW(
-                    u_vec, wm, result.codebook, cfg.tau, fallback,
-                    assignment=result.assignment,
-                )
+            flat_grad = vjp_dC_dW(
+                u_vec, wm, result.codebook, cfg.tau, backend,
+                assignment=result.assignment, inverse=inverse,
+            )
         total = grad_direct + flat_grad.reshape(wm.d, wm.m)
         flat = total.T.ravel()[: tensor.size]
         new_weights[name] = tensor - cfg.learning_rate * flat.reshape(tensor.shape)
         state.codebooks[name] = result.codebook
+        if inverse is None:
+            state.chords.pop(name, None)
+        else:
+            state.chords[name] = inverse
         per_layer[name] = stats
     t_backward = time.perf_counter() - t1
 

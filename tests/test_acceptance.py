@@ -16,6 +16,7 @@ from idkm.cli import EXIT_OK, main
 from idkm.data import mnist_available, read_jsonl
 from idkm.errors import AdjointDivergence
 from idkm.gradcheck import (
+    AveragedAdjoint,
     check_fd_solve,
     check_neumann,
     check_oracle_equivalence,
@@ -55,7 +56,7 @@ def bench_cells():
     return cells
 
 
-BACKEND = GradBackend(max_adjoint_iters=4000)
+BACKEND = GradBackend()
 
 
 def test_criterion_1_implicit_matches_the_unrolled_oracle(instances):
@@ -89,7 +90,7 @@ def test_criterion_3_averaged_inverse_matches_dense_solves():
     # genuinely exercised the restart path; without restarts it must raise
     spiky = np.diag([-1.5, 0.3, 0.2])
     with pytest.raises(AdjointDivergence):
-        neumann_inverse(spiky, GradBackend(alpha0=1.0, max_restarts=0))
+        neumann_inverse(spiky, AveragedAdjoint(alpha0=1.0, max_restarts=0))
 
 
 def test_criterion_4_one_shot_backends_retain_a_single_iterate(bench_cells):

@@ -10,6 +10,8 @@ import pytest
 
 import idkm.bench as bench_mod
 import idkm.gradients as gradients
+import idkm.pq as pq
+import idkm.training as training
 from idkm.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -21,7 +23,7 @@ from idkm.cli import (
 )
 from idkm.config import ConfigError, build_train_config, parse_config
 from idkm.data import load_checkpoint, mnist_paths, read_jsonl, save_checkpoint
-from idkm.errors import AdjointStalled
+from idkm.errors import AdjointSingular
 from idkm.gradients import GradBackend
 from idkm.solver import InitStrategy
 from idkm.training import TrainConfig
@@ -347,18 +349,43 @@ class TestPipeline:
         cfg_path = str(tiny_config())
         assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
 
-        def stalled(upstream, j_c, backend):
-            raise AdjointStalled("adjoint: planted stall")
+        def refused(j_c):
+            raise AdjointSingular("adjoint: planted refusal")
 
-        monkeypatch.setattr(gradients, "_averaged_solve", stalled)
+        monkeypatch.setattr(training, "adjoint_inverse", refused)
         capsys.readouterr()
         assert main(["quantize", "--config", cfg_path]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ") and "planted stall" in err
+        assert err.startswith("numerical failure: ") and "planted refusal" in err
         assert not (tmp_path / "run" / "quantized-implicit.ckpt").exists()
         last = read_jsonl(tmp_path / "run" / "quantize-implicit.jsonl")[-1]
-        assert last["type"] == "failure" and last["error"] == "AdjointStalled"
-        assert "layer0.w" in last["message"] and "planted stall" in last["message"]
+        assert last["type"] == "failure" and last["error"] == "AdjointSingular"
+        assert "layer0.w" in last["message"] and "planted refusal" in last["message"]
+
+    def test_singular_adjoint_falls_back_or_exits_four(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        # dF/dC* = I on layer2.w (30 weights at d = 1): I - dF/dC* is 0.
+        cfg_path = str(tiny_config())
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        real = pq.SoftAssignment.j_c.func
+
+        def planted(asg):
+            j_c = real(asg)
+            return np.eye(len(j_c)) if asg.w.shape[1] == 30 else j_c
+
+        monkeypatch.setattr(pq.SoftAssignment, "j_c", property(planted))
+        report = tmp_path / "run" / "quantize-implicit.jsonl"
+        assert main(["quantize", "--config", cfg_path, "--fallback-jfb"]) == EXIT_OK
+        epochs = [r for r in read_jsonl(report) if r["type"] == "epoch"]
+        assert [r["fallbacks"] for r in epochs[1:]] == [
+            r["step"] - prev["step"] for prev, r in zip(epochs, epochs[1:])
+        ]
+        capsys.readouterr()
+        assert main(["quantize", "--config", cfg_path]) == EXIT_NUMERIC
+        assert "layer2.w: adjoint: I - dF/dC* is singular" in capsys.readouterr().err
+        last = read_jsonl(report)[-1]
+        assert last["type"] == "failure" and last["error"] == "AdjointSingular"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_separation_exits_three(self, tiny_config, capsys, value):
@@ -483,11 +510,11 @@ class TestGradcheckCommand:
         assert "gradcheck PASSED" in capsys.readouterr().out
 
     def test_identity_adjoint_injection_is_caught(self, capsys, monkeypatch):
-        # An adjoint solve that returns its upstream runs jfb in implicit's
-        # place. The dense-inverse check keeps gradcheck's own reference to
-        # the solve, so only the oracle line may fail.
-        monkeypatch.setattr(gradients, "_averaged_solve",
-                            lambda upstream, j_c, backend: upstream)
+        # An adjoint inverse that is the identity runs jfb in implicit's
+        # place. The averaged-inverse check runs gradcheck's own solve, so
+        # only the oracle line may fail.
+        monkeypatch.setattr(gradients, "adjoint_inverse",
+                            lambda j_c: np.eye(len(j_c)))
         code = main(["gradcheck", "--instances", "2", "--skip-fd"])
         assert code == EXIT_CHECK
         out = capsys.readouterr().out

@@ -370,6 +370,25 @@ class TestCheckpoint:
         assert code == EXIT_DATA
         assert "'codebook/layer0.w' has shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["layer2.w", "layer0.b", "layer9.w"],
+                             ids=["unmarked", "bias", "absent"])
+    def test_codebook_must_name_a_quantized_tensor(self, tmp_path, capsys, name):
+        # small_net marks only layer0.w; layer2.w is a dense weight it does
+        # not mark, layer0.b a bias, and layer9.w no tensor at all.
+        net = small_net()
+        path = tmp_path / "q.ckpt"
+        books = {"layer0.w": Codebook(np.arange(4.0).reshape(4, 1)),
+                 name: Codebook(np.arange(2.0).reshape(2, 1))}
+        save_checkpoint(path, net, net.init_weights(0), codebooks=books)
+        with pytest.raises(FormatError, match=re.escape(f"codebooks ['{name}'] name no")):
+            load_checkpoint(path)
+        config = str(REPO / "configs" / "blobs.ini")
+        for mode in ("float", "hard"):
+            code = main(["eval", "--config", config, "--checkpoint", str(path),
+                         "--mode", mode])
+            assert code == EXIT_DATA
+            assert "name no quantized tensor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tamper, error", [
         (_write(b"not a checkpoint"), "no .npz archive"),
         (_write(b"IDKMCKPT" + struct.pack("<Q", 2) + b"{}"),

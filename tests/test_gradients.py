@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idkm.errors import AdjointDivergence, AdjointStalled, ParamError, ShapeError
+from idkm.errors import (
+    AdjointDivergence,
+    AdjointSingular,
+    AdjointStalled,
+    ParamError,
+    ShapeError,
+)
 from idkm.gradcheck import (
+    DIVERGENCE_CAP,
+    DIVERGENCE_GROWTH_STEPS,
     FORWARD_EPS,
     FORWARD_MAX_ITERS,
     TOL_FD_BLOCKS,
     TOL_FD_SOLVE,
     TOL_JFB_BLOCK,
+    AveragedAdjoint,
     GradInstance,
+    _averaged_solve,
     central_differences,
     check_jfb_block,
     check_oracle_equivalence,
@@ -25,10 +35,9 @@ from idkm.gradcheck import (
     run_suite,
 )
 from idkm.gradients import (
-    DIVERGENCE_CAP,
-    DIVERGENCE_GROWTH_STEPS,
+    COND_LIMIT,
     GradBackend,
-    _averaged_solve,
+    adjoint_inverse,
     jacobians_of_F,
     vjp_dC_dW,
 )
@@ -49,7 +58,7 @@ from idkm.solver import (
     solve_fixed_point,
 )
 
-TIGHT = GradBackend(adjoint_eps=1e-12, max_adjoint_iters=4000)
+TIGHT = GradBackend(adjoint_eps=1e-12)
 JFB = GradBackend(kind="jfb")
 UNROLLED = GradBackend(kind="unrolled")
 
@@ -246,11 +255,11 @@ def test_soft_assignment_vjp_matches_central_differences(d):
 
 class TestNeumannInverse:
     def test_zero_matrix_returns_identity_exactly(self):
-        out = neumann_inverse(np.zeros((3, 3)), GradBackend())
+        out = neumann_inverse(np.zeros((3, 3)), AveragedAdjoint())
         np.testing.assert_array_equal(out, np.eye(3))
 
     def test_half_identity_doubles(self):
-        out = neumann_inverse(0.5 * np.eye(4), GradBackend())
+        out = neumann_inverse(0.5 * np.eye(4), AveragedAdjoint())
         np.testing.assert_allclose(out, 2.0 * np.eye(4), atol=1e-6, rtol=0)
 
     def test_matches_dense_solve_at_spectral_radius_08(self):
@@ -258,12 +267,12 @@ class TestNeumannInverse:
         mat = rng.normal(size=(6, 6))
         mat *= 0.8 / max(abs(np.linalg.eigvals(mat)))
         direct = np.linalg.solve(np.eye(6) - mat, np.eye(6))
-        out = neumann_inverse(mat, GradBackend(max_adjoint_iters=4000))
+        out = neumann_inverse(mat, AveragedAdjoint(max_adjoint_iters=4000))
         assert rel_err(out, direct) <= 1e-6
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
-            neumann_inverse(np.zeros((2, 3)), GradBackend())
+            neumann_inverse(np.zeros((2, 3)), AveragedAdjoint())
 
     def test_restarts_recover_from_a_bad_alpha(self):
         # Plain iteration diverges on the -1.5 eigenvalue; halving alpha once
@@ -271,29 +280,29 @@ class TestNeumannInverse:
         spiky = np.diag([-1.5, 0.3, 0.2])
         direct = np.linalg.solve(np.eye(3) - spiky, np.eye(3))
         out = neumann_inverse(
-            spiky, GradBackend(alpha0=1.0, max_adjoint_iters=4000)
+            spiky, AveragedAdjoint(alpha0=1.0, max_adjoint_iters=4000)
         )
         assert rel_err(out, direct) <= 1e-6
 
     def test_divergence_without_restarts_raises(self):
         spiky = np.diag([-1.5, 0.3, 0.2])
         with pytest.raises(AdjointDivergence):
-            neumann_inverse(spiky, GradBackend(alpha0=1.0, max_restarts=0))
+            neumann_inverse(spiky, AveragedAdjoint(alpha0=1.0, max_restarts=0))
 
     def test_unit_circle_crossing_raises_cleanly(self):
         with pytest.raises(AdjointDivergence):
-            neumann_inverse(10.0 * np.eye(2), GradBackend(max_restarts=1))
+            neumann_inverse(10.0 * np.eye(2), AveragedAdjoint(max_restarts=1))
 
     def test_slow_convergence_raises_instead_of_stalling(self):
         nearly_one = (1.0 - 1e-9) * np.eye(3)
         with pytest.raises(AdjointDivergence):
-            neumann_inverse(nearly_one, GradBackend(max_adjoint_iters=50))
+            neumann_inverse(nearly_one, AveragedAdjoint(max_adjoint_iters=50))
 
     def test_alpha_one_near_critical_radius_never_returns_nan(self):
         rng = np.random.default_rng(33)
         mat = rng.normal(size=(5, 5))
         mat *= 0.95 / max(abs(np.linalg.eigvals(mat)))
-        backend = GradBackend(alpha0=1.0, max_adjoint_iters=4000)
+        backend = AveragedAdjoint(alpha0=1.0, max_adjoint_iters=4000)
         try:
             out = neumann_inverse(mat, backend)
         except AdjointDivergence:
@@ -304,34 +313,36 @@ class TestNeumannInverse:
         with pytest.raises(ParamError):
             GradBackend(kind="neumann")
         with pytest.raises(ParamError):
-            GradBackend(alpha0=0.0)
-        with pytest.raises(ParamError):
-            GradBackend(alpha0=1.5)
-        with pytest.raises(ParamError):
-            GradBackend(max_restarts=-1)
-        with pytest.raises(ParamError):
             GradBackend(adjoint_eps=0.0)
         with pytest.raises(ParamError):
-            GradBackend(adjoint_eps=float("nan"))
+            AveragedAdjoint(alpha0=0.0)
+        with pytest.raises(ParamError):
+            AveragedAdjoint(alpha0=1.5)
+        with pytest.raises(ParamError):
+            AveragedAdjoint(max_restarts=-1)
+        with pytest.raises(ParamError):
+            AveragedAdjoint(adjoint_eps=0.0)
+        with pytest.raises(ParamError):
+            AveragedAdjoint(adjoint_eps=float("nan"))
 
 
-def _loop_solve(upstream, j_c, backend, log=None):
+def _loop_solve(upstream, j_c, controls, log=None):
     """The averaged adjoint one step per NumPy call, as _averaged_solve ran
     before it evaluated blocks of steps: the oracle for its decisions.
     Appends each attempt's end to `log` as (reason, step, alpha)."""
     note = log.append if log is not None else lambda event: None
-    alpha = backend.alpha0
-    for _ in range(backend.max_restarts + 1):
+    alpha = controls.alpha0
+    for _ in range(controls.max_restarts + 1):
         x = upstream.copy()
         prev_res = np.inf
         growth = 0
-        for step in range(backend.max_adjoint_iters):
+        for step in range(controls.max_adjoint_iters):
             mapped = upstream + x @ j_c
             res = float(np.linalg.norm(mapped - x))
             if not np.isfinite(res) or res > DIVERGENCE_CAP:
                 note(("cap", step, alpha))
                 break
-            if res < backend.adjoint_eps:
+            if res < controls.adjoint_eps:
                 note(("converged", step, alpha))
                 return x
             growth = growth + 1 if res > prev_res else 0
@@ -341,7 +352,7 @@ def _loop_solve(upstream, j_c, backend, log=None):
             x = alpha * mapped + (1.0 - alpha) * x
             prev_res = res
         else:
-            note(("stalled", backend.max_adjoint_iters, alpha))
+            note(("stalled", controls.max_adjoint_iters, alpha))
             raise AdjointStalled("stalled")
         alpha *= 0.5
     raise AdjointDivergence("diverged")
@@ -387,30 +398,30 @@ class TestBlockedAdjointMatchesTheLoop:
     below the tolerance."""
 
     @staticmethod
-    def _check(upstream, j_c, backend):
+    def _check(upstream, j_c, controls):
         log = []
         try:
-            expected = _loop_solve(upstream, j_c, backend, log)
+            expected = _loop_solve(upstream, j_c, controls, log)
         except AdjointDivergence as exc:
             with pytest.raises(AdjointDivergence) as got:
-                _averaged_solve(upstream, j_c, backend)
+                _averaged_solve(upstream, j_c, controls)
             assert type(got.value) is type(exc)
             return log
-        out = _averaged_solve(upstream, j_c, backend)
+        out = _averaged_solve(upstream, j_c, controls)
         assert rel_err(out, expected) <= 1e-12
-        assert np.linalg.norm(upstream + out @ j_c - out) < backend.adjoint_eps
+        assert np.linalg.norm(upstream + out @ j_c - out) < controls.adjoint_eps
         return log
 
     def test_zero_matrix(self):
         upstream = np.array([0.3, -1.0, 2.0])
-        log = self._check(upstream, np.zeros((3, 3)), GradBackend())
+        log = self._check(upstream, np.zeros((3, 3)), AveragedAdjoint())
         assert log == [("converged", 0, 0.25)]
 
     @pytest.mark.parametrize("radius", [0.8, 0.95])
     def test_contractions(self, radius):
         j_c = _spectral(int(radius * 100), 6, radius)
         upstream = np.random.default_rng(5).normal(size=6)
-        log = self._check(upstream, j_c, GradBackend(max_adjoint_iters=4000))
+        log = self._check(upstream, j_c, AveragedAdjoint(max_adjoint_iters=4000))
         assert [event[0] for event in log] == ["converged"]
         assert log[0][1] > EDGE
 
@@ -418,24 +429,24 @@ class TestBlockedAdjointMatchesTheLoop:
     def test_stall_at_the_iteration_limit(self, limit):
         upstream = np.random.default_rng(6).normal(size=5)
         log = self._check(upstream, _spectral(6, 5, 0.99),
-                          GradBackend(max_adjoint_iters=limit))
+                          AveragedAdjoint(max_adjoint_iters=limit))
         assert log == [("stalled", limit, 0.25)]
 
     def test_cap_divergence_recovered_by_a_restart(self):
         # Alpha 1/2 contracts.
-        log = self._check(*CAP_FIRST, GradBackend(alpha0=1.0))
+        log = self._check(*CAP_FIRST, AveragedAdjoint(alpha0=1.0))
         assert [event[0] for event in log] == ["cap", "converged"]
         assert log[0][1] == 5
 
     def test_ten_increases_diverge_on_every_attempt(self):
         log = self._check(np.ones(2), np.diag([1.05, 0.5]),
-                          GradBackend(alpha0=1.0))
+                          AveragedAdjoint(alpha0=1.0))
         assert [event[0] for event in log] == ["growth"] * 6
 
     def test_increases_counted_across_block_edges(self):
         # Each run of ten increases spans a block edge (steps 61-70, 123-132,
         # 247-256) until alpha 1/8 is too slow for one; that attempt stalls.
-        log = self._check(*LATE_GROWTH, GradBackend(alpha0=1.0))
+        log = self._check(*LATE_GROWTH, AveragedAdjoint(alpha0=1.0))
         assert [event[:2] for event in log] == [
             ("growth", 70), ("growth", 132), ("growth", 256), ("stalled", 500)
         ]
@@ -450,8 +461,8 @@ class TestBlockedAdjointMatchesTheLoop:
         # deciding step, deciding at any other step changes the exception
         # raised. A limit of 70 also ends the second block short of 64.
         upstream, j_c = CAP_FIRST if case == "cap" else LATE_GROWTH
-        backend = GradBackend(alpha0=1.0, max_restarts=0, max_adjoint_iters=limit)
-        log = self._check(upstream, j_c, backend)
+        controls = AveragedAdjoint(alpha0=1.0, max_restarts=0, max_adjoint_iters=limit)
+        log = self._check(upstream, j_c, controls)
         assert [event[0] for event in log] == [reason]
 
     @pytest.mark.parametrize(
@@ -459,7 +470,7 @@ class TestBlockedAdjointMatchesTheLoop:
     )
     def test_convergence_at_a_block_edge(self, converge_at):
         j_c, upstream, eps = _decaying_diagonal(converge_at)
-        log = self._check(upstream, j_c, GradBackend(adjoint_eps=eps))
+        log = self._check(upstream, j_c, AveragedAdjoint(adjoint_eps=eps))
         assert log == [("converged", converge_at, 0.25)]
 
     @pytest.mark.parametrize("converge_at", [EDGE + 35, EDGE + 36])
@@ -467,14 +478,14 @@ class TestBlockedAdjointMatchesTheLoop:
         limit = EDGE + 36
         j_c, upstream, eps = _decaying_diagonal(converge_at)
         log = self._check(upstream, j_c,
-                          GradBackend(adjoint_eps=eps, max_adjoint_iters=limit))
+                          AveragedAdjoint(adjoint_eps=eps, max_adjoint_iters=limit))
         expected = "converged" if converge_at < limit else "stalled"
         assert [event[0] for event in log] == [expected]
 
     def test_overflowing_powers_are_not_a_divergence(self):
         # The averaged step's 2.5e6 eigenvalue overflows its 63rd power, but
         # the residual never has a component along it: the loop converges.
-        log = self._check(np.array([0.0, 1.0]), np.diag([1e7, 0.5]), GradBackend())
+        log = self._check(np.array([0.0, 1.0]), np.diag([1e7, 0.5]), AveragedAdjoint())
         assert [event[0] for event in log] == ["converged"]
         assert log[0][1] > EDGE
 
@@ -482,15 +493,15 @@ class TestBlockedAdjointMatchesTheLoop:
         # The recurrence's residual falls past 1e-17; the directly computed
         # one stops at roundoff, so both stall rather than return.
         upstream = np.random.default_rng(7).normal(size=6)
-        backend = GradBackend(adjoint_eps=1e-17)
-        log = self._check(upstream, _spectral(80, 6, 0.8), backend)
-        assert log == [("stalled", backend.max_adjoint_iters, 0.25)]
+        controls = AveragedAdjoint(adjoint_eps=1e-17)
+        log = self._check(upstream, _spectral(80, 6, 0.8), controls)
+        assert log == [("stalled", controls.max_adjoint_iters, 0.25)]
 
     # k*d = 64 (k = 16, d = 4) runs the same 64-step blocks as k*d = 4.
     def test_contraction_over_many_blocks_at_kd_64(self):
         upstream = np.random.default_rng(8).normal(size=64)
         log = self._check(upstream, _spectral(95, 64, 0.95),
-                          GradBackend(max_adjoint_iters=4000))
+                          AveragedAdjoint(max_adjoint_iters=4000))
         assert [event[0] for event in log] == ["converged"]
         assert log[0][1] > 4 * EDGE
 
@@ -498,7 +509,7 @@ class TestBlockedAdjointMatchesTheLoop:
     def test_stall_at_kd_64(self, limit):
         upstream = np.random.default_rng(8).normal(size=64)
         log = self._check(upstream, _spectral(99, 64, 0.99),
-                          GradBackend(max_adjoint_iters=limit))
+                          AveragedAdjoint(max_adjoint_iters=limit))
         assert log == [("stalled", limit, 0.25)]
 
     def test_divergence_recovered_by_a_restart_at_kd_64(self):
@@ -508,7 +519,7 @@ class TestBlockedAdjointMatchesTheLoop:
         basis, _ = np.linalg.qr(rng.normal(size=(64, 64)))
         eigs = np.concatenate(([-8.0], np.linspace(-0.5, 0.5, 63)))
         j_c = (basis * eigs) @ basis.T
-        log = self._check(rng.normal(size=64), j_c, GradBackend())
+        log = self._check(rng.normal(size=64), j_c, AveragedAdjoint())
         assert [event[0] for event in log] == ["growth", "converged"]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -524,11 +535,11 @@ class TestBlockedAdjointMatchesTheLoop:
     def test_random_systems(self, size, radius, seed, alpha0, max_restarts,
                             max_adjoint_iters, log_eps):
         # Limits that are not powers of two cut the last doubling short.
-        backend = GradBackend(alpha0=alpha0, max_restarts=max_restarts,
+        controls = AveragedAdjoint(alpha0=alpha0, max_restarts=max_restarts,
                               max_adjoint_iters=max_adjoint_iters,
                               adjoint_eps=10.0**log_eps)
         upstream = np.random.default_rng(seed + 1).normal(size=size)
-        self._check(upstream, _spectral(seed, size, radius), backend)
+        self._check(upstream, _spectral(seed, size, radius), controls)
 
 
 class TestImplicit:
@@ -559,13 +570,13 @@ class TestImplicit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_unrolled_oracle(self, seed):
         inst = make_instance(seed)
-        err = check_oracle_equivalence(inst, GradBackend(max_adjoint_iters=4000))
+        err = check_oracle_equivalence(inst, GradBackend())
         assert err <= 1e-4
 
     def test_matches_finite_differences_of_the_solve(self):
         inst = make_instance(7)
         out = dense_dC_dW(
-            inst.w, inst.c_star, inst.tau, GradBackend(max_adjoint_iters=4000)
+            inst.w, inst.c_star, inst.tau, GradBackend()
         )
         assert rel_err(out, fd_solve_jacobian(inst)) <= 1e-3
 
@@ -612,7 +623,7 @@ class TestJfb:
         inst = make_instance(seed)
         jfb = dense_dC_dW(inst.w, inst.c_star, inst.tau, JFB)
         imp = dense_dC_dW(
-            inst.w, inst.c_star, inst.tau, GradBackend(max_adjoint_iters=4000)
+            inst.w, inst.c_star, inst.tau, GradBackend()
         )
         assert float(jfb.ravel() @ imp.ravel()) > 0.0
 
@@ -664,6 +675,42 @@ class TestVjp:
         inst = _converged_instance(6, m=12, k=3, d=1)
         with pytest.raises(ShapeError):
             vjp_dC_dW(np.zeros(5), inst.w, inst.c_star, inst.tau, GradBackend())
+
+
+class TestAdjointInverse:
+    def test_matches_a_dense_solve(self):
+        j_c = _spectral(5, 6, 0.95)
+        direct = np.linalg.solve(np.eye(6) - j_c, np.eye(6))
+        assert rel_err(adjoint_inverse(j_c), direct) <= 1e-12
+
+    def test_singular_matrix_is_refused(self):
+        with pytest.raises(AdjointSingular, match="is singular"):
+            adjoint_inverse(np.diag([1.0, 0.5, 0.0]))
+
+    def test_condition_past_the_limit_is_refused(self):
+        # I - j_c = diag(1, 1/c): invertible, with 1-norm condition number c.
+        for cond, refused in ((0.5 * COND_LIMIT, False), (2.0 * COND_LIMIT, True)):
+            j_c = np.diag([0.0, 1.0 - 1.0 / cond])
+            if refused:
+                with pytest.raises(AdjointSingular, match="condition number"):
+                    adjoint_inverse(j_c)
+            else:
+                adjoint_inverse(j_c)
+
+    def test_given_inverse_is_the_one_used(self):
+        # vjp_dC_dW forms adjoint_inverse(j_c) only when it is not given.
+        inst = _converged_instance(8, m=16, k=4, d=2)
+        upstream = np.random.default_rng(8).normal(size=8)
+        formed = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, GradBackend())
+        j_c = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c
+        given = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, GradBackend(),
+                          inverse=adjoint_inverse(j_c))
+        np.testing.assert_array_equal(formed, given)
+        identity = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, GradBackend(),
+                             inverse=np.eye(8))
+        np.testing.assert_array_equal(
+            identity, vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, JFB)
+        )
 
 
 def test_implicit_and_jfb_need_no_trace():

@@ -7,7 +7,9 @@ import pytest
 
 import idkm.solver as solver
 from idkm.errors import ParamError, ShapeError
-from idkm.pq import Codebook, partition_weights
+from idkm.gradcheck import make_instance
+from idkm.gradients import adjoint_inverse, jacobians_of_F
+from idkm.pq import Codebook, WeightMatrix, partition_weights
 from idkm.solver import (
     FixedPointResult,
     InitStrategy,
@@ -292,3 +294,91 @@ class TestSolve:
             codebook=_book([1.0]), iterations=3, residual=0.5, converged=False
         )
         assert result.retained_codebooks == 1
+        assert result.chord_kept is None
+
+
+def _moved_instance(seed):
+    """A gradcheck instance, its (I - dF/dC*)^-1 at C*, and its weights
+    moved by 1e-3 N(0, 1): the start of a warm solve one step later."""
+    inst = make_instance(seed)
+    j_c = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c
+    rng = np.random.default_rng(seed)
+    moved = inst.w.data + 1e-3 * rng.normal(size=inst.w.data.shape)
+    w = WeightMatrix(data=moved, n=inst.w.n, pad_count=inst.w.pad_count)
+    return inst, w, j_c
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = solver.soft_assign
+
+    def counting(wd, cd, t):
+        calls.append(cd.copy())
+        return real(wd, cd, t)
+
+    monkeypatch.setattr(solver, "soft_assign", counting)
+    return calls
+
+
+class TestChordStep:
+    EPS = 1e-6
+
+    def test_lands_on_plain_iterations_fixed_point(self):
+        # Both solves stop at a gap below eps, and a codebook with gap g is
+        # within about ||(I - dF/dC*)^-1|| g of the fixed point, a norm near
+        # 1 / (1 - rho(dF/dC*)); so the two ends are at most twice that
+        # apart. Instance 6, rho 0.92, needs 72 plain updates.
+        plain_evals = chord_evals = 0
+        for seed in range(20):
+            inst, w, j_c = _moved_instance(seed)
+            inverse = adjoint_inverse(j_c)
+            plain = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5000)
+            warm = solve_fixed_point(
+                w, inst.c_star, inst.tau, self.EPS, 5000, chord=inverse
+            )
+            assert plain.converged and warm.converged and warm.chord_kept is not None
+            bound = 2 * self.EPS * np.linalg.norm(inverse, 2)
+            gap = np.linalg.norm(warm.codebook.data - plain.codebook.data)
+            assert gap <= bound, (seed, gap, bound)
+            plain_evals += plain.iterations + 1
+            chord_evals += warm.iterations + 1 + (not warm.chord_kept)
+        assert chord_evals < 0.6 * plain_evals
+
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_evaluations_count_a_rejected_chord_step(self, monkeypatch, kept):
+        # A kept chord step is the first update. A rejected one (here an
+        # inverse 100 times too large) costs one evaluation and applies no
+        # update, so the solve is plain iteration's, bit for bit.
+        inst, w, j_c = _moved_instance(6)
+        plain = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5000)
+        chord = adjoint_inverse(j_c) if kept else 100.0 * np.eye(len(j_c))
+        calls = _counting(monkeypatch)
+        warm = solve_fixed_point(
+            w, inst.c_star, inst.tau, self.EPS, 5000, chord=chord
+        )
+        assert warm.chord_kept is kept
+        assert len(calls) == warm.iterations + 1 + (not kept)
+        np.testing.assert_array_equal(calls[-1], warm.codebook.data)
+        if kept:
+            assert warm.iterations < plain.iterations
+        else:
+            assert warm.iterations == plain.iterations
+            np.testing.assert_array_equal(warm.codebook.data, plain.codebook.data)
+
+    def test_rejected_chord_step_still_applies_one_update(self):
+        inst, w, j_c = _moved_instance(6)
+        plain = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 1)
+        warm = solve_fixed_point(
+            w, inst.c_star, inst.tau, self.EPS, 1, chord=100.0 * np.eye(len(j_c))
+        )
+        assert (warm.chord_kept, warm.iterations) == (False, 1)
+        np.testing.assert_array_equal(warm.codebook.data, plain.codebook.data)
+
+    def test_chord_is_checked(self):
+        inst, w, j_c = _moved_instance(2)
+        with pytest.raises(ShapeError, match="chord"):
+            solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5,
+                              chord=np.eye(len(j_c) + 1))
+        with pytest.raises(ParamError, match="trace"):
+            solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5,
+                              record_trace=True, chord=adjoint_inverse(j_c))
