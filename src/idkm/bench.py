@@ -77,14 +77,15 @@ def run_cell(
     weights: dict[str, np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
-    backend_kind: str,
+    backends,
     k: int,
     d: int,
     t: int,
     repeats: int = 5,
     seed: int = 0,
-) -> CellResult:
-    """Median step timings for one (backend, k, d, t) grid cell.
+) -> list[CellResult]:
+    """Median step timings for one (k, d, t) grid cell, one result per
+    backend, in the order of `backends`.
 
     Codebooks are first solved to convergence, then every timed step warm
     starts there and is forced through exactly t further iterations. Pinning
@@ -92,47 +93,53 @@ def run_cell(
     assumes a stable solution (dF/dC* with spectral radius below 1), which a
     deliberately truncated solve does not provide.
 
-    Every repeat starts from identical state; the first run is a discarded
-    warm-up.
+    Every step starts from identical state. The first round, one step of
+    each backend, is a discarded warm-up; each of the `repeats` rounds after
+    it steps every backend in turn, so a slow spell of a shared host falls
+    on all of them alike instead of on one backend's repeats.
     """
-    cfg = TrainConfig(
-        k=k,
-        d=d,
-        eps=FORCE_ALL_ITERS_EPS,
-        max_cluster_iters=t,
-        backend=GradBackend(kind=backend_kind),
-        epochs=1,
-        batch_size=len(x),
-        seed=seed,
-    )
-    warm_cfg = dataclasses.replace(cfg, eps=1e-10, max_cluster_iters=3000)
+    cfgs = [
+        TrainConfig(
+            k=k,
+            d=d,
+            eps=FORCE_ALL_ITERS_EPS,
+            max_cluster_iters=t,
+            backend=GradBackend(kind=kind),
+            epochs=1,
+            batch_size=len(x),
+            seed=seed,
+        )
+        for kind in backends
+    ]
+    warm_cfg = dataclasses.replace(cfgs[0], eps=1e-10, max_cluster_iters=3000)
     warm_books = solve_codebooks(net, weights, warm_cfg)
 
-    forwards, backwards, retained = [], [], 0
+    timed: list[list] = [[] for _ in cfgs]
     for attempt in range(repeats + 1):
-        state = TrainState(
-            weights={k2: v.copy() for k2, v in weights.items()},
-            codebooks=dict(warm_books),
-        )
-        _, metrics = quantized_train_step(net, x, y, state, cfg)
-        if metrics.cluster_iters != t:
-            raise RuntimeError(
-                f"expected {t} cluster iterations, measured {metrics.cluster_iters}"
+        for cfg, runs in zip(cfgs, timed):
+            state = TrainState(
+                weights={k2: v.copy() for k2, v in weights.items()},
+                codebooks=dict(warm_books),
             )
-        if attempt == 0:
-            continue
-        forwards.append(metrics.wall_time_forward)
-        backwards.append(metrics.wall_time_backward)
-        retained = metrics.retained_iterate_count
-    return CellResult(
-        backend=backend_kind,
-        k=k,
-        d=d,
-        t=t,
-        forward_s=float(np.median(forwards)),
-        backward_s=float(np.median(backwards)),
-        retained=retained,
-    )
+            _, metrics = quantized_train_step(net, x, y, state, cfg)
+            if metrics.cluster_iters != t:
+                raise RuntimeError(
+                    f"expected {t} cluster iterations, measured {metrics.cluster_iters}"
+                )
+            if attempt > 0:
+                runs.append(metrics)
+    return [
+        CellResult(
+            backend=cfg.backend.kind,
+            k=k,
+            d=d,
+            t=t,
+            forward_s=float(np.median([m.wall_time_forward for m in runs])),
+            backward_s=float(np.median([m.wall_time_backward for m in runs])),
+            retained=runs[-1].retained_iterate_count,
+        )
+        for cfg, runs in zip(cfgs, timed)
+    ]
 
 
 def run_grid(
@@ -149,11 +156,10 @@ def run_grid(
     for t in t_values:
         for k in k_values:
             for d in d_values:
-                for backend in backends:
-                    results.append(
-                        run_cell(net, weights, x, y, backend, k, d, t,
-                                 repeats=repeats, seed=seed)
-                    )
+                results.extend(
+                    run_cell(net, weights, x, y, backends, k, d, t,
+                             repeats=repeats, seed=seed)
+                )
     return results
 
 

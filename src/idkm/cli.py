@@ -86,8 +86,8 @@ def _config_with_overrides(args) -> RunConfig:
     return cfg
 
 
-def _datasets(cfg: RunConfig):
-    """Resolve the (train, eval) pair named by the config."""
+def _dataset(cfg: RunConfig, split: str):
+    """The config's "train" or "eval" split, and only that one."""
     if cfg.dataset == "mnist":
         if not mnist_available(cfg.data_dir):
             root = mnist_paths(cfg.data_dir)["train_images"].parent
@@ -95,25 +95,21 @@ def _datasets(cfg: RunConfig):
                 f"MNIST files not found under {root}; "
                 f"run `idkm fetch-mnist --data-dir {root}` first"
             )
-        return load_mnist(cfg.data_dir, "train"), load_mnist(cfg.data_dir, "test")
+        return load_mnist(cfg.data_dir, "train" if split == "train" else "test")
     data = cfg.data
-    classes = data.get("classes", 4)
-    points = data.get("points_per_class", 200)
-    dim = data.get("dim", 8)
-    separation = data.get("separation", 6.0)
-    train_set = synthetic_blobs(cfg.seed, classes, points, dim, separation)
-    eval_set = synthetic_blobs(
-        cfg.seed + 1, classes, max(points // 4, 1), dim, separation
-    )
+    seed, points = cfg.seed, data.get("points_per_class", 200)
+    if split == "eval":
+        seed, points = seed + 1, max(points // 4, 1)
+    dataset = synthetic_blobs(seed, data.get("classes", 4), points,
+                              data.get("dim", 8), data.get("separation", 6.0))
     if "image_height" in data:
-        shape = (
+        dataset = as_images(
+            dataset,
             data.get("image_channels", 1),
             data["image_height"],
             data.get("image_width", data["image_height"]),
         )
-        train_set = as_images(train_set, *shape)
-        eval_set = as_images(eval_set, *shape)
-    return train_set, eval_set
+    return dataset
 
 
 def _checkpoint(args, cfg: RunConfig, net: Network):
@@ -145,7 +141,7 @@ def _fresh_report(out: Path, name: str, echo: dict) -> Path:
 def cmd_pretrain(args) -> int:
     cfg = _config_with_overrides(args)
     net = cfg.network()
-    train_set, eval_set = _datasets(cfg)
+    train_set, eval_set = _dataset(cfg, "train"), _dataset(cfg, "eval")
     out = Path(cfg.out)
     report = _fresh_report(out, "pretrain.jsonl",
                            {"command": "pretrain", **cfg.echo()})
@@ -183,7 +179,7 @@ def cmd_quantize(args) -> int:
     net = cfg.network()
     tcfg = build_train_config(cfg, vars(args))
     ckpt_path, ckpt = _checkpoint(args, cfg, net)
-    train_set, eval_set = _datasets(cfg)
+    train_set, eval_set = _dataset(cfg, "train"), _dataset(cfg, "eval")
     echo = {
         "command": "quantize",
         **cfg.echo(),
@@ -222,7 +218,7 @@ def cmd_eval(args) -> int:
     cfg = _config_with_overrides(args)
     net = cfg.network()
     _, ckpt = _checkpoint(args, cfg, net)
-    _, eval_set = _datasets(cfg)
+    eval_set = _dataset(cfg, "eval")
     mode = args.mode or ("hard" if ckpt.codebooks else "float")
     marked = set(net.quantized_keys())
     if mode != "float" and ckpt.codebooks and set(ckpt.codebooks) != marked:

@@ -14,7 +14,8 @@ to the weights being clustered:
   layer-step by adjoint_inverse, which raises AdjointSingular when that
   matrix is singular or its condition number is past COND_LIMIT. A training
   step keeps the inverse for the layer's next warm solve, whose first update
-  is a chord step with it (solver.solve_fixed_point).
+  is a chord step with it (solver.solve_fixed_point). A cold solve's Newton
+  steps invert their own evaluation's dF/dC with it too.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
   single Jacobian evaluation.

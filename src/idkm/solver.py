@@ -19,10 +19,17 @@ the loop stops at the first iterate it has certified, and that iterate's
 soft assignment is kept on the result for the training step's soft
 quantizer and backward pass to reuse.
 
-A warm solve may also be given `chord`, the (I - dF/dC)^-1 that the
-implicit adjoint formed at the previous fixed point. Its first update is
-then the guarded chord-Newton step C + chord (F(C) - C) (Kelley 1995),
-kept only if it halves the fixed-point gap; every other update is plain.
+An update may instead be a guarded Newton step C + M (F(C) - C), with M an
+(I - dF/dC)^-1, kept only if it halves the fixed-point gap (Kelley 1995);
+a rejected step costs one evaluation and the plain update runs. A warm
+solve may be given `chord`, the M the implicit adjoint formed at the
+previous fixed point, for its first update; every later update is plain.
+A cold solve may ask for `newton`: each update then tries the step with M
+inverted from that evaluation's own dF/dC (gradients.adjoint_inverse), as
+DEQ forward solves do (Bai, Kolter & Koltun 2019). The first rejected step
+hands the rest of the solve to plain updates, and so does the first
+evaluation where plain iteration does not contract (dF/dC with spectral
+radius 1 or more) or I - dF/dC is singular.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParamError, ShapeError, require_positive_finite
+from .errors import AdjointSingular, ParamError, ShapeError, require_positive_finite
+from .gradients import adjoint_inverse
 # attention stays a name of this module: perfbench traces it as solver.attention.
 from .pq import (  # noqa: F401
     Codebook, SoftAssignment, WeightMatrix, assignment_at, attention,
@@ -57,11 +65,11 @@ class FixedPointResult:
     codebook, the gap the loop stopped on, so a converged result satisfies
     the fixed-point condition to within eps by construction. `assignment` is
     the soft assignment of that last evaluation, taken at the returned
-    codebook. `iterations` counts the updates applied, at least one; a kept
-    chord step is one of them. `chord_kept` is None for a solve given no
-    chord, else whether its chord step was kept. A rejected chord step
-    applies no update but costs an evaluation, so a solve takes
-    iterations + 1 evaluations of F, plus one when `chord_kept` is False.
+    codebook. `iterations` counts the updates applied, at least one;
+    `newton_kept` of them were kept guarded Newton steps (a chord step or
+    the solve's own). `newton_rejected` says whether a guarded step was
+    rejected: that applies no update but costs an evaluation, so a solve
+    takes iterations + 1 evaluations of F, plus one when `newton_rejected`.
     `trace` holds the codebook entering each update, in order, and only when
     recording was requested. `degenerate_clusters` counts the clusters degenerate at C*:
     those whose attention sum there is below the floor, so F keeps their
@@ -74,7 +82,8 @@ class FixedPointResult:
     converged: bool
     trace: tuple[Codebook, ...] | None = None
     degenerate_clusters: int = field(default=0)
-    chord_kept: bool | None = None
+    newton_kept: int = 0
+    newton_rejected: bool = False
     assignment: SoftAssignment | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -121,6 +130,33 @@ def _gap(asg: SoftAssignment) -> float:
     return float(np.linalg.norm(asg.update - asg.c))
 
 
+def _guarded_step(
+    w: WeightMatrix, asg: SoftAssignment, inverse: np.ndarray, tau: float
+) -> SoftAssignment | None:
+    """The evaluation at C + inverse (F(C) - C), with C = asg.c, if its gap
+    is below half the gap at C; else None."""
+    step = asg.update - asg.c
+    newton = (inverse @ step.ravel()).reshape(step.shape)
+    trial = soft_assign(w.data, asg.c + newton, tau)
+    return trial if _gap(trial) < 0.5 * float(np.linalg.norm(step)) else None
+
+
+def _newton_inverse(j_c: np.ndarray) -> np.ndarray | None:
+    """adjoint_inverse(j_c) where plain iteration contracts: None when the
+    spectral radius of j_c is 1 or more, or I - j_c is refused as singular.
+
+    Newton converges to repelling fixed points as readily as to attracting
+    ones, and plain iteration leaves a repelling one; from k-means++ starts,
+    4 of 150 gradcheck instances ended on one without this test.
+    """
+    if np.max(np.abs(np.linalg.eigvals(j_c))) >= 1:
+        return None
+    try:
+        return adjoint_inverse(j_c)
+    except AdjointSingular:
+        return None
+
+
 def solve_fixed_point(
     w: WeightMatrix,
     c0: Codebook,
@@ -129,6 +165,7 @@ def solve_fixed_point(
     max_iters: int,
     record_trace: bool = False,
     chord: np.ndarray | None = None,
+    newton: bool = False,
 ) -> FixedPointResult:
     """Iterate C <- F(C, W) until the returned codebook is a fixed point
     to within eps.
@@ -143,9 +180,13 @@ def solve_fixed_point(
 
     `chord` is a (k*d) x (k*d) (I - dF/dC)^-1 taken at an earlier fixed
     point. The first update is then c0 + chord (F(c0) - c0) if the gap
-    there is below half the gap at c0, else the plain F(c0). A chord step is
-    no update of F, so a recorded trace cannot hold it: the two exclude each
-    other.
+    there is below half the gap at c0, else the plain F(c0). With `newton`,
+    every update tries that step with adjoint_inverse of its own evaluation's
+    dF/dC instead, until the first rejected step, or the first evaluation
+    whose dF/dC has spectral radius 1 or more or is refused as singular;
+    each update after that is plain. A guarded step is no update of F, so a
+    recorded trace cannot hold one: a trace excludes both, and they exclude
+    each other.
     """
     require_positive_finite("tau", tau)
     require_positive_finite("eps", eps)
@@ -154,27 +195,32 @@ def solve_fixed_point(
     require_same_dim(w, c0)
     if c0.k > w.m:
         raise ParamError(f"k={c0.k} exceeds the number of sub-vectors m={w.m}")
-
-    asg = soft_assign(w.data, c0.data, tau)
-    kept = trial = None
+    if record_trace and (chord is not None or newton):
+        raise ParamError("a guarded Newton step cannot be recorded in a trace")
     if chord is not None:
-        if record_trace:
-            raise ParamError("a chord step cannot be recorded in a trace")
+        if newton:
+            raise ParamError("a solve takes a chord or its own Newton steps, not both")
         if chord.shape != (c0.data.size,) * 2:
             raise ShapeError(f"chord is {chord.shape}, expected "
                              f"{(c0.data.size,) * 2} for a {c0.k}x{c0.d} codebook")
-        step = asg.update - asg.c
-        newton = (chord @ step.ravel()).reshape(step.shape)
-        trial = soft_assign(w.data, asg.c + newton, tau)
-        kept = _gap(trial) < 0.5 * float(np.linalg.norm(step))
+
+    asg = soft_assign(w.data, c0.data, tau)
+    inverse, kept, rejected = chord, 0, False
     trace: list[Codebook] | None = [] if record_trace else None
     for iterations in range(1, max_iters + 1):
         if record_trace:
             trace.append(Codebook(asg.c))
-        if kept and iterations == 1:
-            asg = trial
+        if newton:
+            inverse = _newton_inverse(asg.j_c)
+        trial = None if inverse is None else _guarded_step(w, asg, inverse, tau)
+        if trial is not None:
+            asg, kept = trial, kept + 1
         else:
+            # A step failed or not tried ends the guarded steps.
+            rejected = rejected or inverse is not None
+            newton = False
             asg = soft_assign(w.data, asg.update, tau)
+        inverse = None
         residual = _gap(asg)
         if residual < eps:
             break
@@ -186,6 +232,7 @@ def solve_fixed_point(
         converged=residual < eps,
         trace=tuple(trace) if record_trace else None,
         degenerate_clusters=int(asg.degenerate.sum()),
-        chord_kept=kept,
+        newton_kept=kept,
+        newton_rejected=rejected,
         assignment=asg,
     )

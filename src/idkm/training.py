@@ -15,8 +15,11 @@ center update F and F's VJP (f_vjp) and dF/dC (j_c), which the cluster
 backward runs. The implicit backend inverts the small I - j_c once per
 layer-step (gradients.adjoint_inverse); TrainState keeps that inverse next
 to the layer's warm codebook, and the next step's warm solve takes its
-first update as a chord step with it. f_vjp and the soft quantizer's VJP
-run one backward pass through the softmax and the distances
+first update as a chord step with it. The cold solve that gives training
+its first codebooks (solve_codebooks) instead tries a guarded Newton step
+with each evaluation's own inverse, until one fails; record 0 of train()
+counts the cold solves that stop uncertified. f_vjp and the soft
+quantizer's VJP run one backward pass through the softmax and the distances
 (pq._att_vjp_cols). Beyond the network's own arrays, a step therefore holds
 per layer one m x k distance and one m x k attention matrix (float64), its
 (k*d) x (k*d) inverse, and, during that layer's backward pass, its
@@ -149,10 +152,12 @@ def _solve_layer(
     state: TrainState,
     cfg: TrainConfig,
     record: bool,
+    newton: bool = False,
 ) -> tuple[WeightMatrix, FixedPointResult]:
     """Partition one weight tensor and run the clustering solve, starting
     from the layer's codebook in `state` if it has one, with its chord if it
-    has one, else from cfg.init."""
+    has one, else from cfg.init; `newton` asks solve_fixed_point for its
+    guarded Newton steps."""
     wm = partition_weights(tensor.ravel(), cfg.d)
     c0 = state.codebooks.get(key)
     if c0 is None:
@@ -164,7 +169,7 @@ def _solve_layer(
         )
     result = solve_fixed_point(
         wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record,
-        chord=state.chords.get(key),
+        chord=state.chords.get(key), newton=newton,
     )
     return wm, result
 
@@ -311,22 +316,38 @@ def evaluate(
     return hits / len(dataset)
 
 
+def _cold_solves(
+    net: Network, weights: dict[str, np.ndarray], cfg: TrainConfig
+) -> dict[str, FixedPointResult]:
+    """Each quantized layer's cold solve from cfg.init, taken by guarded
+    Newton steps; no gradients."""
+    state = TrainState(weights=weights)
+    return {
+        key: _solve_layer(key, index, weights[key], state, cfg, record=False,
+                          newton=True)[1]
+        for index, key in enumerate(net.quantized_keys())
+    }
+
+
 def solve_codebooks(
     net: Network, weights: dict[str, np.ndarray], cfg: TrainConfig
 ) -> dict[str, Codebook]:
-    """Forward clustering solve for every quantized layer, no gradients."""
-    state = TrainState(weights=weights)
-    books: dict[str, Codebook] = {}
-    for index, key in enumerate(net.quantized_keys()):
-        _, result = _solve_layer(key, index, weights[key], state, cfg, record=False)
-        books[key] = result.codebook
-    return books
+    """Forward clustering solve for every quantized layer, no gradients.
+
+    Each solve starts from cfg.init's k-means++ draw and tries a guarded
+    Newton step (solver.solve_fixed_point) on each update until one fails,
+    so the codebooks a training run warm-starts from are fixed points to
+    within cfg.eps wherever Newton converges within cfg.max_cluster_iters.
+    """
+    return {key: r.codebook for key, r in _cold_solves(net, weights, cfg).items()}
 
 
-def _epoch_record(epoch, state, loss, steps, cfg, hard_acc, soft_acc):
+def _epoch_record(epoch, state, loss, steps, cfg, hard_acc, soft_acc,
+                  cold_unconverged=0):
     """One report line; `steps` is the epoch's StepMetrics, empty for
     record 0. The per-step figures are the epoch's last step's, and
-    unconverged_solves and fallbacks count over all its layer-steps."""
+    unconverged_solves and fallbacks count over all its layer-steps; record
+    0's unconverged_solves counts the cold solves, `cold_unconverged`."""
     last_metrics = steps[-1] if steps else None
     layer_steps = [stats for m in steps for stats in m.per_layer.values()]
     return {
@@ -346,7 +367,9 @@ def _epoch_record(epoch, state, loss, steps, cfg, hard_acc, soft_acc):
         ),
         "t_forward_s": last_metrics.wall_time_forward if last_metrics else 0.0,
         "t_backward_s": last_metrics.wall_time_backward if last_metrics else 0.0,
-        "unconverged_solves": sum(not stats["converged"] for stats in layer_steps),
+        "unconverged_solves": cold_unconverged + sum(
+            not stats["converged"] for stats in layer_steps
+        ),
         "fallbacks": sum(stats["fallback"] for stats in layer_steps),
     }
 
@@ -362,28 +385,33 @@ def train(
     """Run the full quantization loop; returns per-epoch records and state.
 
     Record 0 evaluates the clustered pretrained model before any update, so
-    epochs=0 degenerates to a pure evaluation. Evaluation always reports the
-    hard-quantized accuracy (the deployed model uses the codebook, not the
-    soft surrogate); the soft number is carried alongside for comparison.
+    epochs=0 degenerates to a pure evaluation; its unconverged_solves counts
+    the cold solves (solve_codebooks) that stopped at max_cluster_iters.
+    Evaluation always reports the hard-quantized accuracy (the deployed
+    model uses the codebook, not the soft surrogate); the soft number is
+    carried alongside for comparison.
     """
     eval_set = eval_set if eval_set is not None else train_set
     state = TrainState(weights={k: np.array(v) for k, v in weights.items()})
-    state.codebooks = solve_codebooks(net, state.weights, cfg)
+    cold = _cold_solves(net, state.weights, cfg)
+    state.codebooks = {key: result.codebook for key, result in cold.items()}
     rng = np.random.default_rng(cfg.seed)
 
-    def snapshot(epoch, mean_loss, steps):
+    def snapshot(epoch, mean_loss, steps, cold_unconverged=0):
         hard = evaluate(
             net, state.weights, eval_set, state.codebooks, mode="hard"
         )
         soft = evaluate(
             net, state.weights, eval_set, state.codebooks, mode="soft", tau=cfg.tau
         )
-        record = _epoch_record(epoch, state, mean_loss, steps, cfg, hard, soft)
+        record = _epoch_record(epoch, state, mean_loss, steps, cfg, hard, soft,
+                               cold_unconverged)
         if on_epoch:
             on_epoch(record)
         return record
 
-    history = [snapshot(0, None, [])]
+    history = [snapshot(0, None, [],
+                        sum(not result.converged for result in cold.values()))]
     for epoch in range(1, cfg.epochs + 1):
         steps = []
         for bx, by in train_set.batches(cfg.batch_size, rng=rng):

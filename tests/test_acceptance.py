@@ -49,10 +49,9 @@ def bench_cells():
     net, weights, x, y = timing_instance(seed=0, batch_size=16)
     cells = {}
     for t, repeats in ((5, 1), (30, 5), (100, 1)):
-        for kind in ("jfb", "implicit", "unrolled"):
-            cells[kind, t] = run_cell(
-                net, weights, x, y, kind, k=4, d=1, t=t, repeats=repeats
-            )
+        for cell in run_cell(net, weights, x, y, ("jfb", "implicit", "unrolled"),
+                             k=4, d=1, t=t, repeats=repeats):
+            cells[cell.backend, t] = cell
     return cells
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import idkm.bench as bench_mod
+import idkm.cli as cli
 import idkm.gradients as gradients
 import idkm.pq as pq
 import idkm.training as training
@@ -323,6 +324,27 @@ class TestPipeline:
         assert "mode hard" in shown
         assert "2 bits/weight" in shown
 
+    @pytest.mark.parametrize("dataset", ["blobs", "mnist"])
+    def test_eval_builds_only_its_eval_split(self, tiny_config, monkeypatch, dataset):
+        # eval reads the eval split alone; building the training split too
+        # cost blob eval most of its time, and decoded MNIST's 60,000
+        # training images for nothing.
+        cfg_path = str(tiny_config())
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        eval_set = cli.synthetic_blobs(1, 3, 10, 6, 6.0)
+        built = []
+        if dataset == "mnist":
+            cfg_path = str(tiny_config(**{"dataset = blobs": "dataset = mnist"}))
+            monkeypatch.setattr(cli, "mnist_available", lambda data_dir: True)
+            monkeypatch.setattr(cli, "load_mnist", lambda data_dir, split: (
+                built.append(split) or eval_set))
+        else:
+            real = cli.synthetic_blobs
+            monkeypatch.setattr(cli, "synthetic_blobs", lambda seed, *rest: (
+                built.append(seed) or real(seed, *rest)))
+        assert main(["eval", "--config", cfg_path]) == EXIT_OK
+        assert built == (["test"] if dataset == "mnist" else [1])
+
     def test_conv_pipeline_roundtrips_the_layer_specs(self, tmp_path, capsys):
         cfg_path = tmp_path / "conv.ini"
         cfg_path.write_text(CONV_INI.format(out=tmp_path / "run"))
@@ -552,6 +574,21 @@ class TestBenchCommand:
         assert retained == {"jfb": 1, "implicit": 1, "unrolled": 3}
         shown = capsys.readouterr().out
         assert "backend" in shown and "unrolled" in shown
+
+    def test_backends_of_a_cell_are_timed_in_turn(self, monkeypatch):
+        # A warm-up round, then each repeat steps every backend once, so a
+        # slow spell of the host cannot fall on one backend's repeats alone.
+        order = []
+        real = bench_mod.quantized_train_step
+
+        def recording(net, x, y, state, cfg):
+            order.append(cfg.backend.kind)
+            return real(net, x, y, state, cfg)
+
+        monkeypatch.setattr(bench_mod, "quantized_train_step", recording)
+        argv = ["bench", "--t", "2", "--repeats", "2", "--batch-size", "4"]
+        assert main(argv) == EXIT_OK
+        assert order == ["jfb", "implicit", "unrolled"] * 3
 
     def test_bad_grid_spec_exits_three(self, capsys):
         assert main(["bench", "--t", "3,x"]) == EXIT_CONFIG

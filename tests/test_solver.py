@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import idkm.solver as solver
-from idkm.errors import ParamError, ShapeError
+from idkm.errors import AdjointSingular, ParamError, ShapeError
 from idkm.gradcheck import make_instance
 from idkm.gradients import adjoint_inverse, jacobians_of_F
 from idkm.pq import Codebook, WeightMatrix, partition_weights
@@ -294,7 +294,7 @@ class TestSolve:
             codebook=_book([1.0]), iterations=3, residual=0.5, converged=False
         )
         assert result.retained_codebooks == 1
-        assert result.chord_kept is None
+        assert (result.newton_kept, result.newton_rejected) == (0, False)
 
 
 def _moved_instance(seed):
@@ -336,12 +336,13 @@ class TestChordStep:
             warm = solve_fixed_point(
                 w, inst.c_star, inst.tau, self.EPS, 5000, chord=inverse
             )
-            assert plain.converged and warm.converged and warm.chord_kept is not None
+            assert plain.converged and warm.converged
+            assert warm.newton_kept + warm.newton_rejected == 1
             bound = 2 * self.EPS * np.linalg.norm(inverse, 2)
             gap = np.linalg.norm(warm.codebook.data - plain.codebook.data)
             assert gap <= bound, (seed, gap, bound)
             plain_evals += plain.iterations + 1
-            chord_evals += warm.iterations + 1 + (not warm.chord_kept)
+            chord_evals += warm.iterations + 1 + warm.newton_rejected
         assert chord_evals < 0.6 * plain_evals
 
     @pytest.mark.parametrize("kept", [True, False])
@@ -356,7 +357,7 @@ class TestChordStep:
         warm = solve_fixed_point(
             w, inst.c_star, inst.tau, self.EPS, 5000, chord=chord
         )
-        assert warm.chord_kept is kept
+        assert (warm.newton_kept, warm.newton_rejected) == (kept, not kept)
         assert len(calls) == warm.iterations + 1 + (not kept)
         np.testing.assert_array_equal(calls[-1], warm.codebook.data)
         if kept:
@@ -371,7 +372,7 @@ class TestChordStep:
         warm = solve_fixed_point(
             w, inst.c_star, inst.tau, self.EPS, 1, chord=100.0 * np.eye(len(j_c))
         )
-        assert (warm.chord_kept, warm.iterations) == (False, 1)
+        assert (warm.newton_kept, warm.newton_rejected, warm.iterations) == (0, True, 1)
         np.testing.assert_array_equal(warm.codebook.data, plain.codebook.data)
 
     def test_chord_is_checked(self):
@@ -382,3 +383,81 @@ class TestChordStep:
         with pytest.raises(ParamError, match="trace"):
             solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5,
                               record_trace=True, chord=adjoint_inverse(j_c))
+
+
+class TestNewtonColdSolve:
+    EPS = 1e-6
+
+    def test_lands_on_plain_iterations_fixed_point_from_kmeans_pp(self):
+        # The solve ends where plain iteration does, to within the bound
+        # TestChordStep derives, at an attracting fixed point. The one
+        # exception is pinned: instance 5's first step halves its gap
+        # (0.245 -> 0.117) into the basin of another attracting fixed point.
+        plain_evals = newton_evals = 0
+        elsewhere = []
+        for seed in range(20):
+            inst = make_instance(seed)
+            plain = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 5000)
+            cold = solve_fixed_point(
+                inst.w, inst.c0, inst.tau, self.EPS, 5000, newton=True
+            )
+            assert plain.converged and cold.converged
+            assert np.max(np.abs(np.linalg.eigvals(cold.assignment.j_c))) < 1
+            j_c = jacobians_of_F(inst.w, plain.codebook, inst.tau).j_c
+            inverse = adjoint_inverse(j_c)
+            bound = 2 * self.EPS * np.linalg.norm(inverse, 2)
+            if np.linalg.norm(cold.codebook.data - plain.codebook.data) > bound:
+                elsewhere.append(seed)
+            plain_evals += plain.iterations + 1
+            newton_evals += cold.iterations + 1 + cold.newton_rejected
+        assert elsewhere == [5]
+        assert newton_evals < plain_evals
+
+    @pytest.mark.parametrize("planted", ["rejected", "singular", "repelling"])
+    def test_a_failed_first_step_gives_plain_iteration_bit_for_bit(
+        self, monkeypatch, planted
+    ):
+        # A step that fails the halving test (here with 100 I for the
+        # inverse) costs one evaluation and applies no update. A refused
+        # I - dF/dC, or a dF/dC with spectral radius 1 or more (instance 0
+        # starts at 1.61), tries no step and costs none.
+        inst = make_instance(0 if planted == "repelling" else 2)
+        plain = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 5000)
+        inverses = []
+
+        def planted_inverse(j_c):
+            inverses.append(j_c)
+            if planted == "singular":
+                raise AdjointSingular("planted")
+            return 100.0 * np.eye(len(j_c))
+
+        monkeypatch.setattr(solver, "adjoint_inverse", planted_inverse)
+        calls = _counting(monkeypatch)
+        cold = solve_fixed_point(
+            inst.w, inst.c0, inst.tau, self.EPS, 5000, newton=True
+        )
+        rejected = planted == "rejected"
+        assert (cold.newton_kept, cold.newton_rejected) == (0, rejected)
+        assert len(inverses) == (planted != "repelling")
+        assert len(calls) == plain.iterations + 1 + rejected
+        assert cold.iterations == plain.iterations
+        np.testing.assert_array_equal(cold.codebook.data, plain.codebook.data)
+
+    def test_converges_where_plain_iteration_stops_at_the_cap(self):
+        # Instance 97 needs 61 plain updates; five Newton steps do.
+        inst = make_instance(97)
+        plain = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 30)
+        cold = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 30, newton=True)
+        assert not plain.converged and plain.iterations == 30
+        assert cold.converged and cold.iterations == cold.newton_kept == 5
+        converged = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 5000)
+        assert np.linalg.norm(cold.codebook.data - converged.codebook.data) < 1e-5
+
+    def test_newton_excludes_a_trace_and_a_chord(self):
+        inst = make_instance(2)
+        with pytest.raises(ParamError, match="trace"):
+            solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 5,
+                              record_trace=True, newton=True)
+        with pytest.raises(ParamError, match="chord"):
+            solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 5, newton=True,
+                              chord=np.eye(inst.c0.data.size))

@@ -504,16 +504,47 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "quantized_train_step", recording_step)
         net, weights, data = blob_task(10, points=10)
-        # Three updates are too few for some of the solves.
-        cfg = small_cfg(epochs=2, max_cluster_iters=3, fallback_jfb=True)
+        # Five updates are too few for both cold solves (Newton steps take
+        # them to 52 and 29 updates) and for some of the warm ones.
+        cfg = small_cfg(epochs=2, max_cluster_iters=5, fallback_jfb=True)
         history, _ = train(net, weights, cfg, data)
         half = len(steps) // 2
         expected = [
             sum(not stats["converged"] for m in epoch for stats in m.per_layer.values())
             for epoch in (steps[:half], steps[half:])
         ]
-        assert [r["unconverged_solves"] for r in history] == [0, *expected]
+        assert [r["unconverged_solves"] for r in history] == [2, *expected]
         assert 0 < sum(expected) < 2 * len(steps)
+
+    def test_record_zero_counts_the_cold_solves_at_the_cap(self, monkeypatch):
+        # One update cannot converge either cold solve, and record 0, which
+        # no training step precedes, reports both.
+        cold = []
+        real = training.solve_fixed_point
+
+        def recording_solve(*args, **kwargs):
+            cold.append(real(*args, **kwargs))
+            return cold[-1]
+
+        monkeypatch.setattr(training, "solve_fixed_point", recording_solve)
+        net, weights, data = blob_task(10, points=10)
+        history, _ = train(net, weights, small_cfg(epochs=0, max_cluster_iters=1), data)
+        assert len(cold) == 2 and not any(result.converged for result in cold)
+        assert history[0]["unconverged_solves"] == 2
+
+    def test_only_the_cold_solves_take_newton_steps(self, monkeypatch):
+        newton = []
+        real = training.solve_fixed_point
+
+        def recording_solve(*args, **kwargs):
+            newton.append(kwargs["newton"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "solve_fixed_point", recording_solve)
+        net, weights, data = blob_task(10, points=10)
+        train(net, weights, small_cfg(epochs=1), data)
+        assert newton == [True, True] + [False] * (len(newton) - 2)
+        assert len(newton) > 2
 
     def test_zero_epochs_is_pure_evaluation(self):
         net, weights, data = blob_task(10, points=10)
