@@ -41,7 +41,6 @@ from .data import (
     synthetic_blobs,
 )
 from .errors import (
-    AdjointDivergence,
     ConfigError,
     FormatError,
     NumericsError,
@@ -89,13 +88,14 @@ def _config_with_overrides(args) -> RunConfig:
 def _dataset(cfg: RunConfig, split: str):
     """The config's "train" or "eval" split, and only that one."""
     if cfg.dataset == "mnist":
-        if not mnist_available(cfg.data_dir):
+        part = "train" if split == "train" else "test"
+        if not mnist_available(cfg.data_dir, part):
             root = mnist_paths(cfg.data_dir)["train_images"].parent
             raise FileNotFoundError(
                 f"MNIST files not found under {root}; "
                 f"run `idkm fetch-mnist --data-dir {root}` first"
             )
-        return load_mnist(cfg.data_dir, "train" if split == "train" else "test")
+        return load_mnist(cfg.data_dir, part)
     data = cfg.data
     seed, points = cfg.seed, data.get("points_per_class", 200)
     if split == "eval":
@@ -192,9 +192,11 @@ def cmd_quantize(args) -> int:
     def on_epoch(rec):
         append_jsonl(report, {"type": "epoch", **rec})
         loss = "  --  " if rec["loss"] is None else f"{rec['loss']:.4f}"
+        unconverged = rec["unconverged_solves"]
         print(f"epoch {rec['epoch']:>3}  loss {loss}  "
               f"hard {rec['top1_hard']:.4f}  soft {rec['top1_soft']:.4f}  "
-              f"retained {rec['retained_iterates']}")
+              f"retained {rec['retained_iterates']}"
+              + (f"  unconverged {unconverged}" if unconverged else ""))
 
     try:
         history, state = train(net, ckpt.weights, tcfg, train_set, eval_set,
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, FormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (AdjointDivergence, NumericsError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -143,8 +143,11 @@ def mnist_paths(data_dir=None) -> dict[str, Path]:
     return {key: root / name for key, name in MNIST_FILES.items()}
 
 
-def mnist_available(data_dir=None) -> bool:
-    return all(p.exists() for p in mnist_paths(data_dir).values())
+def mnist_available(data_dir=None, split: str | None = None) -> bool:
+    """Whether the split's image/label pair ("train" or "test") is on disk;
+    all four files when split is None."""
+    return all(path.exists() for key, path in mnist_paths(data_dir).items()
+               if split is None or key.startswith(f"{split}_"))
 
 
 def load_mnist(data_dir=None, split: str = "train") -> Dataset:

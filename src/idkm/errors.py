@@ -20,7 +20,8 @@ def require_positive_finite(name: str, value: float | None) -> None:
 
 
 class NumericsError(IdkmError):
-    """A computation produced non-finite values."""
+    """A computation produced non-finite values, or a solve could not be
+    trusted or did not converge."""
 
 
 class AdjointSingular(NumericsError):
@@ -29,14 +30,16 @@ class AdjointSingular(NumericsError):
     cannot be trusted."""
 
 
-class AdjointDivergence(IdkmError):
-    """gradcheck's averaged adjoint iteration diverged on every alpha-halving
-    restart; also the base of AdjointStalled, so one except clause takes both."""
+class AdjointDivergence(NumericsError):
+    """Every attempt of gradcheck's averaged adjoint loop diverged: its
+    residual passed the cap, was not finite, or rose ten steps in a row, at
+    each alpha of the halving restarts. Also the base of AdjointStalled, so
+    one except clause takes both."""
 
 
 class AdjointStalled(AdjointDivergence):
-    """An attempt of gradcheck's averaged adjoint iteration ran its iteration
-    limit without diverging and without its residual getting below the
+    """An attempt of gradcheck's averaged adjoint loop ran max_adjoint_iters
+    steps without diverging and without its residual getting below the
     tolerance."""
 
 

@@ -9,10 +9,10 @@ the dense dF/dW. The CLI's gradcheck command and the test suite both run
 through this module so they cannot drift apart.
 
 It also holds the paper's matrix-free adjoint, the averaged fixed-point
-iteration with alpha-halving restarts (_averaged_solve), which training no
-longer runs: it inverts I - dF/dC* directly (gradients.adjoint_inverse).
-neumann_inverse stacks the averaged solve over basis rows, and the last
-check holds it to a dense solve.
+iteration with alpha-halving restarts (_averaged_solve), a plain loop of one
+product with dF/dC* a step. Training does not run it: it inverts I - dF/dC*
+directly (gradients.adjoint_inverse). neumann_inverse stacks the averaged
+solve over basis rows, and the last check holds it to a dense solve.
 
 Every dense dC*/dW here is dense_dC_dW: the VJP a training step runs
 (vjp_dC_dW, vjp_through_trace), probed with the k*d basis rows. So the
@@ -34,7 +34,6 @@ from .errors import (
     NumericsError,
     ParamError,
     ShapeError,
-    require_positive_finite,
 )
 from .gradients import GradBackend, jacobians_of_F, vjp_dC_dW, vjp_through_trace
 from .pq import (
@@ -262,6 +261,7 @@ def check_jfb_block(inst: GradInstance) -> float:
 
 DIVERGENCE_CAP = 1e8
 DIVERGENCE_GROWTH_STEPS = 10
+ADJOINT_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,6 @@ class AveragedAdjoint:
     alpha0: float = 0.25
     max_adjoint_iters: int = 500
     max_restarts: int = 5
-    adjoint_eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.alpha0 <= 1:
@@ -286,55 +285,6 @@ class AveragedAdjoint:
             raise ParamError("max_restarts must be >= 0")
         if self.max_adjoint_iters < 1:
             raise ParamError("max_adjoint_iters must be >= 1")
-        require_positive_finite("adjoint_eps", self.adjoint_eps)
-
-
-def _averaged_run(
-    upstream: np.ndarray, j_c: np.ndarray, alpha: float, controls: AveragedAdjoint
-) -> np.ndarray | None:
-    """One attempt of _averaged_solve at alpha: an iterate whose directly
-    computed residual is below controls.adjoint_eps, or None on divergence.
-    Raises AdjointStalled when max_adjoint_iters steps decide nothing. Holds
-    at most max_adjoint_iters rows of k*d floats, and one square per doubling."""
-    eps = controls.adjoint_eps
-    limit = controls.max_adjoint_iters
-    squares = [(1.0 - alpha) * np.eye(upstream.size) + alpha * j_c]
-    rows = np.empty((limit, upstream.size))
-    x = upstream.copy()
-    prev = np.inf
-    growth = 0
-    start = 0
-    while True:
-        rows[0] = upstream + x @ j_c - x
-        res = [float(np.linalg.norm(rows[0]))]
-        # res grows, by doubling, each time the loop reaches its end.
-        for at, r in enumerate(res):
-            if not eps <= r <= DIVERGENCE_CAP:
-                if at and (r < eps or not np.isfinite(r)):
-                    break
-                return x if r < eps else None
-            if r > prev:
-                growth += 1
-                if growth >= DIVERGENCE_GROWTH_STEPS:
-                    return None
-            else:
-                growth = 0
-            prev = r
-            held = at + 1
-            if held == len(res):
-                if start + held == limit:
-                    raise AdjointStalled(f"adjoint: residual still above {eps:g} "
-                                         f"after {limit} iterations at alpha={alpha:g}")
-                level = held.bit_length() - 1
-                take = min(held, limit - start - held)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if level == len(squares):
-                        squares.append(squares[-1] @ squares[-1])
-                    new = rows[:take] @ squares[level]
-                    res += np.sqrt(np.einsum("ij,ij->i", new, new)).tolist()
-                rows[held:held + take] = new
-        x = x + alpha * rows[:at].sum(axis=0)
-        start += at
 
 
 def _averaged_solve(
@@ -342,26 +292,36 @@ def _averaged_solve(
 ) -> np.ndarray:
     """Adjoint row v = upstream + v j_c by averaged iteration from upstream.
 
-    Each step maps x to g(x) = upstream + x j_c and moves to
-    alpha*g(x) + (1-alpha)*x. Divergence (ten consecutive residual increases,
-    a residual above the cap, or non-finite values) restarts from upstream
-    with alpha halved; reaching max_adjoint_iters without diverging raises
-    AdjointStalled. Returns an iterate whose directly computed residual
-    ||g(x) - x|| is below controls.adjoint_eps.
-
-    An attempt (_averaged_run) predicts residuals from one computed from x:
-    r_{n+1} = r_n M with M = (1-alpha) I + alpha j_c, so rows h..2h-1 are
-    rows 0..h-1 times M^h, doubled as far as the checks reach, each square
-    made when first needed. A predicted norm that is below the tolerance or
-    not finite is computed directly, after x moves by alpha times the rows
-    before it; so roundoff that floors the true residual stalls.
+    Each step maps x to g(x) = upstream + x j_c, one product with j_c, and
+    returns x once the residual ||g(x) - x|| is below ADJOINT_EPS; otherwise
+    it moves to alpha*g(x) + (1-alpha)*x. A residual that is not finite or is
+    above DIVERGENCE_CAP, or that has risen DIVERGENCE_GROWTH_STEPS steps in a
+    row, ends the attempt: the next starts again from upstream with alpha
+    halved. An attempt that runs max_adjoint_iters steps without either
+    raises AdjointStalled; when every attempt diverges, AdjointDivergence.
     """
     alpha = controls.alpha0
     attempts = controls.max_restarts + 1
+    limit = controls.max_adjoint_iters
     for _ in range(attempts):
-        x = _averaged_run(upstream, j_c, alpha, controls)
-        if x is not None:
-            return x
+        x = upstream.copy()
+        prev = np.inf
+        growth = 0
+        for _ in range(limit):
+            mapped = upstream + x @ j_c
+            res = float(np.linalg.norm(mapped - x))
+            if not res <= DIVERGENCE_CAP:
+                break
+            if res < ADJOINT_EPS:
+                return x
+            growth = growth + 1 if res > prev else 0
+            if growth >= DIVERGENCE_GROWTH_STEPS:
+                break
+            x = alpha * mapped + (1.0 - alpha) * x
+            prev = res
+        else:
+            raise AdjointStalled(f"adjoint: residual still above {ADJOINT_EPS:g} "
+                                 f"after {limit} iterations at alpha={alpha:g}")
         alpha *= 0.5
     raise AdjointDivergence(
         f"adjoint: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"

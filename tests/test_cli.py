@@ -10,6 +10,7 @@ import pytest
 
 import idkm.bench as bench_mod
 import idkm.cli as cli
+import idkm.gradcheck as gradcheck
 import idkm.gradients as gradients
 import idkm.pq as pq
 import idkm.training as training
@@ -24,7 +25,7 @@ from idkm.cli import (
 )
 from idkm.config import ConfigError, build_train_config, parse_config
 from idkm.data import load_checkpoint, mnist_paths, read_jsonl, save_checkpoint
-from idkm.errors import AdjointSingular
+from idkm.errors import AdjointDivergence, AdjointSingular
 from idkm.gradients import GradBackend
 from idkm.solver import InitStrategy
 from idkm.training import TrainConfig
@@ -335,7 +336,7 @@ class TestPipeline:
         built = []
         if dataset == "mnist":
             cfg_path = str(tiny_config(**{"dataset = blobs": "dataset = mnist"}))
-            monkeypatch.setattr(cli, "mnist_available", lambda data_dir: True)
+            monkeypatch.setattr(cli, "mnist_available", lambda data_dir, split: True)
             monkeypatch.setattr(cli, "load_mnist", lambda data_dir, split: (
                 built.append(split) or eval_set))
         else:
@@ -408,6 +409,28 @@ class TestPipeline:
         assert "layer2.w: adjoint: I - dF/dC* is singular" in capsys.readouterr().err
         last = read_jsonl(report)[-1]
         assert last["type"] == "failure" and last["error"] == "AdjointSingular"
+
+    def test_epoch_line_names_the_unconverged_solves(
+        self, tiny_config, tmp_path, capsys
+    ):
+        # One update per solve leaves solves uncertified; the default cap
+        # certifies every solve on this config, and then the line says nothing.
+        cfg_path = str(tiny_config())
+        report = tmp_path / "run" / "quantize-implicit.jsonl"
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        for flags in (["--max-cluster-iters", "1"], []):
+            capsys.readouterr()
+            assert main(["quantize", "--config", cfg_path, *flags]) == EXIT_OK
+            shown = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("epoch")]
+            counts = [r["unconverged_solves"] for r in read_jsonl(report)
+                      if r["type"] == "epoch"]
+            assert len(shown) == len(counts) == 3
+            assert any(counts) == bool(flags)
+            for line, count in zip(shown, counts):
+                tail = line.split("  retained ")[1]
+                assert tail.endswith(f"  unconverged {count}") if count else (
+                    tail.isdigit())
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_separation_exits_three(self, tiny_config, capsys, value):
@@ -551,6 +574,15 @@ class TestGradcheckCommand:
         assert len(re.findall(r"^.*: skipped$", out, re.MULTILINE)) == 3
         assert "finite diff  : skipped" in out
         assert "0.000e+00" not in out
+
+    def test_averaged_adjoint_divergence_exits_four(self, capsys, monkeypatch):
+        def diverged(seed):
+            raise AdjointDivergence("adjoint: planted divergence")
+
+        monkeypatch.setattr(gradcheck, "check_neumann", diverged)
+        assert main(["gradcheck", "--instances", "1", "--skip-fd"]) == EXIT_NUMERIC
+        assert ("numerical failure: adjoint: planted divergence"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["--instances", "0"], ["--instances", "-2"], ["--seed", "-1"],

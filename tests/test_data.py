@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idkm.cli import EXIT_DATA, main
+from idkm.cli import EXIT_DATA, EXIT_OK, main
+from idkm.config import parse_config
 from idkm.data import (
     MNIST_FILES,
     Dataset,
@@ -114,6 +115,25 @@ class TestIdx:
         code = main(["pretrain", "--config", str(config), "--out", str(tmp_path)])
         assert code == EXIT_DATA
         assert "holds no images" in capsys.readouterr().err
+
+    def test_eval_needs_only_the_test_pair(self, tmp_path, capsys):
+        # One blank 28x28 image and its label, as the two t10k-* files alone.
+        (tmp_path / MNIST_FILES["test_images"]).write_bytes(gzip.compress(
+            struct.pack(">IIII", 0x803, 1, 28, 28) + bytes(28 * 28)))
+        (tmp_path / MNIST_FILES["test_labels"]).write_bytes(gzip.compress(
+            struct.pack(">II", 0x801, 1) + bytes([7])))
+        config = tmp_path / "mnist.ini"
+        config.write_text((REPO / "configs" / "mnist.ini").read_text().replace(
+            "[run]\n", f"[run]\ndata_dir = {tmp_path}\n"))
+        net = parse_config(config).network()
+        ckpt = tmp_path / "untrained.ckpt"
+        save_checkpoint(ckpt, net, net.init_weights(0))
+        code = main(["eval", "--config", str(config), "--checkpoint", str(ckpt)])
+        assert code == EXIT_OK
+        assert "mode float" in capsys.readouterr().out
+        code = main(["pretrain", "--config", str(config), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert f"MNIST files not found under {tmp_path}; " in capsys.readouterr().err
 
     def test_mnist_paths_honor_the_environment(self, monkeypatch):
         monkeypatch.setenv("IDKM_DATA_DIR", "/nonexistent/mnist")
