@@ -325,28 +325,6 @@ class TestNeumannInverse:
             out = neumann_inverse(np.array([[0.5]]), controls)
             np.testing.assert_allclose(out, [[2.0]], atol=1e-7, rtol=0)
 
-    @pytest.mark.parametrize("upstream, deciding_step", [(1e7, 5), (1.0, 10)],
-                             ids=["cap", "ten-rises"])
-    def test_a_divergence_is_recovered_by_one_restart(self, upstream, deciding_step):
-        # At alpha 1 the residual of step n is upstream * 1.5^(n+1). From 1e7
-        # it passes the cap at step 5, before ten rises; from 1 its tenth rise
-        # is at step 10, far below the cap. Alpha 1/2 contracts.
-        j_c, upstream = np.array([[-1.5]]), np.array([upstream])
-
-        def one_attempt(limit):
-            controls = AveragedAdjoint(alpha0=1.0, max_restarts=0,
-                                       max_adjoint_iters=limit)
-            return _averaged_solve(upstream, j_c, controls)
-
-        with pytest.raises(AdjointStalled):
-            one_attempt(deciding_step)
-        with pytest.raises(AdjointDivergence) as got:
-            one_attempt(deciding_step + 1)
-        assert type(got.value) is AdjointDivergence
-        restarted = AveragedAdjoint(alpha0=1.0, max_restarts=1)
-        out = _averaged_solve(upstream, j_c, restarted)
-        assert abs(upstream + out @ j_c - out)[0] < ADJOINT_EPS
-
     def test_ten_rises_on_every_attempt_diverge_rather_than_stall(self):
         # The 1.05 eigenvalue makes the averaged step grow at every alpha.
         with pytest.raises(AdjointDivergence) as got:
@@ -354,14 +332,6 @@ class TestNeumannInverse:
                             AveragedAdjoint(alpha0=1.0))
         assert type(got.value) is AdjointDivergence
         assert "diverged on all 6 attempts (final alpha=0.03125)" in str(got.value)
-
-    def test_contraction_at_kd_64_converges(self):
-        # k*d = 64 is k = 16 codewords of d = 4.
-        j_c = _spectral(95, 64, 0.95)
-        upstream = np.random.default_rng(8).normal(size=64)
-        out = _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=4000))
-        assert np.linalg.norm(upstream + out @ j_c - out) < ADJOINT_EPS
-        assert rel_err(out, np.linalg.solve(np.eye(64) - j_c.T, upstream)) <= 1e-6
 
     def test_backend_validation(self):
         with pytest.raises(ParamError):
@@ -374,6 +344,111 @@ class TestNeumannInverse:
             AveragedAdjoint(alpha0=1.5)
         with pytest.raises(ParamError):
             AveragedAdjoint(max_restarts=-1)
+
+
+# Upstream and j_c for which the residual, at alpha 1, grows 1.5-fold from
+# 1.5e7 a step and passes the cap at step 5, before ten rises.
+CAP_FIRST = (1e7 * np.ones(3), np.diag([-1.5, 0.3, 0.2]))
+# Upstream and j_c for which the residual, at alpha 1, falls until step 60
+# and then rises, ending ten rises in a row at step 70.
+LATE_GROWTH = (np.array([3e-3, 1.0]), np.diag([1.01, 0.9]))
+
+
+def _assert_solved(out, upstream, j_c):
+    assert np.linalg.norm(upstream + out @ j_c - out) < ADJOINT_EPS
+    assert rel_err(out, np.linalg.solve(np.eye(len(j_c)) - j_c.T, upstream)) <= 1e-6
+
+
+class TestBlockedAdjointMatchesTheLoop:
+    """Outcomes of the averaged adjoint's step loop, each rule's deciding
+    step pinned by the iteration limit at which the outcome changes. (The
+    class name dates from when a blocked solve was checked against the loop;
+    the solve is now the loop itself.)"""
+
+    def test_zero_matrix(self):
+        # Decided at step 0: one step is enough, and x is upstream unchanged.
+        upstream = np.array([0.3, -1.0, 2.0])
+        out = _averaged_solve(upstream, np.zeros((3, 3)),
+                              AveragedAdjoint(max_adjoint_iters=1))
+        np.testing.assert_array_equal(out, upstream)
+
+    @pytest.mark.parametrize("radius", [0.8, 0.95])
+    def test_contractions(self, radius):
+        j_c = _spectral(int(radius * 100), 6, radius)
+        upstream = np.random.default_rng(5).normal(size=6)
+        with pytest.raises(AdjointStalled):
+            _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=64))
+        out = _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=4000))
+        _assert_solved(out, upstream, j_c)
+
+    @pytest.mark.parametrize("limit", [50, 500])
+    def test_stall_at_the_iteration_limit(self, limit):
+        # The first attempt, at alpha 1/4, stalls: no restart is taken.
+        upstream = np.random.default_rng(6).normal(size=5)
+        with pytest.raises(AdjointStalled,
+                           match=f"after {limit} iterations at alpha=0.25"):
+            _averaged_solve(upstream, _spectral(6, 5, 0.99),
+                            AveragedAdjoint(max_adjoint_iters=limit))
+
+    def test_cap_divergence_recovered_by_a_restart(self):
+        # With one attempt, a limit of 5 stalls and 6 diverges: the cap is
+        # passed at step 5. Alpha 1/2 contracts.
+        def solve(**kwargs):
+            return _averaged_solve(*CAP_FIRST, AveragedAdjoint(alpha0=1.0, **kwargs))
+
+        with pytest.raises(AdjointStalled):
+            solve(max_restarts=0, max_adjoint_iters=5)
+        with pytest.raises(AdjointDivergence) as got:
+            solve(max_restarts=0, max_adjoint_iters=6)
+        assert type(got.value) is AdjointDivergence
+        _assert_solved(solve(max_restarts=1), *CAP_FIRST)
+
+    @pytest.mark.parametrize("case, limit, reason", [
+        ("cap", 6, "cap"),
+        ("late-growth", 71, "growth"),
+        ("late-growth", 70, "stalled"),
+    ])
+    def test_the_deciding_step_is_the_loops(self, case, limit, reason):
+        # With one attempt and the limit just past (or at) the deciding
+        # step, deciding at any other step changes the exception raised.
+        upstream, j_c = CAP_FIRST if case == "cap" else LATE_GROWTH
+        controls = AveragedAdjoint(alpha0=1.0, max_restarts=0, max_adjoint_iters=limit)
+        with pytest.raises(AdjointDivergence) as got:
+            _averaged_solve(upstream, j_c, controls)
+        expected = AdjointStalled if reason == "stalled" else AdjointDivergence
+        assert type(got.value) is expected
+
+    # k*d = 64 is k = 16 codewords of d = 4.
+    def test_contraction_over_many_blocks_at_kd_64(self):
+        upstream = np.random.default_rng(8).normal(size=64)
+        j_c = _spectral(95, 64, 0.95)
+        with pytest.raises(AdjointStalled):
+            _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=256))
+        out = _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=4000))
+        _assert_solved(out, upstream, j_c)
+
+    @pytest.mark.parametrize("limit", [50, 500])
+    def test_stall_at_kd_64(self, limit):
+        upstream = np.random.default_rng(8).normal(size=64)
+        with pytest.raises(AdjointStalled,
+                           match=f"after {limit} iterations at alpha=0.25"):
+            _averaged_solve(upstream, _spectral(99, 64, 0.99),
+                            AveragedAdjoint(max_adjoint_iters=limit))
+
+    def test_divergence_recovered_by_a_restart_at_kd_64(self):
+        # One eigenvalue of -8 makes the averaged step's -1.25 at alpha 1/4
+        # and -0.125 at alpha 1/8; the others lie in [-0.5, 0.5]. The first
+        # attempt ends on ten rises, long before the cap.
+        rng = np.random.default_rng(9)
+        basis, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        eigs = np.concatenate(([-8.0], np.linspace(-0.5, 0.5, 63)))
+        j_c = (basis * eigs) @ basis.T
+        upstream = rng.normal(size=64)
+        with pytest.raises(AdjointDivergence) as got:
+            _averaged_solve(upstream, j_c, AveragedAdjoint(max_restarts=0))
+        assert type(got.value) is AdjointDivergence
+        _assert_solved(_averaged_solve(upstream, j_c, AveragedAdjoint(max_restarts=1)),
+                       upstream, j_c)
 
 
 class TestImplicit:
