@@ -158,14 +158,12 @@ def dense_dC_dW(
     For implicit and jfb, c is the fixed point and the rows come from
     vjp_dC_dW. For unrolled, c is the initial codebook (held constant): a
     solve from it to (eps, max_iters) records its trace and the rows come
-    from vjp_through_trace over that trace.
+    from vjp_through_trace over that solve.
     """
     basis = np.eye(c.k * c.d)
     if backend.kind == "unrolled":
-        trace = solve_fixed_point(
-            w, c, tau, eps, max_iters, record_trace=True
-        ).trace
-        return np.stack([vjp_through_trace(e, w, trace, tau) for e in basis])
+        result = solve_fixed_point(w, c, tau, eps, max_iters, record_trace=True)
+        return np.stack([vjp_through_trace(e, w, result, tau) for e in basis])
     return np.stack([vjp_dC_dW(e, w, c, tau, backend) for e in basis])
 
 

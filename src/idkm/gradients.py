@@ -7,7 +7,10 @@ to the weights being clustered:
   codebooks entering them (its trace; C* = F(trace[-1])). The solve stops at
   the first iterate it certifies, so no update past that is recorded. Exact
   for the computed iterate, but must retain the whole trace, so its memory
-  and time grow linearly with the iteration count.
+  and time grow linearly with the iteration count. It keeps t codebooks
+  and t * k * (d+1) sums, not t soft assignments, and remakes the m x k
+  arrays of every iterate but the last on its reverse sweep (Griewank &
+  Walther's recompute-instead-of-store trade).
 * ``implicit``: differentiate the fixed-point condition C* = F(C*, W) at the
   solution only. The adjoint row v = u (I - dF/dC*)^-1 is one product with
   the inverse of the small (k*d) x (k*d) matrix I - dF/dC*, formed once per
@@ -25,8 +28,11 @@ lives with F on pq.SoftAssignment and is reached through jacobians_of_F:
 f_vjp contracts a row vector with dF/dC and dF/dW in O(m*k*d), and j_c is
 the small (k*d) x (k*d) dF/dC that ``implicit``'s adjoint inverts. A
 training step reuses the soft assignment the forward solve kept at C* and
-never forms a (k*d) x (d*m) block; ``unrolled`` evaluates one soft
-assignment per recorded iterate. Each backend has one implementation:
+never forms a (k*d) x (d*m) block. ``unrolled`` runs f_vjp on the one the
+solve kept at trace[-1], and each earlier iterate's VJP as one pass of
+pq.f_vjp_from_sums, which gives f_vjp's bits from the sums the solve
+recorded, remaking the distances, attention and unit directions a column
+block at a time. Each backend has one implementation:
 vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). j_c is the
 only Jacobian this module forms. The dense ones live in gradcheck: dC*/dW
 stacks these VJPs over basis rows, and dF/dW (dense_weight_jacobian), with
@@ -41,6 +47,7 @@ Jacobians in this module are laid out over those flattenings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,7 +59,11 @@ from .pq import (  # noqa: F401
     WeightMatrix,
     assignment_at,
     attention,
+    f_vjp_from_sums,
 )
+
+if TYPE_CHECKING:  # solver imports this module
+    from .solver import FixedPointResult
 
 BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 
@@ -88,8 +99,8 @@ def jacobians_of_F(
     one center update there: `assignment`, the solver's evaluation at
     c_star, once checked, else a fresh one.
 
-    Valid at any point, not only fixed points; the unrolled sweep evaluates
-    it along the whole trace.
+    Valid at any point, not only fixed points; the unrolled sweep takes it
+    at trace[-1], given the solve's evaluation there.
     """
     return assignment_at(w, c_star, tau, assignment)
 
@@ -151,17 +162,34 @@ def vjp_dC_dW(
 def vjp_through_trace(
     upstream: np.ndarray,
     w: WeightMatrix,
-    trace: tuple[Codebook, ...],
+    result: FixedPointResult,
     tau: float,
 ) -> np.ndarray:
-    """Reverse sweep of the recorded solve, contracted with one upstream row.
-
-    One soft assignment and one matrix-free VJP per recorded iterate, the
+    """Reverse sweep of a solve run with record_trace, contracted with one
+    upstream row: one matrix-free VJP of F per recorded iterate, the
     codebook entering each update the solve applied.
+
+    The last update's VJP runs on the evaluation the solve kept at
+    trace[-1] (jacobians_of_F), so nothing is remade there. Each earlier one
+    is a single pass of pq.f_vjp_from_sums, from that update's recorded
+    sums: its blocks remake their distances, attention and unit directions
+    and drop them. The bits are those of jacobians_of_F(w, c, tau).f_vjp
+    over reversed(trace).
     """
-    total = np.zeros(w.d * w.m)
     v = np.asarray(upstream, dtype=np.float64).ravel()
-    for step_input in reversed(trace):
-        v, grad_w = jacobians_of_F(w, step_input, tau).f_vjp(v)
+    trace = result.trace
+    if not (trace and result.trace_sums):
+        raise ParamError("the unrolled sweep needs a solve run with record_trace")
+    k, d = trace[0].k, trace[0].d
+    if v.size != k * d:
+        raise ShapeError(f"upstream length {v.size} != k*d = {k * d}")
+    last = jacobians_of_F(w, trace[-1], tau, assignment=result.trace_assignment)
+    v, total = last.f_vjp(v)
+    for step_input, (col_sums, weighted_sums) in zip(
+        reversed(trace[:-1]), reversed(result.trace_sums[:-1])
+    ):
+        v, grad_w = f_vjp_from_sums(
+            w.data, step_input.data, tau, col_sums, weighted_sums, v
+        )
         total += grad_w
     return total

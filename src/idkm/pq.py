@@ -28,7 +28,9 @@ clusters it keeps stale in `degenerate`), and of its linearisation: F's
 matrix-free VJP (f_vjp) and the small dense dF/dC (j_c), which every
 gradient backend calls. The backward pass through the softmax and the
 distances (_att_vjp_cols) is one column kernel, which f_vjp and the soft
-quantizer's VJP both run.
+quantizer's VJP both run. f_vjp_from_sums, the unrolled sweep's kernel,
+gives f_vjp's result from an evaluation's sums alone: each column block
+remakes its own distances, attention and unit directions.
 
 Every pass over a layer's k x m arrays is column-local or a sum over the m
 columns, so a large layer runs each pass by contiguous column blocks at once
@@ -482,6 +484,19 @@ def _f_vjp_cols(w, a, g, grad_w, tau, scale, v, shift) -> np.ndarray:
     return grad_c
 
 
+def _f_vjp_from_sums_cols(w, grad_w, c, tau, scale, v, shift) -> np.ndarray:
+    """f_vjp_from_sums on a block: the block's distances, attention and
+    unit directions are made here, used once, and dropped."""
+    (k, d), width = c.shape, w.shape[1]
+    dist = np.empty((k, width))
+    _distance_cols(w, dist, c)
+    a = np.empty((k, width))
+    _softmax_cols(dist, a, tau)
+    g = np.empty((k, d, width))
+    _unit_directions(w, dist, g, c)
+    return _f_vjp_cols(w, a, g, grad_w, tau, scale, v, shift)
+
+
 def _j_c_cols(w, a, g, means, tau_scale) -> tuple[np.ndarray, np.ndarray]:
     """A block's parts of SoftAssignment.j_c: the GEMM and the k diagonal
     blocks."""
@@ -523,6 +538,32 @@ def soft_assign(wd: np.ndarray, cd: np.ndarray, tau: float) -> SoftAssignment:
     att = attention(dist, tau)
     col_sums, weighted_sums = _by_columns(_attention_sums, *att.shape, (att, wd))
     return SoftAssignment(wd, cd, tau, dist, att, col_sums, weighted_sums)
+
+
+def f_vjp_from_sums(
+    wd: np.ndarray,
+    cd: np.ndarray,
+    tau: float,
+    col_sums: np.ndarray,
+    weighted_sums: np.ndarray,
+    v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """soft_assign(wd, cd, tau).f_vjp(v), with the same bits, given that
+    evaluation's col_sums and weighted_sums: one pass by column blocks,
+    each remaking its own distances, attention and unit directions, so no
+    k x m array of the layer is made. The unrolled sweep's kernel."""
+    scale = np.maximum(col_sums, DEGENERATE_FLOOR)
+    v = np.asarray(v, dtype=np.float64).reshape(cd.shape)
+    shift = (v * (weighted_sums / scale[:, None])).sum(axis=1)
+    grad_w = np.empty(wd.shape)
+    grad_c = _by_columns(
+        _f_vjp_from_sums_cols, cd.shape[0], wd.shape[1], (wd, grad_w),
+        cd, tau, scale, v, shift,
+    )
+    return (
+        _finite(grad_c.ravel(), "v @ dF/dC"),
+        _finite(grad_w.ravel(), "v @ dF/dW"),
+    )
 
 
 def assignment_at(

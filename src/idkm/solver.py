@@ -7,7 +7,11 @@ solver iterates F until the current codebook's fixed-point gap ||F(C) - C||
 drops below a tolerance, with an optional recorded trace of the codebook
 entering every update. The trace is what an unrolled backward pass must
 retain, so its length is the quantity measured by the memory
-instrumentation; all other backends keep exactly one codebook.
+instrumentation; all other backends keep exactly one codebook. A recorded
+solve also keeps, per update, the column sums and weighted sums of the
+evaluation it applied (k*(d+1) floats), and the whole evaluation entering
+the last update, so the unrolled sweep remakes no evaluation at
+trace[-1] and no sum at any iterate.
 
 The loop and fixed_point_map_F run one raw-array kernel, pq.soft_assign,
 and take F from the SoftAssignment it returns: its `update` holds the new
@@ -71,9 +75,14 @@ class FixedPointResult:
     rejected: that applies no update but costs an evaluation, so a solve
     takes iterations + 1 evaluations of F, plus one when `newton_rejected`.
     `trace` holds the codebook entering each update, in order, and only when
-    recording was requested. `degenerate_clusters` counts the clusters degenerate at C*:
-    those whose attention sum there is below the floor, so F keeps their
-    centers stale.
+    recording was requested; so do the two fields the unrolled sweep
+    reuses: `trace_sums`, the (col_sums, weighted_sums) of the evaluation
+    each update applied, t * k * (d+1) floats in all, and
+    `trace_assignment`, the whole soft assignment at trace[-1], one m x k
+    distance and attention pair besides `assignment`'s. A solve without a
+    trace keeps neither. `degenerate_clusters` counts the clusters
+    degenerate at C*: those whose attention sum there is below the floor,
+    so F keeps their centers stale.
     """
 
     codebook: Codebook
@@ -85,6 +94,12 @@ class FixedPointResult:
     newton_kept: int = 0
     newton_rejected: bool = False
     assignment: SoftAssignment | None = field(default=None, repr=False, compare=False)
+    trace_sums: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
+    trace_assignment: SoftAssignment | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def retained_codebooks(self) -> int:
@@ -206,10 +221,13 @@ def solve_fixed_point(
 
     asg = soft_assign(w.data, c0.data, tau)
     inverse, kept, rejected = chord, 0, False
-    trace: list[Codebook] | None = [] if record_trace else None
+    trace: list[Codebook] = []
+    sums: list[tuple[np.ndarray, np.ndarray]] = []
     for iterations in range(1, max_iters + 1):
         if record_trace:
             trace.append(Codebook(asg.c))
+            sums.append((asg.col_sums, asg.weighted_sums))
+            entering = asg
         if newton:
             inverse = _newton_inverse(asg.j_c)
         trial = None if inverse is None else _guarded_step(w, asg, inverse, tau)
@@ -235,4 +253,6 @@ def solve_fixed_point(
         newton_kept=kept,
         newton_rejected=rejected,
         assignment=asg,
+        trace_sums=tuple(sums) if record_trace else None,
+        trace_assignment=entering if record_trace else None,
     )

@@ -24,7 +24,14 @@ quantizer's VJP run one backward pass through the softmax and the distances
 per layer one m x k distance and one m x k attention matrix (float64), its
 (k*d) x (k*d) inverse, and, during that layer's backward pass, its
 m x k x d unit distance directions. For the 100,352-weight layer at k=4,
-d=1 each m x k array is 401,408 entries, 3.2 MB.
+d=1 each m x k array is 401,408 entries, 3.2 MB. An unrolled layer-step
+also holds its trace of t codebooks (t * k * d floats), the t * k * (d+1)
+column and weighted sums of the evaluations its updates applied, and one
+more m x k distance and attention pair, the evaluation at trace[-1], until
+that layer's backward: on that layer, 4 * 2 * 8 = 64 bytes of sums an
+update, and 6.4 MB for the extra pair. Its reverse sweep remakes each
+earlier iterate's m x k arrays in one pass and drops them
+(pq.f_vjp_from_sums), a column block at a time on a layer that splits.
 No backend forms a dense (k*d) x (d*m) Jacobian. A layer with at least
 2 * pq.SPLIT_FLOOR of those entries runs each of these passes by column
 blocks chosen from (k, m) alone; the CPU count sets only how many threads
@@ -35,9 +42,9 @@ temporaries.
 StepMetrics.retained_iterate_count records how many codebook snapshots a
 step held for backward: 1 for the implicit and jfb backends regardless of
 how many cluster iterations ran, and for unrolled the number of updates the
-solve applied, which also evaluates one soft assignment per snapshot in its
-backward sweep.
-That counter is the package's memory claim, asserted exactly in the tests.
+solve applied, one VJP of F per snapshot in its backward sweep.
+That counter is the package's memory claim, asserted exactly in the tests,
+and so are the bytes of the sums an unrolled solve keeps.
 """
 
 from __future__ import annotations
@@ -238,7 +245,7 @@ def quantized_train_step(
                 stats["fallback"] = True
                 backend = dataclasses.replace(backend, kind="jfb")
         if backend.kind == "unrolled":
-            flat_grad = vjp_through_trace(u_vec, wm, result.trace, cfg.tau)
+            flat_grad = vjp_through_trace(u_vec, wm, result, cfg.tau)
         else:
             flat_grad = vjp_dC_dW(
                 u_vec, wm, result.codebook, cfg.tau, backend,

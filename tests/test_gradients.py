@@ -38,6 +38,7 @@ from idkm.gradients import (
     adjoint_inverse,
     jacobians_of_F,
     vjp_dC_dW,
+    vjp_through_trace,
 )
 import idkm.pq as pq
 from idkm.pq import (
@@ -151,9 +152,11 @@ class TestMatrixFreeVjp:
 
 
 def test_gradcheck_fails_on_a_planted_weight_vjp_error(monkeypatch):
-    # All three backends train with SoftAssignment.f_vjp. A 0.1% error in its
-    # v @ dF/dW scales implicit and unrolled alike, so only the jfb line,
-    # which checks the VJP against the dense dF/dW, can catch it.
+    # implicit and jfb train with SoftAssignment.f_vjp, and so does the
+    # unrolled sweep's last step; its earlier steps run pq.f_vjp_from_sums,
+    # which the sweep oracle tests hold to f_vjp bit for bit. A 0.1% error in
+    # f_vjp's v @ dF/dW then moves implicit and unrolled nearly alike, so the
+    # jfb line, which checks the VJP against the dense dF/dW, must catch it.
     real = SoftAssignment.f_vjp
 
     def planted(self, v):
@@ -550,6 +553,64 @@ class TestUnrolled:
         inst = make_instance(5)
         out = dense_dC_dW(inst.w, inst.c0, inst.tau, UNROLLED)
         assert rel_err(out, fd_solve_jacobian(inst)) <= 1e-3
+
+
+def _sweep_oracle(upstream, w, trace, tau):
+    """The unrolled sweep as one fresh soft assignment and its f_vjp per
+    recorded iterate, the loop vjp_through_trace must reproduce bit for bit."""
+    total = np.zeros(w.d * w.m)
+    v = np.asarray(upstream, dtype=np.float64).ravel()
+    for step_input in reversed(trace):
+        v, grad_w = jacobians_of_F(w, step_input, tau).f_vjp(v)
+        total += grad_w
+    return total
+
+
+class TestUnrolledSweep:
+    def test_matches_the_oracle_with_a_stale_cluster_and_a_zero_distance(self):
+        # Below the split floor. The codeword at 0.6 draws a nonzero
+        # attention sum below DEGENERATE_FLOOR at every iterate, so the
+        # floored scale shows; the 0.0 weight sits on a codeword of trace[0].
+        flat = 0.1 * np.random.default_rng(0).normal(size=40)
+        flat[7] = 0.0
+        w = partition_weights(flat, 1)
+        c0 = Codebook([[-0.1], [0.0], [0.1], [0.6]])
+        result = solve_fixed_point(w, c0, 0.01, 1e-12, 50, record_trace=True)
+        assert len(result.trace) >= 3
+        assert all(0 < sums[3] < pq.DEGENERATE_FLOOR for sums, _ in result.trace_sums)
+        assert pq._column_blocks(4, w.m) is None
+        upstream = np.random.default_rng(1).normal(size=4)
+        np.testing.assert_array_equal(
+            vjp_through_trace(upstream, w, result, 0.01),
+            _sweep_oracle(upstream, w, result.trace, 0.01),
+        )
+
+    def test_matches_the_oracle_on_a_column_split_layer(self):
+        k, d, m = 4, 2, 2 * pq.SPLIT_FLOOR // 4
+        rng = np.random.default_rng(2)
+        w = partition_weights(rng.normal(size=d * m), d)
+        c0 = init_codebook(w, k, InitStrategy(seed=2))
+        result = solve_fixed_point(w, c0, 0.05, 1e-30, 4, record_trace=True)
+        assert len(result.trace) == 4
+        assert len(pq._column_blocks(k, m)) == 2
+        upstream = rng.normal(size=k * d)
+        np.testing.assert_array_equal(
+            vjp_through_trace(upstream, w, result, 0.05),
+            _sweep_oracle(upstream, w, result.trace, 0.05),
+        )
+
+    def test_upstream_length_checked(self):
+        inst = _converged_instance(6, m=12, k=3, d=1)
+        result = solve_fixed_point(inst.w, inst.c0, inst.tau, 1e-10, 50,
+                                   record_trace=True)
+        with pytest.raises(ShapeError, match=r"upstream length 5 != k\*d = 3"):
+            vjp_through_trace(np.zeros(5), inst.w, result, inst.tau)
+
+    def test_a_solve_without_its_trace_is_refused(self):
+        inst = _converged_instance(6, m=12, k=3, d=1)
+        result = solve_fixed_point(inst.w, inst.c0, inst.tau, 1e-10, 50)
+        with pytest.raises(ParamError, match="record_trace"):
+            vjp_through_trace(np.zeros(3), inst.w, result, inst.tau)
 
 
 class TestVjp:

@@ -414,7 +414,11 @@ def _kernel_outputs(w, c, tau, seed=0) -> dict:
         "soft_quantize": soft_quantize(w, c, tau, asg).data,
         "validated_attention": attention_matrix(distance_matrix(w, c), tau).data,
     }
-    out["f_vjp_c"], out["f_vjp_w"] = asg.f_vjp(rng.normal(size=c.data.size))
+    v = rng.normal(size=c.data.size)
+    out["f_vjp_c"], out["f_vjp_w"] = asg.f_vjp(v)
+    out["sweep_c"], out["sweep_w"] = pq.f_vjp_from_sums(
+        w.data, c.data, tau, asg.col_sums, asg.weighted_sums, v
+    )
     out["sq_vjp_w"], out["sq_vjp_c"] = soft_quantize_vjp(
         rng.normal(size=w.data.shape), w, c, tau, asg
     )
@@ -456,9 +460,9 @@ def _split_error(got: np.ndarray, want: np.ndarray, floor: float = 1e-300) -> fl
 TRAIN_FLOOR = 64
 
 
-def _train_blobs():
-    """(history, state) of a fixed-seed two-epoch implicit training run on a
-    small blobs task with two clustered layers."""
+def _train_blobs(backend: str = "implicit"):
+    """(history, state) of a fixed-seed two-epoch training run on a small
+    blobs task with two clustered layers."""
     data = synthetic_blobs(3, classes=4, points_per_class=30, dim=8, separation=6.0)
     net = Network(layers=(
         LayerSpec(kind="dense", in_features=8, out_features=12, quantize=True),
@@ -467,7 +471,7 @@ def _train_blobs():
     ))
     cfg = TrainConfig(
         k=4, d=1, tau=0.01, eps=1e-8, max_cluster_iters=200,
-        backend=GradBackend(kind="implicit"), learning_rate=0.05, epochs=2,
+        backend=GradBackend(kind=backend), learning_rate=0.05, epochs=2,
         batch_size=32, init=InitStrategy(seed=0), seed=0,
     )
     return train(net, net.init_weights(3), cfg, data)
@@ -533,22 +537,25 @@ class TestColumnBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pq, "SPLIT_FLOOR", TRAIN_FLOOR)
             assert all(len(pq._column_blocks(4, m)) > 1 for m in (96, 48))
+        # The unrolled run's sweep also runs pq.f_vjp_from_sums by blocks.
         states = {}
-        for cpus in (1, 2, 4):
-            with pytest.MonkeyPatch.context() as mp:
-                _split(mp, cpus, floor=TRAIN_FLOOR)
-                _, states[cpus] = _train_blobs()
-                _close_pool()
-        want = states.pop(1)
-        for cpus, got in states.items():
+        for backend in ("implicit", "unrolled"):
+            for cpus in (1, 2, 4):
+                with pytest.MonkeyPatch.context() as mp:
+                    _split(mp, cpus, floor=TRAIN_FLOOR)
+                    _, states[backend, cpus] = _train_blobs(backend)
+                    _close_pool()
+        for (backend, cpus), got in states.items():
+            want = states[backend, 1]
             for name in want.weights:
                 np.testing.assert_array_equal(
-                    got.weights[name], want.weights[name], err_msg=f"{cpus} {name}"
+                    got.weights[name], want.weights[name],
+                    err_msg=f"{backend} {cpus} {name}",
                 )
             for name in want.codebooks:
                 np.testing.assert_array_equal(
                     got.codebooks[name].data, want.codebooks[name].data,
-                    err_msg=f"{cpus} {name}",
+                    err_msg=f"{backend} {cpus} {name}",
                 )
 
     def test_a_failing_block_raises_once_no_block_runs(self):

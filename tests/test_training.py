@@ -14,7 +14,7 @@ from idkm.data import synthetic_blobs
 from idkm.errors import AdjointSingular, ParamError, ShapeError
 from idkm.gradients import GradBackend
 from idkm.nn import LayerSpec, Network, loss_and_grad
-from idkm.pq import Codebook, bits_per_weight
+from idkm.pq import Codebook, SoftAssignment, bits_per_weight
 from idkm.solver import InitStrategy
 from idkm.training import (
     TrainConfig,
@@ -165,6 +165,40 @@ class TestQuantizedStep:
         )
         assert metrics.cluster_iters == forced_t
         assert metrics.retained_iterate_count == forced_t
+
+    def test_what_each_backend_keeps_for_its_backward_in_bytes(self, monkeypatch):
+        # Besides `assignment` at C*, an unrolled solve keeps t * k * (d+1)
+        # float64 sums and one more soft assignment, at trace[-1]; the
+        # one-shot backends keep neither.
+        results = {}
+        real_solve = training.solve_fixed_point
+
+        def solve(w, *args, **kwargs):
+            results[w.m] = real_solve(w, *args, **kwargs)
+            return results[w.m]
+
+        monkeypatch.setattr(training, "solve_fixed_point", solve)
+        net, weights, data = blob_task(4)
+        x, y = data.inputs[:16], data.labels[:16]
+        for kind in ("unrolled", "implicit", "jfb"):
+            results.clear()
+            cfg = small_cfg(k=4, d=2, backend=GradBackend(kind=kind))
+            quantized_train_step(net, x, y, TrainState(weights=dict(weights)), cfg)
+            assert len(results) == 2
+            for m, result in results.items():
+                if kind != "unrolled":
+                    assert result.trace_sums is None
+                    assert result.trace_assignment is None
+                    continue
+                t = result.iterations
+                assert len(result.trace) == len(result.trace_sums) == t
+                assert sum(a.nbytes + b.nbytes for a, b in result.trace_sums) == (
+                    t * cfg.k * (cfg.d + 1) * 8
+                )
+                kept = result.trace_assignment
+                assert isinstance(kept, SoftAssignment)
+                assert kept.att.shape == kept.dist.shape == (cfg.k, m)
+                np.testing.assert_array_equal(kept.c, result.trace[-1].data)
 
     def test_both_gradient_paths_are_live(self, monkeypatch):
         # The direct path (codebook held fixed) is the weight half of
@@ -398,19 +432,34 @@ class TestOneSoftAssignmentPerStep:
             assert after_solve[m] == {k: count[m] for k, count in passes.items()}
         assert dense_builds == []
 
-    def test_unrolled_evaluates_once_per_recorded_iterate(self, monkeypatch):
+    def test_unrolled_sweep_runs_t_minus_1_kernel_passes(self, monkeypatch):
+        # The last update's VJP reuses the evaluation the solve kept at
+        # trace[-1]; each of the t - 1 earlier ones is one pass of the
+        # sweep kernel, and none goes through _distances or attention.
         passes, after_solve, dense_builds = count_soft_assignments(monkeypatch)
+        sweeps = Counter()
+        real_sweep = gradients.f_vjp_from_sums
+
+        def counted_sweep(wd, *args):
+            sweeps[wd.shape[1]] += 1
+            return real_sweep(wd, *args)
+
+        monkeypatch.setattr(gradients, "f_vjp_from_sums", counted_sweep)
         net, weights, data = blob_task(7)
         x, y = data.inputs[:16], data.labels[:16]
-        _, metrics = quantized_train_step(
-            net, x, y, TrainState(weights=dict(weights)),
-            small_cfg(backend=GradBackend(kind="unrolled")),
-        )
-        for name, stats in metrics.per_layer.items():
-            m = weights[name].size
-            assert after_solve[m]["attention"] <= stats["iters"] + 1
-            assert passes["attention"][m] - after_solve[m]["attention"] == stats["iters"]
-            assert passes["distances"][m] == passes["attention"][m]
+        for max_iters in (200, 1):
+            sweeps.clear()
+            _, metrics = quantized_train_step(
+                net, x, y, TrainState(weights=dict(weights)),
+                small_cfg(backend=GradBackend(kind="unrolled"),
+                          max_cluster_iters=max_iters),
+            )
+            for name, stats in metrics.per_layer.items():
+                m = weights[name].size
+                assert (stats["iters"] > 1) == (max_iters > 1)
+                assert sweeps[m] == stats["iters"] - 1
+                assert passes["attention"][m] == after_solve[m]["attention"]
+                assert passes["distances"][m] == passes["attention"][m]
         assert dense_builds == []
 
 
