@@ -23,7 +23,6 @@ that code; the gradients module forms no dense Jacobian but the small j_c.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,10 @@ from .errors import (
     ParamError,
     ShapeError,
 )
-from .gradients import GradBackend, jacobians_of_F, vjp_dC_dW, vjp_through_trace
+from .gradients import (
+    ADJOINT_EPS, GradBackend, adjoint_inverse, jacobians_of_F, vjp_dC_dW,
+    vjp_through_trace,
+)
 from .pq import (
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
@@ -59,6 +61,10 @@ TOL_FD_SOLVE = 1e-3
 TOL_FD_BLOCKS = 1e-5
 TOL_NEUMANN = 1e-6
 TOL_JFB_BLOCK = 1e-12
+
+# Central-difference steps (times 1 + |x|) of the solve and of one update.
+FD_SOLVE_STEP = 1e-5
+FD_UPDATE_STEP = 1e-6
 
 # One row per check: the SuiteReport field holding its worst error, the
 # label the report prints, and the tolerance it must not exceed.
@@ -156,7 +162,8 @@ def dense_dC_dW(
     """(k*d) x (d*m) dC*/dW, row r being the training VJP of basis row e_r.
 
     For implicit and jfb, c is the fixed point and the rows come from
-    vjp_dC_dW. For unrolled, c is the initial codebook (held constant): a
+    vjp_dC_dW on one soft assignment at c, given its adjoint inverse for
+    implicit. For unrolled, c is the initial codebook (held constant): a
     solve from it to (eps, max_iters) records its trace and the rows come
     from vjp_through_trace over that solve.
     """
@@ -164,17 +171,16 @@ def dense_dC_dW(
     if backend.kind == "unrolled":
         result = solve_fixed_point(w, c, tau, eps, max_iters, record_trace=True)
         return np.stack([vjp_through_trace(e, w, result, tau) for e in basis])
-    return np.stack([vjp_dC_dW(e, w, c, tau, backend) for e in basis])
+    asg = jacobians_of_F(w, c, tau)
+    inverse = adjoint_inverse(asg.j_c) if backend.kind == "implicit" else None
+    return np.stack([vjp_dC_dW(e, w, c, tau, assignment=asg, inverse=inverse)
+                     for e in basis])
 
 
 def check_oracle_equivalence(inst: GradInstance, backend: GradBackend) -> float:
-    """Implicit gradient vs the unrolled sweep, as relative L2 error."""
-    reference = dense_dC_dW(
-        inst.w, inst.c0, inst.tau, dataclasses.replace(backend, kind="unrolled")
-    )
-    candidate = dense_dC_dW(
-        inst.w, inst.c_star, inst.tau, dataclasses.replace(backend, kind="implicit")
-    )
+    """The backend's gradient vs the unrolled sweep, as relative L2 error."""
+    reference = dense_dC_dW(inst.w, inst.c0, inst.tau, GradBackend(kind="unrolled"))
+    candidate = dense_dC_dW(inst.w, inst.c_star, inst.tau, backend)
     return rel_err(candidate, reference)
 
 
@@ -201,7 +207,7 @@ def _moved(w: WeightMatrix, wd: np.ndarray) -> WeightMatrix:
     return WeightMatrix(data=wd, n=w.n, pad_count=w.pad_count)
 
 
-def fd_solve_jacobian(inst: GradInstance, h_scale: float = 1e-5) -> np.ndarray:
+def fd_solve_jacobian(inst: GradInstance) -> np.ndarray:
     """Central differences of the converged solve, column by column.
 
     Each perturbed solve warm-starts from the unperturbed solution so every
@@ -215,7 +221,7 @@ def fd_solve_jacobian(inst: GradInstance, h_scale: float = 1e-5) -> np.ndarray:
             raise NumericsError("a perturbed solve stalled")
         return res.codebook.data
 
-    return central_differences(solve, inst.w.data, h_scale)
+    return central_differences(solve, inst.w.data, FD_SOLVE_STEP)
 
 
 def check_fd_solve(inst: GradInstance, backend: GradBackend) -> float:
@@ -223,15 +229,15 @@ def check_fd_solve(inst: GradInstance, backend: GradBackend) -> float:
     return rel_err(candidate, fd_solve_jacobian(inst))
 
 
-def fd_update_blocks(inst: GradInstance, h_scale: float = 1e-6):
+def fd_update_blocks(inst: GradInstance):
     """Finite differences of a single update in both arguments."""
     fd_c = central_differences(
         lambda cd: fixed_point_map_F(inst.w, Codebook(cd), inst.tau).data,
-        inst.c_star.data, h_scale,
+        inst.c_star.data, FD_UPDATE_STEP,
     )
     fd_w = central_differences(
         lambda wd: fixed_point_map_F(_moved(inst.w, wd), inst.c_star, inst.tau).data,
-        inst.w.data, h_scale,
+        inst.w.data, FD_UPDATE_STEP,
     )
     return fd_c, fd_w
 
@@ -259,7 +265,6 @@ def check_jfb_block(inst: GradInstance) -> float:
 
 DIVERGENCE_CAP = 1e8
 DIVERGENCE_GROWTH_STEPS = 10
-ADJOINT_EPS = 1e-8
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ to the weights being clustered:
   steps invert their own evaluation's dF/dC with it too.
 * ``jfb``: zeroth-order truncation of the Neumann series for that inverse,
   i.e. the inverse is replaced by the identity and the backward pass costs a
-  single Jacobian evaluation.
+  single Jacobian evaluation (Fung et al., Jacobian-free backpropagation).
 
 All three run one matrix-free linearisation of the center update, which
 lives with F on pq.SoftAssignment and is reached through jacobians_of_F:
@@ -32,9 +32,9 @@ never forms a (k*d) x (d*m) block. ``unrolled`` runs f_vjp on the one the
 solve kept at trace[-1], and each earlier iterate's VJP as one pass of
 pq.f_vjp_from_sums, which gives f_vjp's bits from the sums the solve
 recorded, remaking the distances, attention and unit directions a column
-block at a time. Each backend has one implementation:
-vjp_dC_dW (implicit, jfb) and vjp_through_trace (unrolled). j_c is the
-only Jacobian this module forms. The dense ones live in gradcheck: dC*/dW
+block at a time. implicit and jfb are one VJP, vjp_dC_dW, taken with
+the adjoint inverse or without it; unrolled is vjp_through_trace. j_c is
+the only Jacobian this module forms. The dense ones live in gradcheck: dC*/dW
 stacks these VJPs over basis rows, and dF/dW (dense_weight_jacobian), with
 a softmax of its own, is the independent oracle they are checked against.
 
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AdjointSingular, ParamError, ShapeError, require_positive_finite
+from .errors import AdjointSingular, ParamError, ShapeError
 # attention stays a name of this module: perfbench traces it as gradients.attention.
 from .pq import (  # noqa: F401
     Codebook,
@@ -71,22 +71,20 @@ BACKEND_KINDS = ("unrolled", "implicit", "jfb")
 # keeps about 8 correct digits, as roundoff grows as cond * 2.2e-16.
 COND_LIMIT = 1e8
 
+# Where ||u dF/dC*|| is below this, u solves v = u + v dF/dC* to within it:
+# vjp_dC_dW takes v = u, so implicit is jfb's bits where dF/dC* = 0.
+ADJOINT_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class GradBackend:
-    """Backend choice plus the implicit adjoint's early-exit tolerance.
-
-    An upstream row u with ||u dF/dC*|| below adjoint_eps already solves
-    v = u + v dF/dC* to within it, so the implicit backend returns u there.
-    """
+    """Which of BACKEND_KINDS differentiates the clustering solve."""
 
     kind: str = "implicit"
-    adjoint_eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ParamError(f"unknown gradient backend {self.kind!r}")
-        require_positive_finite("adjoint_eps", self.adjoint_eps)
 
 
 def jacobians_of_F(
@@ -128,34 +126,26 @@ def vjp_dC_dW(
     w: WeightMatrix,
     c_star: Codebook,
     tau: float,
-    backend: GradBackend,
     assignment: SoftAssignment | None = None,
     inverse: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-contracted form: upstream @ dC*/dW without materializing M*.
 
-    Takes v = upstream @ (I - j_c)^-1 (or v = upstream for the jfb backend,
-    and wherever ||upstream @ j_c|| is below backend.adjoint_eps) and
-    returns v @ dF/dW, matrix-free. `assignment` is the solver's soft
-    assignment at c_star; with it, no distance or attention pass runs here.
-    `inverse` is adjoint_inverse(j_c) at c_star, formed here when needed and
-    not given. The unrolled backend needs the forward trace and is served by
-    vjp_through_trace.
+    Takes v = upstream @ inverse, where `inverse` is adjoint_inverse(j_c) at
+    c_star, and returns v @ dF/dW, matrix-free. Without an inverse (jfb),
+    and wherever ||upstream @ j_c|| is below ADJOINT_EPS, v = upstream.
+    `assignment` is the solver's soft assignment at c_star; with it, no
+    distance or attention pass runs here.
     """
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     if upstream.size != c_star.k * c_star.d:
         raise ShapeError(
             f"upstream length {upstream.size} != k*d = {c_star.k * c_star.d}"
         )
-    if backend.kind == "unrolled":
-        raise ParamError("unrolled VJPs require the forward trace; "
-                         "use vjp_through_trace")
     asg = jacobians_of_F(w, c_star, tau, assignment=assignment)
     v = upstream
-    if backend.kind == "implicit" and (
-        np.linalg.norm(upstream @ asg.j_c) >= backend.adjoint_eps
-    ):
-        v = upstream @ (adjoint_inverse(asg.j_c) if inverse is None else inverse)
+    if inverse is not None and np.linalg.norm(upstream @ asg.j_c) >= ADJOINT_EPS:
+        v = upstream @ inverse
     return asg.f_vjp(v)[1]
 
 

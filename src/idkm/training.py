@@ -15,7 +15,9 @@ center update F and F's VJP (f_vjp) and dF/dC (j_c), which the cluster
 backward runs. The implicit backend inverts the small I - j_c once per
 layer-step (gradients.adjoint_inverse); TrainState keeps that inverse next
 to the layer's warm codebook, and the next step's warm solve takes its
-first update as a chord step with it. The cold solve that gives training
+first update as a chord step with it. implicit and jfb take one cluster
+backward, gradients.vjp_dC_dW, given that inverse or not (a singular
+adjoint under fallback_jfb gives none). The cold solve that gives training
 its first codebooks (solve_codebooks) instead tries a guarded Newton step
 with each evaluation's own inverse, until one fails; record 0 of train()
 counts the cold solves that stop uncertified. f_vjp and the soft
@@ -233,8 +235,8 @@ def quantized_train_step(
             assignment=result.assignment,
         )
         u_vec = grad_book.ravel()
-        backend, inverse = cfg.backend, None
-        if backend.kind == "implicit":
+        inverse = None  # also the next warm solve's chord; None takes jfb
+        if cfg.backend.kind == "implicit":
             try:
                 inverse = adjoint_inverse(result.assignment.j_c)
                 stats["adjoint"] = "solved"
@@ -243,12 +245,11 @@ def quantized_train_step(
                 if not cfg.fallback_jfb:
                     raise AdjointSingular(f"{name}: {exc}") from exc
                 stats["fallback"] = True
-                backend = dataclasses.replace(backend, kind="jfb")
-        if backend.kind == "unrolled":
+        if cfg.backend.kind == "unrolled":
             flat_grad = vjp_through_trace(u_vec, wm, result, cfg.tau)
         else:
             flat_grad = vjp_dC_dW(
-                u_vec, wm, result.codebook, cfg.tau, backend,
+                u_vec, wm, result.codebook, cfg.tau,
                 assignment=result.assignment, inverse=inverse,
             )
         total = grad_direct + flat_grad.reshape(wm.d, wm.m)

@@ -11,7 +11,6 @@ import pytest
 import idkm.bench as bench_mod
 import idkm.cli as cli
 import idkm.gradcheck as gradcheck
-import idkm.gradients as gradients
 import idkm.pq as pq
 import idkm.training as training
 from idkm.cli import (
@@ -558,7 +557,7 @@ class TestGradcheckCommand:
         # An adjoint inverse that is the identity runs jfb in implicit's
         # place. The averaged-inverse check runs gradcheck's own solve, so
         # only the oracle line may fail.
-        monkeypatch.setattr(gradients, "adjoint_inverse",
+        monkeypatch.setattr(gradcheck, "adjoint_inverse",
                             lambda j_c: np.eye(len(j_c)))
         code = main(["gradcheck", "--instances", "2", "--skip-fd"])
         assert code == EXIT_CHECK
@@ -646,6 +645,19 @@ class TestBenchCommand:
 
     def test_no_cells_is_an_ordering_violation(self):
         assert bench_mod.ordering_violations([]) == ["no cells were timed"]
+
+    def test_a_cell_whose_solves_stop_short_of_t_exits_three(self, capsys):
+        # With one codeword every solve is at an exact fixed point after
+        # one update, so t = 5 cannot be timed.
+        assert main(["bench", "--k", "1", "--t", "5", "--repeats", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: k=1 d=1 t=5 jfb:" in err
+        assert "the longest at update 1" in err
+
+    def test_times_the_paper_net_of_the_mnist_config(self):
+        # The acceptance criteria time timing_instance's net as the paper's.
+        net = bench_mod.timing_instance()[0]
+        assert net.layers == parse_config("configs/mnist.ini").layers
 
 
 class TestFetchMnist:

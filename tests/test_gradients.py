@@ -57,7 +57,6 @@ from idkm.solver import (
     solve_fixed_point,
 )
 
-TIGHT = GradBackend(adjoint_eps=1e-12)
 JFB = GradBackend(kind="jfb")
 UNROLLED = GradBackend(kind="unrolled")
 
@@ -340,8 +339,6 @@ class TestNeumannInverse:
         with pytest.raises(ParamError):
             GradBackend(kind="neumann")
         with pytest.raises(ParamError):
-            GradBackend(adjoint_eps=0.0)
-        with pytest.raises(ParamError):
             AveragedAdjoint(alpha0=0.0)
         with pytest.raises(ParamError):
             AveragedAdjoint(alpha0=1.5)
@@ -616,7 +613,8 @@ class TestUnrolledSweep:
 class TestVjp:
     def test_zero_upstream_gives_zero(self):
         inst = _converged_instance(6, m=12, k=3, d=1)
-        out = vjp_dC_dW(np.zeros(3), inst.w, inst.c_star, inst.tau, GradBackend())
+        inverse = adjoint_inverse(jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c)
+        out = vjp_dC_dW(np.zeros(3), inst.w, inst.c_star, inst.tau, inverse=inverse)
         np.testing.assert_array_equal(out, np.zeros(12))
 
     def test_random_upstream_matches_dense_lu_oracle(self):
@@ -627,24 +625,36 @@ class TestVjp:
         rng = np.random.default_rng(8)
         upstream = rng.normal(size=kd)
         upstream /= np.linalg.norm(upstream)
+        # The inverse is applied, not skipped under ADJOINT_EPS.
+        assert np.linalg.norm(upstream @ j_c) >= ADJOINT_EPS
         ref = upstream @ m_star @ dense_weight_jacobian(
             inst.w.data, inst.c_star.data, inst.tau
         )
-        out = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, TIGHT)
+        out = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau,
+                        inverse=adjoint_inverse(j_c))
         assert rel_err(out, ref) <= 1e-8
 
-    def test_unrolled_kind_is_refused(self):
-        inst = _converged_instance(6, m=12, k=3, d=1)
-        with pytest.raises(ParamError):
-            vjp_dC_dW(
-                np.zeros(3), inst.w, inst.c_star, inst.tau,
-                GradBackend(kind="unrolled"),
-            )
+    @pytest.mark.parametrize("factor, applied", [(1 - 1e-9, False), (1 + 1e-9, True)])
+    def test_inverse_is_skipped_only_below_adjoint_eps(self, factor, applied):
+        # With j_c = s e_0 e_0^T, ||e_0 j_c|| = s, planted just either side
+        # of ADJOINT_EPS; the inverse 2I doubles the upstream row it is
+        # applied to.
+        inst = _converged_instance(8, m=16, k=4, d=2)
+        j_c = np.zeros((8, 8))
+        j_c[0, 0] = factor * ADJOINT_EPS
+        upstream = np.eye(8)[0]
+        assert (np.linalg.norm(upstream @ j_c) >= ADJOINT_EPS) == applied
+        asg = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        asg.__dict__["j_c"] = j_c  # planted over the cached property
+        out = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, assignment=asg,
+                        inverse=2.0 * np.eye(8))
+        v = 2.0 * upstream if applied else upstream
+        np.testing.assert_array_equal(out, asg.f_vjp(v)[1])
 
     def test_upstream_length_checked(self):
         inst = _converged_instance(6, m=12, k=3, d=1)
         with pytest.raises(ShapeError):
-            vjp_dC_dW(np.zeros(5), inst.w, inst.c_star, inst.tau, GradBackend())
+            vjp_dC_dW(np.zeros(5), inst.w, inst.c_star, inst.tau)
 
 
 class TestAdjointInverse:
@@ -668,19 +678,22 @@ class TestAdjointInverse:
                 adjoint_inverse(j_c)
 
     def test_given_inverse_is_the_one_used(self):
-        # vjp_dC_dW forms adjoint_inverse(j_c) only when it is not given.
+        # vjp_dC_dW applies the inverse it is given; the identity, or none,
+        # gives jfb's bits.
         inst = _converged_instance(8, m=16, k=4, d=2)
         upstream = np.random.default_rng(8).normal(size=8)
-        formed = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, GradBackend())
-        j_c = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c
-        given = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, GradBackend(),
-                          inverse=adjoint_inverse(j_c))
-        np.testing.assert_array_equal(formed, given)
-        identity = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, GradBackend(),
-                             inverse=np.eye(8))
+        asg = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        inverse = adjoint_inverse(asg.j_c)
         np.testing.assert_array_equal(
-            identity, vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, JFB)
+            vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, inverse=inverse),
+            asg.f_vjp(upstream @ inverse)[1],
         )
+        jfb = asg.f_vjp(upstream)[1]
+        for identity in (None, np.eye(8)):
+            np.testing.assert_array_equal(
+                vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, inverse=identity),
+                jfb,
+            )
 
 
 def test_implicit_and_jfb_need_no_trace():

@@ -349,8 +349,8 @@ class TestQuantizedStep:
         seen = {}
         real = training.vjp_dC_dW
 
-        def recording(upstream, w, c_star, tau, backend, **kwargs):
-            out = real(upstream, w, c_star, tau, backend, **kwargs)
+        def recording(upstream, w, c_star, tau, **kwargs):
+            out = real(upstream, w, c_star, tau, **kwargs)
             seen[w.m] = (upstream, w, c_star, kwargs["assignment"], out)
             return out
 
