@@ -20,14 +20,10 @@ from .gradients import (
 )
 from .nn import LayerSpec, Network, loss_and_grad, softmax_cross_entropy, squared_error
 from .pq import (
-    AttentionMatrix,
     Codebook,
-    DistanceMatrix,
     SoftAssignment,
     WeightMatrix,
-    attention_matrix,
     bits_per_weight,
-    distance_matrix,
     flatten_weights,
     hard_quantize,
     nearest_indices,
@@ -60,10 +56,8 @@ __all__ = [
     "AdjointDivergence",
     "AdjointSingular",
     "AdjointStalled",
-    "AttentionMatrix",
     "Codebook",
     "ConfigError",
-    "DistanceMatrix",
     "FixedPointResult",
     "FormatError",
     "GradBackend",
@@ -79,9 +73,7 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "WeightMatrix",
-    "attention_matrix",
     "bits_per_weight",
-    "distance_matrix",
     "evaluate",
     "fixed_point_map_F",
     "flatten_weights",

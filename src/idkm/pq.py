@@ -13,14 +13,13 @@ Conventions used throughout the package:
 * distances are plain 2-norms (never squared inside the attention),
 * attention is softmax(-distances / tau) over the codewords, maximum
   subtracted so temperatures as small as 5e-4 cannot overflow; the package
-  runs it k x m, codeword-major (attention), and attention_matrix gives the
-  validated m x k form,
+  runs it k x m, codeword-major (attention),
 * a distance at most SAFE_DIV_EPS has no direction: the norm is not
   differentiable there, and every derivative drops that pair's direction term.
 
-The validating wrappers (WeightMatrix, Codebook, DistanceMatrix,
-AttentionMatrix) guard the public entry and exit points. Inside a solve and a
-training step, one unvalidated SoftAssignment per layer carries the
+The validating wrappers (WeightMatrix, Codebook) guard the public entry and
+exit points. Inside a solve and a training step, one unvalidated
+SoftAssignment per layer carries the
 distances, attention and column sums at the converged codebook, and every
 consumer of the soft assignment reuses it. It is also the one home of the
 soft k-means center update F, which the solver iterates (`update`, with the
@@ -59,7 +58,6 @@ import numpy as np
 
 from .errors import NumericsError, ParamError, ShapeError, require_positive_finite
 
-ROW_SUM_TOL = 1e-9
 SAFE_DIV_EPS = 1e-300
 DEGENERATE_FLOOR = 1e-12
 # A pass over a layer's k x m arrays is split into column blocks only when
@@ -261,44 +259,6 @@ def bits_per_weight(k: int, d: int) -> float:
     if k < 1 or d < 1:
         raise ParamError(f"k and d must be >= 1, got k={k}, d={d}")
     return math.log2(k) / d
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """m x k matrix of 2-norm distances between sub-vectors and codewords."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _as_locked_f64(self.data)
-        if data.ndim != 2:
-            raise ShapeError("distance matrix must be 2-D")
-        _finite(data, "distance matrix")
-        if np.any(data < 0):
-            raise NumericsError("distance matrix contains negative entries")
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
-class AttentionMatrix:
-    """m x k row-stochastic soft-assignment weights at temperature tau."""
-
-    data: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        data = _as_locked_f64(self.data)
-        if data.ndim != 2:
-            raise ShapeError("attention matrix must be 2-D")
-        require_positive_finite("tau", self.tau)
-        _finite(data, "attention matrix")
-        if np.any(data < 0) or np.any(data > 1):
-            raise NumericsError("attention entries outside [0, 1]")
-        row_sums = data.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.max(np.abs(row_sums - 1.0)))
-            raise NumericsError(f"attention rows deviate from 1 by {worst:.3e}")
-        object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True)
@@ -612,21 +572,14 @@ def flatten_weights(w: WeightMatrix) -> np.ndarray:
     return w.data.T.ravel()[: w.n].copy()
 
 
-def distance_matrix(w: WeightMatrix, c: Codebook) -> DistanceMatrix:
-    """Entry (i, j) is the 2-norm ||w_i - c_j||."""
-    require_same_dim(w, c)
-    return DistanceMatrix(_distances(w.data, c.data).T)
-
-
-def attention_matrix(dmat: DistanceMatrix, tau: float) -> AttentionMatrix:
-    """Row-wise softmax of -distances/tau: the validated m x k attention."""
-    return AttentionMatrix(data=attention(dmat.data.T, tau).T, tau=tau)
-
-
 def attention(dist: np.ndarray, tau: float) -> np.ndarray:
     """k x m attention of raw k x m distances, soft_assign's kernel: column
     i is the softmax of -dist[:, i] / tau less its maximum, so a sharp
-    temperature saturates to a hard assignment instead of overflowing."""
+    temperature saturates to a hard assignment instead of overflowing.
+
+    It is the raw kernel and validates nothing: distances that overflow to
+    inf give nan columns, returned without raising. SoftAssignment.update
+    and the WeightMatrix check on soft_quantize's output catch them."""
     require_positive_finite("tau", tau)
     att = np.empty_like(dist)
     _by_columns(_softmax_cols, *dist.shape, (dist, att), tau)

@@ -27,10 +27,9 @@ from idkm.gradcheck import (
 from idkm.gradients import GradBackend
 from idkm.pq import (
     Codebook,
-    attention_matrix,
-    distance_matrix,
     hard_quantize,
     partition_weights,
+    soft_assign,
     soft_quantize,
 )
 
@@ -159,14 +158,14 @@ def test_criterion_8_attention_rows_are_stochastic_and_sharpen_to_hard():
         k = int(rng.integers(2, 9))
         w = partition_weights(rng.normal(size=m * d), d)
         c = Codebook(rng.normal(size=(k, d)))
-        dmat = distance_matrix(w, c)
+        dists = soft_assign(w.data, c.data, 1.0).dist.T
 
-        tau = 0.05 * float(np.median(dmat.data))
-        rows = attention_matrix(dmat, tau).data
+        tau = 0.05 * float(np.median(dists))
+        rows = soft_assign(w.data, c.data, tau).att.T
         worst_sum = max(worst_sum, float(np.abs(rows.sum(axis=1) - 1).max()))
         assert np.all(rows >= 0)
 
-        ordered = np.sort(dmat.data, axis=1)
+        ordered = np.sort(dists, axis=1)
         gap = float((ordered[:, 1] - ordered[:, 0]).min())
         if gap < 1e-6:
             continue

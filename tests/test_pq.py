@@ -17,13 +17,9 @@ from idkm.errors import NumericsError, ParamError, ShapeError
 from idkm.gradients import GradBackend
 from idkm.nn import LayerSpec, Network
 from idkm.pq import (
-    AttentionMatrix,
     Codebook,
-    DistanceMatrix,
     WeightMatrix,
     attention,
-    attention_matrix,
-    distance_matrix,
     flatten_weights,
     hard_quantize,
     nearest_indices,
@@ -32,7 +28,7 @@ from idkm.pq import (
     soft_quantize,
     soft_quantize_vjp,
 )
-from idkm.solver import InitStrategy
+from idkm.solver import InitStrategy, solve_fixed_point
 from idkm.training import TrainConfig, train
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -85,40 +81,48 @@ class TestPartition:
 
 class TestDistancesAndAttention:
     def test_two_points_two_codewords(self):
-        d = distance_matrix(_scalar_weights([0.0, 1.0]), _scalar_codebook([0.0, 2.0]))
-        np.testing.assert_array_equal(d.data, [[0.0, 2.0], [1.0, 1.0]])
+        w, c = _scalar_weights([0.0, 1.0]), _scalar_codebook([0.0, 2.0])
+        dist = soft_assign(w.data, c.data, 1.0).dist
+        np.testing.assert_array_equal(dist.T, [[0.0, 2.0], [1.0, 1.0]])
 
     def test_distances_are_norms_not_squared(self):
         w = partition_weights([3.0, 4.0], 2)
         c = Codebook([[0.0, 0.0]])
-        assert distance_matrix(w, c).data[0, 0] == pytest.approx(5.0, abs=1e-12)
+        dist = soft_assign(w.data, c.data, 1.0).dist
+        assert dist[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_softmax_row_at_unit_temperature(self):
-        a = attention_matrix(DistanceMatrix([[0.0, 1.0]]), tau=1.0)
+        a = attention(np.array([[0.0], [1.0]]), tau=1.0)
         np.testing.assert_allclose(
-            a.data, [[0.7310585786, 0.2689414214]], atol=1e-9, rtol=0
+            a.T, [[0.7310585786, 0.2689414214]], atol=1e-9, rtol=0
         )
 
     def test_raw_kernel_takes_the_codeword_major_layout(self):
         # attention is soft_assign's k x m kernel: each column is one
-        # sub-vector's softmax. attention_matrix takes the m x k matrix.
-        dmat = DistanceMatrix([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
-        rows = attention_matrix(dmat, tau=0.7).data
-        np.testing.assert_array_equal(attention(dmat.data.T, tau=0.7), rows.T)
+        # sub-vector's softmax over the k codewords.
+        rows = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
+        expected = np.exp(-rows / 0.7)
+        expected /= expected.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            attention(rows.T, tau=0.7).T, expected, atol=1e-15, rtol=0
+        )
         np.testing.assert_array_equal(attention(np.array([[0.0, 1.0]]), 1.0), [[1.0, 1.0]])
+        w, c = _scalar_weights([0.0, 1.0, 2.5]), _scalar_codebook([0.0, 2.0])
+        asg = soft_assign(w.data, c.data, 0.7)
+        np.testing.assert_array_equal(asg.att, attention(asg.dist, 0.7))
 
     def test_sharp_temperature_saturates_without_overflow(self):
-        a = attention_matrix(DistanceMatrix([[0.0, 1.0]]), tau=1e-6)
-        np.testing.assert_allclose(a.data, [[1.0, 0.0]], atol=1e-12, rtol=0)
-        assert np.all(np.isfinite(a.data))
+        a = attention(np.array([[0.0], [1.0]]), tau=1e-6)
+        np.testing.assert_allclose(a.T, [[1.0, 0.0]], atol=1e-12, rtol=0)
+        assert np.all(np.isfinite(a))
 
     def test_equal_distances_give_uniform_rows(self):
-        a = attention_matrix(DistanceMatrix([[3.0, 3.0, 3.0, 3.0]]), tau=0.7)
-        np.testing.assert_array_equal(a.data, np.full((1, 4), 0.25))
+        a = attention(np.full((4, 1), 3.0), tau=0.7)
+        np.testing.assert_array_equal(a.T, np.full((1, 4), 0.25))
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ParamError):
-            attention_matrix(DistanceMatrix([[1.0]]), tau=0.0)
+            attention(np.array([[1.0]]), tau=0.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, tau):
@@ -126,31 +130,29 @@ class TestDistancesAndAttention:
         # tau = nan failed as "non-finite entries" of the weight matrix.
         w, c = _scalar_weights([0.0, 1.0]), _scalar_codebook([0.0, 1.0])
         with pytest.raises(ParamError, match="tau must be positive and finite"):
-            attention_matrix(DistanceMatrix([[1.0]]), tau=tau)
+            attention(np.array([[1.0]]), tau=tau)
         with pytest.raises(ParamError, match="tau must be positive and finite"):
             soft_quantize(w, c, tau)
 
     def test_dimension_mismatch_rejected(self):
+        w, c = partition_weights([1.0, 2.0], 2), _scalar_codebook([0.0])
         with pytest.raises(ShapeError):
-            distance_matrix(partition_weights([1.0, 2.0], 2), _scalar_codebook([0.0]))
-
-    def test_negative_distances_rejected(self):
-        with pytest.raises(NumericsError):
-            DistanceMatrix([[-1.0]])
-
-    def test_attention_rows_must_be_stochastic(self):
-        with pytest.raises(NumericsError):
-            AttentionMatrix(data=[[0.5, 0.4]], tau=1.0)
+            nearest_indices(w, c)
+        with pytest.raises(ShapeError):
+            soft_quantize(w, c, 1.0)
 
     def test_attention_entries_must_be_finite(self):
-        # Every comparison with nan is false, so the range and row-sum
-        # checks alone let a nan row through.
-        with pytest.raises(NumericsError, match="non-finite"):
-            AttentionMatrix(data=[[np.nan, np.nan]], tau=1.0)
-        # Distances too large for tau overflow the softmax to nan.
+        # Distances too large for tau overflow the softmax to nan. The raw
+        # kernel returns it; the quantizer's output and the solver's center
+        # update refuse it.
+        w = _scalar_weights([1e300, 2e300])
+        c = _scalar_codebook([-1e300, -1e300])
         with np.errstate(all="ignore"):
+            assert np.all(np.isnan(soft_assign(w.data, c.data, 1e-10).att))
             with pytest.raises(NumericsError, match="non-finite"):
-                attention_matrix(DistanceMatrix([[1e300, 1e300]]), tau=1e-10)
+                soft_quantize(w, c, 1e-10)
+            with pytest.raises(NumericsError, match="non-finite"):
+                solve_fixed_point(w, c, tau=1e-10, eps=1e-8, max_iters=10)
 
 
 class TestQuantizers:
@@ -247,7 +249,7 @@ class TestSoftQuantizeVjp:
         w = partition_weights(rng.normal(size=m * d), d)
         c = Codebook(rng.normal(size=(k, d)))
         upstream = rng.normal(size=(d, m))
-        scale = float(np.median(distance_matrix(w, c).data))
+        scale = float(np.median(soft_assign(w.data, c.data, 1.0).dist))
         tau = scale * (0.05, 0.3, 1.0)[seed % 3]
 
         def phi(wd, cd):
@@ -297,9 +299,9 @@ def _random_instance(seed, m, k, d):
 @PROPERTY_SETTINGS
 def test_attention_rows_sum_to_one(seed, m, k, d, log_tau):
     w, c = _random_instance(seed, m, k, d)
-    a = attention_matrix(distance_matrix(w, c), tau=10.0**log_tau)
-    np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-9, rtol=0)
-    assert np.all(a.data >= 0.0)
+    rows = soft_assign(w.data, c.data, 10.0**log_tau).att.T
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9, rtol=0)
+    assert np.all(rows >= 0.0)
 
 
 @given(
@@ -329,7 +331,7 @@ def test_soft_limits_to_hard_below_the_gap(seed, m, k, d):
     from hypothesis import assume
 
     w, c = _random_instance(seed, m, k, d)
-    dists = np.sort(distance_matrix(w, c).data, axis=1)
+    dists = np.sort(soft_assign(w.data, c.data, 1.0).dist.T, axis=1)
     min_gap = float((dists[:, 1] - dists[:, 0]).min())
     assume(min_gap > 1e-6)
     tau = min_gap / 41.0
@@ -350,9 +352,9 @@ def test_codebook_permutation_equivariance(seed, m, k, d):
     perm = np.random.default_rng(seed + 1).permutation(k)
     permuted = Codebook(c.data[perm])
     tau = 0.5
-    a = attention_matrix(distance_matrix(w, c), tau)
-    a_perm = attention_matrix(distance_matrix(w, permuted), tau)
-    np.testing.assert_allclose(a_perm.data, a.data[:, perm], atol=1e-13, rtol=0)
+    a = soft_assign(w.data, c.data, tau).att.T
+    a_perm = soft_assign(w.data, permuted.data, tau).att.T
+    np.testing.assert_allclose(a_perm, a[:, perm], atol=1e-13, rtol=0)
     np.testing.assert_allclose(
         soft_quantize(w, permuted, tau).data,
         soft_quantize(w, c, tau).data,
@@ -412,7 +414,6 @@ def _kernel_outputs(w, c, tau, seed=0) -> dict:
         "directions": asg.directions,
         "j_c": asg.j_c,
         "soft_quantize": soft_quantize(w, c, tau, asg).data,
-        "validated_attention": attention_matrix(distance_matrix(w, c), tau).data,
     }
     v = rng.normal(size=c.data.size)
     out["f_vjp_c"], out["f_vjp_w"] = asg.f_vjp(v)
