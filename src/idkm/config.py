@@ -11,6 +11,7 @@ dataclass or function that takes it, so no default is restated here.
 from __future__ import annotations
 
 import configparser
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,17 +59,8 @@ SECTION_TYPES = {
     },
 }
 
-_LAYER_TYPES = {
-    "kind": LAYER_KINDS,
-    "in_features": int,
-    "out_features": int,
-    "in_channels": int,
-    "out_channels": int,
-    "kernel": int,
-    "stride": int,
-    "padding": str,
-    "quantize": bool,
-}
+# A [layer.N] section's keys are LayerSpec's fields, each of its type.
+_LAYER_TYPES = {**typing.get_type_hints(LayerSpec), "kind": LAYER_KINDS}
 
 # Keys whose parameter has another name in train_float and TrainConfig.
 _PARAM_NAMES = {"lr": "learning_rate"}

@@ -102,6 +102,12 @@ def make_instance(seed: int) -> GradInstance:
     one-hot nor uniform. Seeds whose forward solve stalls before reaching
     the tight tolerance are skipped deterministically (the derivative
     comparisons are only meaningful at a converged point).
+
+    The solve is plain iteration from c0, no Newton steps, although
+    training's cold solves take them: the unrolled oracle replays plain
+    iteration from c0, and must end at the c_star the other backends
+    differentiate at. With Newton-solved instances, `idkm gradcheck
+    --instances 20` read implicit vs unrolled 9.2e-01.
     """
     attempt = seed
     while True:

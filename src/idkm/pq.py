@@ -29,7 +29,8 @@ gradient backend calls. The backward pass through the softmax and the
 distances (_att_vjp_cols) is one column kernel, which f_vjp and the soft
 quantizer's VJP both run. f_vjp_from_sums, the unrolled sweep's kernel,
 gives f_vjp's result from an evaluation's sums alone: each column block
-remakes its own distances, attention and unit directions.
+remakes its own distances, attention and unit directions. All three VJPs
+run their pass through one driver, _column_vjp.
 
 Every pass over a layer's k x m arrays is column-local or a sum over the m
 columns, so a large layer runs each pass by contiguous column blocks at once
@@ -265,7 +266,8 @@ def bits_per_weight(k: int, d: int) -> float:
 class SoftAssignment:
     """One evaluation of the soft assignment of sub-vectors to codewords.
 
-    Raw, unvalidated arrays, made by soft_assign. The solver keeps the one
+    Raw arrays, made by soft_assign, which checks only that its column sums
+    are finite. The solver keeps the one
     taken at its returned codebook, and soft_quantize, soft_quantize_vjp and
     the cluster backward all reuse it instead of recomputing it.
 
@@ -281,6 +283,8 @@ class SoftAssignment:
         col_sums: length-k attention sums over the sub-vectors.
         weighted_sums: k x d attention-weighted sums of the sub-vectors,
             att @ w.T.
+        scale, means: F's denominators and the center update F before
+            stale-center replacement, from the sums (_scale_and_means).
 
     It also holds the center update F(C, W) the solver iterates, `update`:
     the attention-weighted `means`, with each `degenerate` cluster's center
@@ -301,16 +305,8 @@ class SoftAssignment:
     att: np.ndarray
     col_sums: np.ndarray
     weighted_sums: np.ndarray
-
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """Column sums floored at DEGENERATE_FLOOR: F's denominators."""
-        return np.maximum(self.col_sums, DEGENERATE_FLOOR)
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        """k x d center update F, before stale-center replacement."""
-        return self.weighted_sums / self.scale[:, None]
+    scale: np.ndarray
+    means: np.ndarray
 
     @cached_property
     def degenerate(self) -> np.ndarray:
@@ -344,15 +340,9 @@ class SoftAssignment:
         the direct term sum_j a_ij v_j / s_j. O(m*k*d).
         """
         v = np.asarray(v, dtype=np.float64).reshape(self.c.shape)
-        k, m = self.att.shape
-        grad_w = np.empty(self.w.shape)
-        grad_c = _by_columns(
-            _f_vjp_cols, k, m, (self.w, self.att, self.directions, grad_w),
-            self.tau, self.scale, v, (v * self.means).sum(axis=1),
-        )
-        return (
-            _finite(grad_c.ravel(), "v @ dF/dC"),
-            _finite(grad_w.ravel(), "v @ dF/dW"),
+        return _column_vjp(
+            _f_vjp_cols, len(self.c), (self.w, self.att, self.directions),
+            _F_VJP, self.tau, self.scale, v, self.means,
         )
 
     @cached_property
@@ -434,17 +424,17 @@ def _att_vjp_cols(a, g, d_att, grad_w, tau) -> np.ndarray:
     return -np.einsum("ji,jpi->jp", coef, g)
 
 
-def _f_vjp_cols(w, a, g, grad_w, tau, scale, v, shift) -> np.ndarray:
-    """SoftAssignment.f_vjp on a block; shift[j] = <v_j, F_j>."""
+def _f_vjp_cols(w, a, g, grad_w, tau, scale, v, means) -> np.ndarray:
+    """SoftAssignment.f_vjp on a block."""
     d_att = v @ w
-    d_att -= shift[:, None]
+    d_att -= (v * means).sum(axis=1)[:, None]
     d_att /= scale[:, None]
     grad_c = _att_vjp_cols(a, g, d_att, grad_w, tau)
     grad_w += (v / scale[:, None]).T @ a
     return grad_c
 
 
-def _f_vjp_from_sums_cols(w, grad_w, c, tau, scale, v, shift) -> np.ndarray:
+def _f_vjp_from_sums_cols(w, grad_w, tau, scale, v, means, c) -> np.ndarray:
     """f_vjp_from_sums on a block: the block's distances, attention and
     unit directions are made here, used once, and dropped."""
     (k, d), width = c.shape, w.shape[1]
@@ -454,7 +444,7 @@ def _f_vjp_from_sums_cols(w, grad_w, c, tau, scale, v, shift) -> np.ndarray:
     _softmax_cols(dist, a, tau)
     g = np.empty((k, d, width))
     _unit_directions(w, dist, g, c)
-    return _f_vjp_cols(w, a, g, grad_w, tau, scale, v, shift)
+    return _f_vjp_cols(w, a, g, grad_w, tau, scale, v, means)
 
 
 def _j_c_cols(w, a, g, means, tau_scale) -> tuple[np.ndarray, np.ndarray]:
@@ -475,7 +465,7 @@ def _mix_cols(a, out, ct) -> None:
     np.matmul(ct, a, out=out)
 
 
-def _quantizer_vjp_cols(a, g, upstream, grad_w, tau, cd) -> np.ndarray:
+def _quantizer_vjp_cols(upstream, a, g, grad_w, tau, cd) -> np.ndarray:
     """soft_quantize_vjp on a block: writes its grad_w, returns its grad_c."""
     # The output is c^T att, so d(loss)/d att[j, i] = <c_j, upstream column i>.
     grad_c = _att_vjp_cols(a, g, cd @ upstream, grad_w, tau)
@@ -491,13 +481,40 @@ def _distances(wd: np.ndarray, cd: np.ndarray) -> np.ndarray:
     return dist
 
 
+# The two ends of F's VJP, as _column_vjp names them when not finite.
+_F_VJP = ("v @ dF/dC", "v @ dF/dW")
+
+
+def _column_vjp(kernel, k: int, columns: tuple, what: tuple, *args):
+    """The pass of f_vjp, f_vjp_from_sums or soft_quantize_vjp by column
+    blocks: kernel(*columns, grad_w, *args) writes its block of grad_w, made
+    here in the d x m shape of columns[0], and returns its part of the k x d
+    grad_c. Returns (grad_c, grad_w), raveled, refused as what[0] and
+    what[1] when not finite."""
+    grad_w = np.empty(columns[0].shape)
+    grad_c = _by_columns(kernel, k, grad_w.shape[1], (*columns, grad_w), *args)
+    return _finite(grad_c.ravel(), what[0]), _finite(grad_w.ravel(), what[1])
+
+
+def _scale_and_means(col_sums, weighted_sums) -> tuple[np.ndarray, np.ndarray]:
+    """F's denominators, the column sums floored at DEGENERATE_FLOOR, and
+    the means they give, F before stale-center replacement, from an
+    evaluation's sums."""
+    scale = np.maximum(col_sums, DEGENERATE_FLOOR)
+    return scale, weighted_sums / scale[:, None]
+
+
 def soft_assign(wd: np.ndarray, cd: np.ndarray, tau: float) -> SoftAssignment:
     """Distances, attention and column sums of raw d x m sub-vectors wd
-    against raw k x d codewords cd: the kernel every solve iteration runs."""
+    against raw k x d codewords cd: the kernel every solve iteration runs.
+    A nan in the attention (distances that overflow) reaches a column sum,
+    and a NumericsError names the attention, at O(k) a call."""
     dist = _distances(wd, cd)
     att = attention(dist, tau)
     col_sums, weighted_sums = _by_columns(_attention_sums, *att.shape, (att, wd))
-    return SoftAssignment(wd, cd, tau, dist, att, col_sums, weighted_sums)
+    _finite(col_sums, "attention")
+    return SoftAssignment(wd, cd, tau, dist, att, col_sums, weighted_sums,
+                          *_scale_and_means(col_sums, weighted_sums))
 
 
 def f_vjp_from_sums(
@@ -512,17 +529,10 @@ def f_vjp_from_sums(
     evaluation's col_sums and weighted_sums: one pass by column blocks,
     each remaking its own distances, attention and unit directions, so no
     k x m array of the layer is made. The unrolled sweep's kernel."""
-    scale = np.maximum(col_sums, DEGENERATE_FLOOR)
     v = np.asarray(v, dtype=np.float64).reshape(cd.shape)
-    shift = (v * (weighted_sums / scale[:, None])).sum(axis=1)
-    grad_w = np.empty(wd.shape)
-    grad_c = _by_columns(
-        _f_vjp_from_sums_cols, cd.shape[0], wd.shape[1], (wd, grad_w),
-        cd, tau, scale, v, shift,
-    )
-    return (
-        _finite(grad_c.ravel(), "v @ dF/dC"),
-        _finite(grad_w.ravel(), "v @ dF/dW"),
+    scale, means = _scale_and_means(col_sums, weighted_sums)
+    return _column_vjp(
+        _f_vjp_from_sums_cols, len(cd), (wd,), _F_VJP, tau, scale, v, means, cd,
     )
 
 
@@ -578,8 +588,8 @@ def attention(dist: np.ndarray, tau: float) -> np.ndarray:
     temperature saturates to a hard assignment instead of overflowing.
 
     It is the raw kernel and validates nothing: distances that overflow to
-    inf give nan columns, returned without raising. SoftAssignment.update
-    and the WeightMatrix check on soft_quantize's output catch them."""
+    inf give nan columns, returned without raising. soft_assign refuses
+    them, naming the attention."""
     require_positive_finite("tau", tau)
     att = np.empty_like(dist)
     _by_columns(_softmax_cols, *dist.shape, (dist, att), tau)
@@ -642,9 +652,8 @@ def soft_quantize_vjp(
             f"upstream shape {upstream.shape} != weight shape {w.data.shape}"
         )
     asg = assignment_at(w, c, tau, assignment)
-    grad_w = np.empty(upstream.shape)
-    grad_c = _by_columns(
-        _quantizer_vjp_cols, *asg.att.shape,
-        (asg.att, asg.directions, upstream, grad_w), tau, c.data,
+    grad_c, grad_w = _column_vjp(
+        _quantizer_vjp_cols, c.k, (upstream, asg.att, asg.directions),
+        ("soft-quantizer VJP",) * 2, tau, c.data,
     )
-    return _finite(grad_w, "soft-quantizer VJP"), _finite(grad_c, "soft-quantizer VJP")
+    return grad_w.reshape(upstream.shape), grad_c.reshape(c.data.shape)

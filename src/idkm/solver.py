@@ -5,13 +5,11 @@ replaces every center with its attention-weighted mean of sub-vectors. A
 cold solve starts from a seeded k-means++ draw (init_codebook). The
 solver iterates F until the current codebook's fixed-point gap ||F(C) - C||
 drops below a tolerance, with an optional recorded trace of the codebook
-entering every update. The trace is what an unrolled backward pass must
-retain, so its length is the quantity measured by the memory
-instrumentation; all other backends keep exactly one codebook. A recorded
-solve also keeps, per update, the column sums and weighted sums of the
-evaluation it applied (k*(d+1) floats), and the whole evaluation entering
-the last update, so the unrolled sweep remakes no evaluation at
-trace[-1] and no sum at any iterate.
+entering every update, which an unrolled backward pass differentiates; its
+length is the quantity the memory instrumentation measures, and every
+other backend keeps exactly one codebook. A recorded solve also keeps what
+the unrolled sweep would otherwise remake (FixedPointResult; README counts
+the bytes).
 
 The loop and fixed_point_map_F run one raw-array kernel, pq.soft_assign,
 and take F from the SoftAssignment it returns: its `update` holds the new
@@ -28,12 +26,14 @@ An update may instead be a guarded Newton step C + M (F(C) - C), with M an
 a rejected step costs one evaluation and the plain update runs. A warm
 solve may be given `chord`, the M the implicit adjoint formed at the
 previous fixed point, for its first update; every later update is plain.
-A cold solve may ask for `newton`: each update then tries the step with M
-inverted from that evaluation's own dF/dC (gradients.adjoint_inverse), as
-DEQ forward solves do (Bai, Kolter & Koltun 2019). The first rejected step
-hands the rest of the solve to plain updates, and so does the first
+A solve may instead ask for `newton`: each update then tries the step with
+M inverted from that evaluation's own dF/dC (gradients.adjoint_inverse),
+as DEQ forward solves do (Bai, Kolter & Koltun 2019). The first rejected
+step hands the rest of the solve to plain updates, and so does the first
 evaluation where plain iteration does not contract (dF/dC with spectral
-radius 1 or more) or I - dF/dC is singular.
+radius 1 or more) or I - dF/dC is singular. Training asks for it on every
+solve it starts from k-means++, except a recorded one, whose trace cannot
+hold a guarded step (training._solve_layer).
 """
 
 from __future__ import annotations

@@ -6,40 +6,22 @@ the float weights along two routes: the direct path (codebook held fixed)
 and the cluster path through dC*/dW via the configured gradient backend.
 Plain SGD, no momentum. Biases are never quantized.
 
-The solver evaluates each layer's distances, attention and column sums once
-at its starting codebook and once after each update, and stops at C*, the
-first iterate that evaluation certifies. The soft quantizer, its VJP and
-the cluster backward (including a jfb fallback after a singular adjoint)
-all reuse that last evaluation, a pq.SoftAssignment, which also holds the
-center update F and F's VJP (f_vjp) and dF/dC (j_c), which the cluster
-backward runs. The implicit backend inverts the small I - j_c once per
-layer-step (gradients.adjoint_inverse); TrainState keeps that inverse next
-to the layer's warm codebook, and the next step's warm solve takes its
-first update as a chord step with it. implicit and jfb take one cluster
-backward, gradients.vjp_dC_dW, given that inverse or not (a singular
-adjoint under fallback_jfb gives none). The cold solve that gives training
-its first codebooks (solve_codebooks) instead tries a guarded Newton step
-with each evaluation's own inverse, until one fails; record 0 of train()
-counts the cold solves that stop uncertified. f_vjp and the soft
-quantizer's VJP run one backward pass through the softmax and the distances
-(pq._att_vjp_cols). Beyond the network's own arrays, a step therefore holds
-per layer one m x k distance and one m x k attention matrix (float64), its
-(k*d) x (k*d) inverse, and, during that layer's backward pass, its
-m x k x d unit distance directions. For the 100,352-weight layer at k=4,
-d=1 each m x k array is 401,408 entries, 3.2 MB. An unrolled layer-step
-also holds its trace of t codebooks (t * k * d floats), the t * k * (d+1)
-column and weighted sums of the evaluations its updates applied, and one
-more m x k distance and attention pair, the evaluation at trace[-1], until
-that layer's backward: on that layer, 4 * 2 * 8 = 64 bytes of sums an
-update, and 6.4 MB for the extra pair. Its reverse sweep remakes each
-earlier iterate's m x k arrays in one pass and drops them
-(pq.f_vjp_from_sums), a column block at a time on a layer that splits.
-No backend forms a dense (k*d) x (d*m) Jacobian. A layer with at least
-2 * pq.SPLIT_FLOOR of those entries runs each of these passes by column
-blocks chosen from (k, m) alone; the CPU count sets only how many threads
-take them, so the bits are the same on any CPU count (see pq). The arrays a
-step holds are the same, and a worker thread holds only its block's
-temporaries.
+A layer's solve (_solve_layer) starts warm, from the codebook the layer's
+last step left in TrainState, with the adjoint inverse that step kept as
+its chord, or cold, from cfg.init's k-means++ draw. One rule holds for
+every cold solve: it takes guarded Newton steps (solver.solve_fixed_point)
+unless it records a trace for unrolled, which cannot hold one. train()
+takes its first codebooks from cold solves, and its record 0 counts those
+that stop uncertified.
+
+A layer's backward is one call, _layer_backward: the soft quantizer's VJP,
+then, for implicit, the adjoint inverse (gradients.adjoint_inverse) or its
+singular outcome with the jfb fallback, then the cluster VJP
+(gradients.vjp_dC_dW, given that inverse or none, or vjp_through_trace for
+unrolled), and last the layer's warm codebook, chord and stats. It calls
+each by its name in this module. Every one of them reuses the soft
+assignment the solve kept at C* (pq.SoftAssignment); README says what that
+and an unrolled trace hold per layer.
 
 StepMetrics.retained_iterate_count records how many codebook snapshots a
 step held for backward: 1 for the implicit and jfb backends regardless of
@@ -157,19 +139,21 @@ class TrainState:
 def _solve_layer(
     key: str,
     index: int,
-    tensor: np.ndarray,
     state: TrainState,
     cfg: TrainConfig,
     record: bool,
-    newton: bool = False,
 ) -> tuple[WeightMatrix, FixedPointResult]:
-    """Partition one weight tensor and run the clustering solve, starting
-    from the layer's codebook in `state` if it has one, with its chord if it
-    has one, else from cfg.init; `newton` asks solve_fixed_point for its
-    guarded Newton steps."""
-    wm = partition_weights(tensor.ravel(), cfg.d)
+    """Partition the layer's weights in `state` and run its clustering solve.
+
+    A warm solve starts from the layer's codebook in `state`, with its chord
+    if it has one. A cold solve starts from cfg.init's k-means++ draw and
+    takes guarded Newton steps, unless it records a trace, which cannot
+    hold one.
+    """
+    wm = partition_weights(state.weights[key].ravel(), cfg.d)
     c0 = state.codebooks.get(key)
-    if c0 is None:
+    cold = c0 is None
+    if cold:
         strategy = dataclasses.replace(cfg.init, seed=cfg.init.seed + index)
         c0 = init_codebook(wm, cfg.k, strategy)
     elif c0.data.shape != (cfg.k, cfg.d):
@@ -178,9 +162,62 @@ def _solve_layer(
         )
     result = solve_fixed_point(
         wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record,
-        chord=state.chords.get(key), newton=newton,
+        chord=None if cold else state.chords.get(key),
+        newton=cold and not record,
     )
     return wm, result
+
+
+def _layer_backward(
+    name: str,
+    tensor: np.ndarray,
+    wm: WeightMatrix,
+    result: FixedPointResult,
+    grad: np.ndarray,
+    state: TrainState,
+    cfg: TrainConfig,
+) -> tuple[np.ndarray, dict]:
+    """One quantized layer's backward pass and SGD step, from `grad`, the
+    loss gradient at its soft-quantized weights: keeps the layer's codebook
+    and chord in `state`, and returns the stepped tensor and its stats."""
+    stats = {
+        "iters": result.iterations,
+        "residual": result.residual,
+        "converged": result.converged,
+        "retained": result.retained_codebooks,
+        "degenerate": result.degenerate_clusters,
+        "fallback": False,
+    }
+    upstream = partition_weights(grad.ravel(), wm.d)
+    grad_direct, grad_book = soft_quantize_vjp(
+        upstream.data, wm, result.codebook, cfg.tau, assignment=result.assignment,
+    )
+    u_vec = grad_book.ravel()
+    inverse = None  # also the next warm solve's chord; None takes jfb
+    if cfg.backend.kind == "implicit":
+        try:
+            inverse = adjoint_inverse(result.assignment.j_c)
+            stats["adjoint"] = "solved"
+        except AdjointSingular as exc:
+            stats["adjoint"] = "singular"
+            if not cfg.fallback_jfb:
+                raise AdjointSingular(f"{name}: {exc}") from exc
+            stats["fallback"] = True
+    if cfg.backend.kind == "unrolled":
+        flat_grad = vjp_through_trace(u_vec, wm, result, cfg.tau)
+    else:
+        flat_grad = vjp_dC_dW(
+            u_vec, wm, result.codebook, cfg.tau,
+            assignment=result.assignment, inverse=inverse,
+        )
+    total = grad_direct + flat_grad.reshape(wm.d, wm.m)
+    flat = total.T.ravel()[: tensor.size]
+    state.codebooks[name] = result.codebook
+    if inverse is None:
+        state.chords.pop(name, None)
+    else:
+        state.chords[name] = inverse
+    return tensor - cfg.learning_rate * flat.reshape(tensor.shape), stats
 
 
 def quantized_train_step(
@@ -196,18 +233,15 @@ def quantized_train_step(
     codebooks and chords, which are refreshed so the next step starts near
     the previous solution. Layers without the quantize flag get plain SGD.
     """
-    qkeys = net.quantized_keys()
     record = cfg.backend.kind == "unrolled"
 
     t0 = time.perf_counter()
     solved: dict[str, tuple[WeightMatrix, FixedPointResult]] = {}
     run_weights = dict(state.weights)
-    for index, key in enumerate(qkeys):
-        wm, result = _solve_layer(key, index, state.weights[key], state, cfg, record)
+    for index, key in enumerate(net.quantized_keys()):
+        wm, result = _solve_layer(key, index, state, cfg, record)
         solved[key] = (wm, result)
-        soft = soft_quantize(
-            wm, result.codebook, cfg.tau, assignment=result.assignment
-        )
+        soft = soft_quantize(wm, result.codebook, cfg.tau, assignment=result.assignment)
         run_weights[key] = flatten_weights(soft).reshape(state.weights[key].shape)
     loss, grads = loss_and_grad(net, run_weights, x, y, cfg.loss_kind)
     t_forward = time.perf_counter() - t0
@@ -216,66 +250,29 @@ def quantized_train_step(
     new_weights: dict[str, np.ndarray] = {}
     per_layer: dict[str, dict] = {}
     for name, tensor in state.weights.items():
-        if name not in solved:
-            new_weights[name] = tensor - cfg.learning_rate * grads[name]
-            continue
-        # Popped, so the layer's soft assignment is freed after its backward.
-        wm, result = solved.pop(name)
-        stats = {
-            "iters": result.iterations,
-            "residual": result.residual,
-            "converged": result.converged,
-            "retained": result.retained_codebooks,
-            "degenerate": result.degenerate_clusters,
-            "fallback": False,
-        }
-        upstream = partition_weights(grads[name].ravel(), wm.d)
-        grad_direct, grad_book = soft_quantize_vjp(
-            upstream.data, wm, result.codebook, cfg.tau,
-            assignment=result.assignment,
-        )
-        u_vec = grad_book.ravel()
-        inverse = None  # also the next warm solve's chord; None takes jfb
-        if cfg.backend.kind == "implicit":
-            try:
-                inverse = adjoint_inverse(result.assignment.j_c)
-                stats["adjoint"] = "solved"
-            except AdjointSingular as exc:
-                stats["adjoint"] = "singular"
-                if not cfg.fallback_jfb:
-                    raise AdjointSingular(f"{name}: {exc}") from exc
-                stats["fallback"] = True
-        if cfg.backend.kind == "unrolled":
-            flat_grad = vjp_through_trace(u_vec, wm, result, cfg.tau)
-        else:
-            flat_grad = vjp_dC_dW(
-                u_vec, wm, result.codebook, cfg.tau,
-                assignment=result.assignment, inverse=inverse,
+        if name in solved:
+            # Popped, so the layer's soft assignment is freed after its backward.
+            new_weights[name], per_layer[name] = _layer_backward(
+                name, tensor, *solved.pop(name), grads[name], state, cfg
             )
-        total = grad_direct + flat_grad.reshape(wm.d, wm.m)
-        flat = total.T.ravel()[: tensor.size]
-        new_weights[name] = tensor - cfg.learning_rate * flat.reshape(tensor.shape)
-        state.codebooks[name] = result.codebook
-        if inverse is None:
-            state.chords.pop(name, None)
         else:
-            state.chords[name] = inverse
-        per_layer[name] = stats
+            new_weights[name] = tensor - cfg.learning_rate * grads[name]
     t_backward = time.perf_counter() - t1
 
     state.step += 1
-    metrics = StepMetrics(
+
+    def most(stat, default):
+        return max((stats[stat] for stats in per_layer.values()), default=default)
+
+    return new_weights, StepMetrics(
         loss=loss,
-        retained_iterate_count=max(
-            (s["retained"] for s in per_layer.values()), default=0
-        ),
-        cluster_iters=max((s["iters"] for s in per_layer.values()), default=0),
-        residual=max((s["residual"] for s in per_layer.values()), default=0.0),
+        retained_iterate_count=most("retained", 0),
+        cluster_iters=most("iters", 0),
+        residual=most("residual", 0.0),
         wall_time_forward=t_forward,
         wall_time_backward=t_backward,
         per_layer=per_layer,
     )
-    return new_weights, metrics
 
 
 def quantize_weights(
@@ -327,12 +324,10 @@ def evaluate(
 def _cold_solves(
     net: Network, weights: dict[str, np.ndarray], cfg: TrainConfig
 ) -> dict[str, FixedPointResult]:
-    """Each quantized layer's cold solve from cfg.init, taken by guarded
-    Newton steps; no gradients."""
+    """Each quantized layer's cold solve from cfg.init; no gradients."""
     state = TrainState(weights=weights)
     return {
-        key: _solve_layer(key, index, weights[key], state, cfg, record=False,
-                          newton=True)[1]
+        key: _solve_layer(key, index, state, cfg, record=False)[1]
         for index, key in enumerate(net.quantized_keys())
     }
 
@@ -340,12 +335,9 @@ def _cold_solves(
 def solve_codebooks(
     net: Network, weights: dict[str, np.ndarray], cfg: TrainConfig
 ) -> dict[str, Codebook]:
-    """Forward clustering solve for every quantized layer, no gradients.
-
-    Each solve starts from cfg.init's k-means++ draw and tries a guarded
-    Newton step (solver.solve_fixed_point) on each update until one fails,
-    so the codebooks a training run warm-starts from are fixed points to
-    within cfg.eps wherever Newton converges within cfg.max_cluster_iters.
+    """Each quantized layer's cold solve, no gradients: by guarded Newton
+    steps, so the codebooks a training run warm-starts from are fixed points
+    to within cfg.eps wherever Newton converges within cfg.max_cluster_iters.
     """
     return {key: r.codebook for key, r in _cold_solves(net, weights, cfg).items()}
 

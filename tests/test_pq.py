@@ -143,16 +143,30 @@ class TestDistancesAndAttention:
 
     def test_attention_entries_must_be_finite(self):
         # Distances too large for tau overflow the softmax to nan. The raw
-        # kernel returns it; the quantizer's output and the solver's center
-        # update refuse it.
+        # kernel returns it; the quantizer and the solver refuse it.
         w = _scalar_weights([1e300, 2e300])
         c = _scalar_codebook([-1e300, -1e300])
         with np.errstate(all="ignore"):
-            assert np.all(np.isnan(soft_assign(w.data, c.data, 1e-10).att))
+            assert np.all(np.isnan(attention(pq._distances(w.data, c.data), 1e-10)))
             with pytest.raises(NumericsError, match="non-finite"):
                 soft_quantize(w, c, 1e-10)
             with pytest.raises(NumericsError, match="non-finite"):
                 solve_fixed_point(w, c, tau=1e-10, eps=1e-8, max_iters=10)
+
+    # The overflow above, from finite weights and codewords, is the
+    # attention's fault, and each entry point says so.
+    @pytest.mark.parametrize("entry", [
+        lambda w, c: soft_assign(w.data, c.data, 1e-10),
+        lambda w, c: soft_quantize(w, c, 1e-10),
+        lambda w, c: solve_fixed_point(w, c, tau=1e-10, eps=1e-8, max_iters=10),
+    ], ids=["soft_assign", "soft_quantize", "solve_fixed_point"])
+    def test_an_attention_overflow_is_blamed_on_the_attention(self, entry):
+        w = _scalar_weights([1e300, 2e300])
+        c = _scalar_codebook([-1e300, -1e300])
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericsError, match="^attention contains non-finite values$"
+        ):
+            entry(w, c)
 
 
 class TestQuantizers:

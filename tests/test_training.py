@@ -595,6 +595,28 @@ class TestTrainLoop:
         assert newton == [True, True] + [False] * (len(newton) - 2)
         assert len(newton) > 2
 
+    @pytest.mark.parametrize("kind", ["implicit", "jfb", "unrolled"])
+    def test_a_step_without_codebooks_solves_cold_by_the_one_rule(
+        self, monkeypatch, kind
+    ):
+        # Every solve from k-means++ takes Newton steps, but a recorded one,
+        # whose trace cannot hold a guarded step.
+        newton = []
+        real = training.solve_fixed_point
+
+        def recording_solve(*args, **kwargs):
+            newton.append(kwargs["newton"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "solve_fixed_point", recording_solve)
+        net, weights, data = blob_task(10, points=10)
+        quantized_train_step(
+            net, data.inputs[:16], data.labels[:16],
+            TrainState(weights=dict(weights)),
+            small_cfg(backend=GradBackend(kind=kind)),
+        )
+        assert newton == [kind != "unrolled"] * 2
+
     def test_zero_epochs_is_pure_evaluation(self):
         net, weights, data = blob_task(10, points=10)
         history, state = train(net, weights, small_cfg(epochs=0), data)
