@@ -12,17 +12,13 @@ from .errors import (
     ParamError,
     ShapeError,
 )
-from .gradients import (
-    GradBackend,
-    jacobians_of_F,
-    vjp_dC_dW,
-    vjp_through_trace,
-)
+from .gradients import GradBackend, vjp_dC_dW, vjp_through_trace
 from .nn import LayerSpec, Network, loss_and_grad, softmax_cross_entropy, squared_error
 from .pq import (
     Codebook,
     SoftAssignment,
     WeightMatrix,
+    assignment_at,
     bits_per_weight,
     flatten_weights,
     hard_quantize,
@@ -73,13 +69,13 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "WeightMatrix",
+    "assignment_at",
     "bits_per_weight",
     "evaluate",
     "fixed_point_map_F",
     "flatten_weights",
     "hard_quantize",
     "init_codebook",
-    "jacobians_of_F",
     "loss_and_grad",
     "nearest_indices",
     "partition_weights",

@@ -32,11 +32,9 @@ from .errors import (
     AdjointStalled,
     NumericsError,
     ParamError,
-    ShapeError,
 )
 from .gradients import (
-    ADJOINT_EPS, GradBackend, adjoint_inverse, jacobians_of_F, vjp_dC_dW,
-    vjp_through_trace,
+    ADJOINT_EPS, GradBackend, adjoint_inverse, vjp_dC_dW, vjp_through_trace,
 )
 from .pq import (
     DEGENERATE_FLOOR,
@@ -44,7 +42,9 @@ from .pq import (
     Codebook,
     WeightMatrix,
     _finite,
+    assignment_at,
     partition_weights,
+    square_matrix,
 )
 from .solver import (
     InitStrategy,
@@ -177,16 +177,18 @@ def dense_dC_dW(
     if backend.kind == "unrolled":
         result = solve_fixed_point(w, c, tau, eps, max_iters, record_trace=True)
         return np.stack([vjp_through_trace(e, w, result, tau) for e in basis])
-    asg = jacobians_of_F(w, c, tau)
+    asg = assignment_at(w, c, tau)
     inverse = adjoint_inverse(asg.j_c) if backend.kind == "implicit" else None
     return np.stack([vjp_dC_dW(e, w, c, tau, assignment=asg, inverse=inverse)
                      for e in basis])
 
 
-def check_oracle_equivalence(inst: GradInstance, backend: GradBackend) -> float:
-    """The backend's gradient vs the unrolled sweep, as relative L2 error."""
+def check_oracle_equivalence(inst: GradInstance) -> float:
+    """The implicit gradient vs the unrolled sweep, as relative L2 error.
+    jfb differs from the sweep wherever dF/dC* != 0, and unrolled from
+    c_star would replay a solve from C*, not the instance's solve from c0."""
     reference = dense_dC_dW(inst.w, inst.c0, inst.tau, GradBackend(kind="unrolled"))
-    candidate = dense_dC_dW(inst.w, inst.c_star, inst.tau, backend)
+    candidate = dense_dC_dW(inst.w, inst.c_star, inst.tau, GradBackend())
     return rel_err(candidate, reference)
 
 
@@ -230,8 +232,9 @@ def fd_solve_jacobian(inst: GradInstance) -> np.ndarray:
     return central_differences(solve, inst.w.data, FD_SOLVE_STEP)
 
 
-def check_fd_solve(inst: GradInstance, backend: GradBackend) -> float:
-    candidate = dense_dC_dW(inst.w, inst.c_star, inst.tau, backend)
+def check_fd_solve(inst: GradInstance) -> float:
+    """The implicit gradient vs central differences of the converged solve."""
+    candidate = dense_dC_dW(inst.w, inst.c_star, inst.tau, GradBackend())
     return rel_err(candidate, fd_solve_jacobian(inst))
 
 
@@ -252,7 +255,7 @@ def check_update_blocks(inst: GradInstance) -> tuple[float, float]:
     """SoftAssignment.j_c and the dense dF/dW oracle vs finite differences."""
     fd_c, fd_w = fd_update_blocks(inst)
     return (
-        rel_err(jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c, fd_c),
+        rel_err(assignment_at(inst.w, inst.c_star, inst.tau).j_c, fd_c),
         rel_err(dense_weight_jacobian(inst.w.data, inst.c_star.data, inst.tau), fd_w),
     )
 
@@ -339,23 +342,21 @@ def _averaged_solve(
 
 def neumann_inverse(j_c: np.ndarray, controls: AveragedAdjoint) -> np.ndarray:
     """(I - j_c)^-1, row r being the averaged adjoint solve for e_r."""
-    j_c = np.asarray(j_c, dtype=np.float64)
-    if j_c.ndim != 2 or j_c.shape[0] != j_c.shape[1]:
-        raise ShapeError(f"j_c must be square, got {j_c.shape}")
+    j_c = square_matrix(j_c, "j_c")
     return np.stack([_averaged_solve(e, j_c, controls) for e in np.eye(len(j_c))])
 
 
-def check_neumann(seed: int, count: int = 10) -> float:
+def check_neumann(seed: int) -> float:
     """The averaged adjoint solve, as neumann_inverse, vs a dense solve.
 
-    Matrices are scaled to 2-norm 0.9 (hence spectral radius <= 0.9); one
+    Ten matrices are scaled to 2-norm 0.9 (hence spectral radius <= 0.9); one
     extra case carries an eigenvalue at -1.5 and starts at alpha0 = 1 so the
     divergence detector must kick in and recover by halving alpha.
     """
     rng = np.random.default_rng(seed)
     controls = AveragedAdjoint(max_adjoint_iters=4000)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(10):
         n = int(rng.integers(4, 13))
         mat = rng.normal(size=(n, n))
         mat *= 0.9 / np.linalg.norm(mat, ord=2)
@@ -405,18 +406,13 @@ def run_suite(
     with_fd: bool = True,
 ) -> SuiteReport:
     """Run every check; with_fd=False skips the slow finite-difference half."""
-    backend = GradBackend()
     report = SuiteReport(instances=instances, with_fd=with_fd)
     for index in range(instances):
         inst = make_instance(base_seed + index)
-        report.oracle_err = max(
-            report.oracle_err, check_oracle_equivalence(inst, backend)
-        )
+        report.oracle_err = max(report.oracle_err, check_oracle_equivalence(inst))
         report.jfb_block_err = max(report.jfb_block_err, check_jfb_block(inst))
         if with_fd:
-            report.fd_solve_err = max(
-                report.fd_solve_err, check_fd_solve(inst, backend)
-            )
+            report.fd_solve_err = max(report.fd_solve_err, check_fd_solve(inst))
             err_c, err_w = check_update_blocks(inst)
             report.fd_jc_err = max(report.fd_jc_err, err_c)
             report.fd_jw_err = max(report.fd_jw_err, err_w)

@@ -24,7 +24,7 @@ to the weights being clustered:
   single Jacobian evaluation (Fung et al., Jacobian-free backpropagation).
 
 All three run one matrix-free linearisation of the center update, which
-lives with F on pq.SoftAssignment and is reached through jacobians_of_F:
+lives with F on pq.SoftAssignment and is reached through pq.assignment_at:
 f_vjp contracts a row vector with dF/dC and dF/dW in O(m*k*d), and j_c is
 the small (k*d) x (k*d) dF/dC that ``implicit``'s adjoint inverts. A
 training step reuses the soft assignment the forward solve kept at C* and
@@ -52,15 +52,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AdjointSingular, ParamError, ShapeError
-# attention stays a name of this module: perfbench traces it as gradients.attention.
 from .pq import (  # noqa: F401
-    Codebook,
-    SoftAssignment,
-    WeightMatrix,
-    assignment_at,
-    attention,
-    f_vjp_from_sums,
+    Codebook, SoftAssignment, WeightMatrix, _finite, assignment_at, attention,
+    f_vjp_from_sums, square_matrix,
 )
+
+# attention and this alias are kept only for perfbench's spans; the cluster
+# VJPs below call the alias by its name so that the benchmark counts them.
+jacobians_of_F = assignment_at
 
 if TYPE_CHECKING:  # solver imports this module
     from .solver import FixedPointResult
@@ -87,28 +86,14 @@ class GradBackend:
             raise ParamError(f"unknown gradient backend {self.kind!r}")
 
 
-def jacobians_of_F(
-    w: WeightMatrix,
-    c_star: Codebook,
-    tau: float,
-    assignment: SoftAssignment | None = None,
-) -> SoftAssignment:
-    """The soft assignment at (c_star, w), whose f_vjp and j_c linearise
-    one center update there: `assignment`, the solver's evaluation at
-    c_star, once checked, else a fresh one.
-
-    Valid at any point, not only fixed points; the unrolled sweep takes it
-    at trace[-1], given the solve's evaluation there.
-    """
-    return assignment_at(w, c_star, tau, assignment)
-
-
 def adjoint_inverse(j_c: np.ndarray) -> np.ndarray:
     """(I - j_c)^-1 for the (k*d) x (k*d) dF/dC* at a fixed point.
 
     Raises AdjointSingular when I - j_c is singular, or when its 1-norm
-    condition number ||I - j_c|| ||(I - j_c)^-1|| is past COND_LIMIT.
+    condition number ||I - j_c|| ||(I - j_c)^-1|| is past COND_LIMIT. A j_c
+    that is not 2-D and square is a ShapeError.
     """
+    j_c = square_matrix(j_c, "j_c")
     a = np.eye(len(j_c)) - j_c
     try:
         inverse = np.linalg.inv(a)
@@ -135,13 +120,16 @@ def vjp_dC_dW(
     c_star, and returns v @ dF/dW, matrix-free. Without an inverse (jfb),
     and wherever ||upstream @ j_c|| is below ADJOINT_EPS, v = upstream.
     `assignment` is the solver's soft assignment at c_star; with it, no
-    distance or attention pass runs here.
+    distance or attention pass runs here. An inverse that is not (k*d) x
+    (k*d) is a ShapeError, and one that is not finite a NumericsError.
     """
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
-    if upstream.size != c_star.k * c_star.d:
-        raise ShapeError(
-            f"upstream length {upstream.size} != k*d = {c_star.k * c_star.d}"
-        )
+    size = c_star.k * c_star.d
+    if upstream.size != size:
+        raise ShapeError(f"upstream length {upstream.size} != k*d = {size}")
+    if inverse is not None:
+        inverse = _finite(square_matrix(inverse, "adjoint inverse", size),
+                          "adjoint inverse")
     asg = jacobians_of_F(w, c_star, tau, assignment=assignment)
     v = upstream
     if inverse is not None and np.linalg.norm(upstream @ asg.j_c) >= ADJOINT_EPS:
@@ -160,10 +148,10 @@ def vjp_through_trace(
     codebook entering each update the solve applied.
 
     The last update's VJP runs on the evaluation the solve kept at
-    trace[-1] (jacobians_of_F), so nothing is remade there. Each earlier one
-    is a single pass of pq.f_vjp_from_sums, from that update's recorded
+    trace[-1] (pq.assignment_at), so nothing is remade there. Each earlier
+    one is a single pass of pq.f_vjp_from_sums, from that update's recorded
     sums: its blocks remake their distances, attention and unit directions
-    and drop them. The bits are those of jacobians_of_F(w, c, tau).f_vjp
+    and drop them. The bits are those of assignment_at(w, c, tau).f_vjp
     over reversed(trace).
     """
     v = np.asarray(upstream, dtype=np.float64).ravel()

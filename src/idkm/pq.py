@@ -188,6 +188,18 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def square_matrix(matrix, what: str, size: int | None = None) -> np.ndarray:
+    """A (k*d) x (k*d) matrix a caller hands in, such as a chord or an
+    adjoint inverse, as float64: a ShapeError unless it is 2-D and square,
+    and size x size when a size is given."""
+    out = np.asarray(matrix, dtype=np.float64)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise ShapeError(f"{what} must be square, got {out.shape}")
+    if size is not None and len(out) != size:
+        raise ShapeError(f"{what} is {out.shape}, expected {(size, size)}")
+    return out
+
+
 def _as_locked_f64(arr) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, order="C")
     out.setflags(write=False)
@@ -358,22 +370,6 @@ class SoftAssignment:
         jc[idx, :, idx, :] -= diag
         return _finite(jc.reshape(k * d, k * d), "dF/dC")
 
-    def check(self, w: WeightMatrix, c: Codebook, tau: float) -> "SoftAssignment":
-        """Reject an evaluation taken anywhere but at (w, c, tau): the k*d
-        codewords must be equal, and the weights the same array or equal."""
-        if self.w.shape != w.data.shape or self.c.shape != c.data.shape:
-            raise ShapeError(
-                f"soft assignment is for weights {self.w.shape} and codebook "
-                f"{self.c.shape}, not {w.data.shape} and {c.data.shape}"
-            )
-        if self.tau != tau:
-            raise ParamError(f"soft assignment is at tau={self.tau}, not {tau}")
-        if not np.array_equal(self.c, c.data):
-            raise ParamError("soft assignment was taken at another codebook")
-        if self.w is not w.data and not np.array_equal(self.w, w.data):
-            raise ParamError("soft assignment was taken at other weights")
-        return self
-
 
 # The column kernels _by_columns runs. Each takes the views of its block's
 # columns first; run over the blocks, a kernel does what it does run once on
@@ -542,12 +538,26 @@ def assignment_at(
     tau: float,
     assignment: SoftAssignment | None = None,
 ) -> SoftAssignment:
-    """The soft assignment of w against c: `assignment`, once checked to
-    have been taken there, else a fresh evaluation."""
-    if assignment is not None:
-        return assignment.check(w, c, tau)
-    require_same_dim(w, c)
-    return soft_assign(w.data, c.data, tau)
+    """The soft assignment of w against c at tau, the one way the package
+    reaches one: `assignment`, the solver's evaluation, checked to have been
+    taken there, else a fresh one. A given one with other shapes is a
+    ShapeError; one at another tau or codebook, or at weights neither w's
+    array nor equal to it, a ParamError."""
+    if assignment is None:
+        require_same_dim(w, c)
+        return soft_assign(w.data, c.data, tau)
+    if assignment.w.shape != w.data.shape or assignment.c.shape != c.data.shape:
+        raise ShapeError(
+            f"soft assignment is for weights {assignment.w.shape} and codebook "
+            f"{assignment.c.shape}, not {w.data.shape} and {c.data.shape}"
+        )
+    if assignment.tau != tau:
+        raise ParamError(f"soft assignment is at tau={assignment.tau}, not {tau}")
+    if not np.array_equal(assignment.c, c.data):
+        raise ParamError("soft assignment was taken at another codebook")
+    if assignment.w is not w.data and not np.array_equal(assignment.w, w.data):
+        raise ParamError("soft assignment was taken at other weights")
+    return assignment
 
 
 def require_same_dim(w: WeightMatrix, c: Codebook) -> None:

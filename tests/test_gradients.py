@@ -7,6 +7,7 @@ from idkm.errors import (
     AdjointDivergence,
     AdjointSingular,
     AdjointStalled,
+    NumericsError,
     ParamError,
     ShapeError,
 )
@@ -36,7 +37,6 @@ from idkm.gradients import (
     COND_LIMIT,
     GradBackend,
     adjoint_inverse,
-    jacobians_of_F,
     vjp_dC_dW,
     vjp_through_trace,
 )
@@ -45,6 +45,7 @@ from idkm.pq import (
     Codebook,
     SoftAssignment,
     WeightMatrix,
+    assignment_at,
     partition_weights,
     soft_assign,
     soft_quantize,
@@ -79,7 +80,7 @@ class TestJacobiansOfF:
         # Uniform attention: F becomes the global mean for every center, so
         # dF/dC vanishes and dF/dW repeats a (1/m) identity pattern.
         inst = _converged_instance(0, m=10, k=3, d=2)
-        asg = jacobians_of_F(inst.w, inst.c_star, tau=1e12)
+        asg = assignment_at(inst.w, inst.c_star, tau=1e12)
         np.testing.assert_allclose(asg.j_c, 0.0, atol=1e-9)
         m = inst.w.m
         expected = np.zeros((3 * 2, 2 * m))
@@ -91,7 +92,7 @@ class TestJacobiansOfF:
 
     def test_single_center_single_dim_is_the_plain_mean(self):
         w = partition_weights(np.array([0.5, 1.5, 4.0, -2.0]), 1)
-        asg = jacobians_of_F(w, Codebook([[1.0]]), tau=0.3)
+        asg = assignment_at(w, Codebook([[1.0]]), tau=0.3)
         np.testing.assert_allclose(asg.j_c, [[0.0]], atol=1e-12)
         dense_w = dense_weight_jacobian(w.data, np.array([[1.0]]), 0.3)
         np.testing.assert_allclose(dense_w, np.full((1, 4), 0.25), atol=1e-15)
@@ -105,9 +106,9 @@ class TestJacobiansOfF:
     def test_shape_and_tau_validation(self):
         w = partition_weights(np.arange(4.0), 2)
         with pytest.raises(ShapeError):
-            jacobians_of_F(w, Codebook([[0.0]]), tau=0.5)
+            assignment_at(w, Codebook([[0.0]]), tau=0.5)
         with pytest.raises(ParamError):
-            jacobians_of_F(w, Codebook([[0.0, 0.0]]), tau=0.0)
+            assignment_at(w, Codebook([[0.0, 0.0]]), tau=0.0)
 
 
 def _assert_vjp_matches_dense(asg: SoftAssignment, seed):
@@ -122,7 +123,7 @@ class TestMatrixFreeVjp:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_dense_blocks_on_gradcheck_instances(self, seed):
         inst = make_instance(seed)
-        asg = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        asg = assignment_at(inst.w, inst.c_star, inst.tau)
         _assert_vjp_matches_dense(asg, seed)
 
     @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0, 3.0])
@@ -130,13 +131,13 @@ class TestMatrixFreeVjp:
         rng = np.random.default_rng(int(100 * tau))
         w = partition_weights(rng.normal(size=40 * 4), 4)
         c = Codebook(rng.normal(size=(16, 4)))
-        _assert_vjp_matches_dense(jacobians_of_F(w, c, tau), seed=int(100 * tau))
+        _assert_vjp_matches_dense(assignment_at(w, c, tau), seed=int(100 * tau))
 
     def test_shared_assignment_gives_the_same_linearisation(self):
         inst = make_instance(3)
         shared = soft_assign(inst.w.data, inst.c_star.data, inst.tau)
-        fresh = jacobians_of_F(inst.w, inst.c_star, inst.tau)
-        reused = jacobians_of_F(inst.w, inst.c_star, inst.tau, assignment=shared)
+        fresh = assignment_at(inst.w, inst.c_star, inst.tau)
+        reused = assignment_at(inst.w, inst.c_star, inst.tau, assignment=shared)
         assert reused is shared
         np.testing.assert_array_equal(reused.j_c, fresh.j_c)
 
@@ -144,10 +145,10 @@ class TestMatrixFreeVjp:
         inst = make_instance(3)
         shared = soft_assign(inst.w.data, inst.c_star.data, inst.tau)
         with pytest.raises(ParamError):
-            jacobians_of_F(inst.w, inst.c_star, 2 * inst.tau, assignment=shared)
+            assignment_at(inst.w, inst.c_star, 2 * inst.tau, assignment=shared)
         fewer = Codebook(inst.c_star.data[:1])
         with pytest.raises(ShapeError):
-            jacobians_of_F(inst.w, fewer, inst.tau, assignment=shared)
+            assignment_at(inst.w, fewer, inst.tau, assignment=shared)
 
 
 def test_gradcheck_fails_on_a_planted_weight_vjp_error(monkeypatch):
@@ -201,7 +202,7 @@ def test_sub_vector_on_a_codeword_has_one_zero_distance_rule(offset):
     w = partition_weights(flat, 1)
     c = Codebook([[-1.0], [0.0], [1.5]])
     tau = 0.5
-    _assert_vjp_matches_dense(jacobians_of_F(w, c, tau), seed=21)
+    _assert_vjp_matches_dense(assignment_at(w, c, tau), seed=21)
     err_c, err_w = check_update_blocks(
         GradInstance(seed=21, w=w, c0=c, c_star=c, tau=tau)
     )
@@ -479,7 +480,7 @@ class TestImplicit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_unrolled_oracle(self, seed):
         inst = make_instance(seed)
-        err = check_oracle_equivalence(inst, GradBackend())
+        err = check_oracle_equivalence(inst)
         assert err <= 1e-4
 
     def test_matches_finite_differences_of_the_solve(self):
@@ -498,7 +499,7 @@ class TestImplicit:
         w = partition_weights(0.1 * np.random.default_rng(0).normal(size=40), 1)
         c0 = Codebook([[-0.1], [0.0], [0.1], [50.0]])
         c_star = solve_fixed_point(w, c0, 0.01, 1e-12, 50).codebook
-        j_c = jacobians_of_F(w, c_star, 0.01).j_c
+        j_c = assignment_at(w, c_star, 0.01).j_c
         np.testing.assert_array_equal(j_c[3], 0.0)
         np.testing.assert_array_equal(j_c[:, 3], 0.0)
         fd_c = central_differences(
@@ -558,7 +559,7 @@ def _sweep_oracle(upstream, w, trace, tau):
     total = np.zeros(w.d * w.m)
     v = np.asarray(upstream, dtype=np.float64).ravel()
     for step_input in reversed(trace):
-        v, grad_w = jacobians_of_F(w, step_input, tau).f_vjp(v)
+        v, grad_w = assignment_at(w, step_input, tau).f_vjp(v)
         total += grad_w
     return total
 
@@ -613,13 +614,13 @@ class TestUnrolledSweep:
 class TestVjp:
     def test_zero_upstream_gives_zero(self):
         inst = _converged_instance(6, m=12, k=3, d=1)
-        inverse = adjoint_inverse(jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c)
+        inverse = adjoint_inverse(assignment_at(inst.w, inst.c_star, inst.tau).j_c)
         out = vjp_dC_dW(np.zeros(3), inst.w, inst.c_star, inst.tau, inverse=inverse)
         np.testing.assert_array_equal(out, np.zeros(12))
 
     def test_random_upstream_matches_dense_lu_oracle(self):
         inst = _converged_instance(8, m=16, k=4, d=2)
-        j_c = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c
+        j_c = assignment_at(inst.w, inst.c_star, inst.tau).j_c
         kd = j_c.shape[0]
         m_star = np.linalg.solve(np.eye(kd) - j_c, np.eye(kd))
         rng = np.random.default_rng(8)
@@ -644,7 +645,7 @@ class TestVjp:
         j_c[0, 0] = factor * ADJOINT_EPS
         upstream = np.eye(8)[0]
         assert (np.linalg.norm(upstream @ j_c) >= ADJOINT_EPS) == applied
-        asg = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        asg = assignment_at(inst.w, inst.c_star, inst.tau)
         asg.__dict__["j_c"] = j_c  # planted over the cached property
         out = vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, assignment=asg,
                         inverse=2.0 * np.eye(8))
@@ -655,6 +656,16 @@ class TestVjp:
         inst = _converged_instance(6, m=12, k=3, d=1)
         with pytest.raises(ShapeError):
             vjp_dC_dW(np.zeros(5), inst.w, inst.c_star, inst.tau)
+
+    @pytest.mark.parametrize("inverse, error, match", [
+        (np.eye(2), ShapeError, r"adjoint inverse is \(2, 2\)"),
+        (np.diag([1.0, np.nan, 1.0]), NumericsError,
+         "adjoint inverse contains non-finite"),
+    ], ids=["size", "nan"])
+    def test_a_bad_inverse_is_refused(self, inverse, error, match):
+        inst = _converged_instance(6, m=12, k=3, d=1)
+        with pytest.raises(error, match=match):
+            vjp_dC_dW(np.ones(3), inst.w, inst.c_star, inst.tau, inverse=inverse)
 
 
 class TestAdjointInverse:
@@ -677,12 +688,18 @@ class TestAdjointInverse:
             else:
                 adjoint_inverse(j_c)
 
+    @pytest.mark.parametrize("j_c", [[0.1, 0.2, 0.3], np.zeros((2, 3))])
+    def test_a_j_c_that_is_not_square_is_refused(self, j_c):
+        # A 1-D j_c would broadcast into a 3 x 3 I - j_c and be inverted.
+        with pytest.raises(ShapeError, match="j_c must be square"):
+            adjoint_inverse(j_c)
+
     def test_given_inverse_is_the_one_used(self):
         # vjp_dC_dW applies the inverse it is given; the identity, or none,
         # gives jfb's bits.
         inst = _converged_instance(8, m=16, k=4, d=2)
         upstream = np.random.default_rng(8).normal(size=8)
-        asg = jacobians_of_F(inst.w, inst.c_star, inst.tau)
+        asg = assignment_at(inst.w, inst.c_star, inst.tau)
         inverse = adjoint_inverse(asg.j_c)
         np.testing.assert_array_equal(
             vjp_dC_dW(upstream, inst.w, inst.c_star, inst.tau, inverse=inverse),

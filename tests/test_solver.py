@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import idkm.solver as solver
-from idkm.errors import AdjointSingular, ParamError, ShapeError
+from idkm.errors import AdjointSingular, NumericsError, ParamError, ShapeError
 from idkm.gradcheck import make_instance
-from idkm.gradients import adjoint_inverse, jacobians_of_F
-from idkm.pq import Codebook, WeightMatrix, partition_weights
+from idkm.gradients import adjoint_inverse
+from idkm.pq import Codebook, WeightMatrix, assignment_at, partition_weights
 from idkm.solver import (
     FixedPointResult,
     InitStrategy,
@@ -301,7 +301,7 @@ def _moved_instance(seed):
     """A gradcheck instance, its (I - dF/dC*)^-1 at C*, and its weights
     moved by 1e-3 N(0, 1): the start of a warm solve one step later."""
     inst = make_instance(seed)
-    j_c = jacobians_of_F(inst.w, inst.c_star, inst.tau).j_c
+    j_c = assignment_at(inst.w, inst.c_star, inst.tau).j_c
     rng = np.random.default_rng(seed)
     moved = inst.w.data + 1e-3 * rng.normal(size=inst.w.data.shape)
     w = WeightMatrix(data=moved, n=inst.w.n, pad_count=inst.w.pad_count)
@@ -384,6 +384,24 @@ class TestChordStep:
             solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5,
                               record_trace=True, chord=adjoint_inverse(j_c))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_chord_that_is_not_finite_is_refused(self, bad):
+        inst, w, j_c = _moved_instance(2)
+        chord = adjoint_inverse(j_c)
+        chord[0, 0] = bad
+        with pytest.raises(NumericsError, match="chord contains non-finite"):
+            solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5, chord=chord)
+
+    def test_a_nested_list_chord_is_taken_as_its_array(self):
+        inst, w, j_c = _moved_instance(2)
+        chord = adjoint_inverse(j_c)
+        as_array = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5000,
+                                     chord=chord)
+        as_list = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5000,
+                                    chord=chord.tolist())
+        assert as_list.newton_kept == as_array.newton_kept == 1
+        np.testing.assert_array_equal(as_list.codebook.data, as_array.codebook.data)
+
 
 class TestNewtonColdSolve:
     EPS = 1e-6
@@ -403,7 +421,7 @@ class TestNewtonColdSolve:
             )
             assert plain.converged and cold.converged
             assert np.max(np.abs(np.linalg.eigvals(cold.assignment.j_c))) < 1
-            j_c = jacobians_of_F(inst.w, plain.codebook, inst.tau).j_c
+            j_c = assignment_at(inst.w, plain.codebook, inst.tau).j_c
             inverse = adjoint_inverse(j_c)
             bound = 2 * self.EPS * np.linalg.norm(inverse, 2)
             if np.linalg.norm(cold.codebook.data - plain.codebook.data) > bound:

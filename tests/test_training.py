@@ -8,7 +8,6 @@ import pytest
 import idkm.gradcheck as gradcheck
 import idkm.gradients as gradients
 import idkm.pq as pq
-import idkm.solver as solver
 import idkm.training as training
 from idkm.data import synthetic_blobs
 from idkm.errors import AdjointSingular, ParamError, ShapeError
@@ -371,8 +370,8 @@ class TestQuantizedStep:
 
 
 def count_soft_assignments(monkeypatch):
-    """Count distance and attention passes per layer size m, as perfbench does,
-    by patching the names each module looks them up by.
+    """Count distance and attention passes per layer size m, by patching
+    pq's two kernels where pq.soft_assign, the one caller, looks them up.
 
     Returns the live counters, a snapshot of them taken right after each
     layer's solve (keyed by m), and the list of dense dF/dW builds.
@@ -398,8 +397,7 @@ def count_soft_assignments(monkeypatch):
         return result
 
     monkeypatch.setattr(pq, "_distances", counted_distances)
-    for module in (pq, solver, gradients):
-        monkeypatch.setattr(module, "attention", counted_attention)
+    monkeypatch.setattr(pq, "attention", counted_attention)
     monkeypatch.setattr(training, "solve_fixed_point", solve)
     monkeypatch.setattr(gradcheck, "dense_weight_jacobian",
                         lambda *args: dense_builds.append(args))
