@@ -20,6 +20,7 @@ from .data import as_images, synthetic_blobs
 from .errors import ParamError
 from .gradients import GradBackend
 from .nn import LayerSpec, Network
+from .solver import InitStrategy
 from .training import (
     TrainConfig,
     TrainState,
@@ -110,7 +111,7 @@ def run_cell(
             backend=GradBackend(kind=kind),
             epochs=1,
             batch_size=len(x),
-            seed=seed,
+            init=InitStrategy(seed=seed),
         )
         for kind in backends
     ]

@@ -110,14 +110,9 @@ def _typed(section: str, key: str, raw: str, kind):
         return raw
     try:
         if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
         ) from None

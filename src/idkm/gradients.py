@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import AdjointSingular, ParamError, ShapeError
 from .pq import (  # noqa: F401
-    Codebook, SoftAssignment, WeightMatrix, _finite, assignment_at, attention,
+    Codebook, SoftAssignment, WeightMatrix, assignment_at, attention,
     f_vjp_from_sums, square_matrix,
 )
 
@@ -89,9 +89,9 @@ class GradBackend:
 def adjoint_inverse(j_c: np.ndarray) -> np.ndarray:
     """(I - j_c)^-1 for the (k*d) x (k*d) dF/dC* at a fixed point.
 
-    Raises AdjointSingular when I - j_c is singular, or when its 1-norm
+    Raises AdjointSingular only when I - j_c is singular, or when its 1-norm
     condition number ||I - j_c|| ||(I - j_c)^-1|| is past COND_LIMIT. A j_c
-    that is not 2-D and square is a ShapeError.
+    that is ragged or not square is a ShapeError, one not finite a NumericsError.
     """
     j_c = square_matrix(j_c, "j_c")
     a = np.eye(len(j_c)) - j_c
@@ -120,16 +120,15 @@ def vjp_dC_dW(
     c_star, and returns v @ dF/dW, matrix-free. Without an inverse (jfb),
     and wherever ||upstream @ j_c|| is below ADJOINT_EPS, v = upstream.
     `assignment` is the solver's soft assignment at c_star; with it, no
-    distance or attention pass runs here. An inverse that is not (k*d) x
-    (k*d) is a ShapeError, and one that is not finite a NumericsError.
+    distance or attention pass runs here. An inverse that is ragged or not
+    (k*d) x (k*d) is a ShapeError, and one not finite a NumericsError.
     """
     upstream = np.asarray(upstream, dtype=np.float64).ravel()
     size = c_star.k * c_star.d
     if upstream.size != size:
         raise ShapeError(f"upstream length {upstream.size} != k*d = {size}")
     if inverse is not None:
-        inverse = _finite(square_matrix(inverse, "adjoint inverse", size),
-                          "adjoint inverse")
+        inverse = square_matrix(inverse, "adjoint inverse", size)
     asg = jacobians_of_F(w, c_star, tau, assignment=assignment)
     v = upstream
     if inverse is not None and np.linalg.norm(upstream @ asg.j_c) >= ADJOINT_EPS:

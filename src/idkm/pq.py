@@ -189,15 +189,19 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def square_matrix(matrix, what: str, size: int | None = None) -> np.ndarray:
-    """A (k*d) x (k*d) matrix a caller hands in, such as a chord or an
-    adjoint inverse, as float64: a ShapeError unless it is 2-D and square,
-    and size x size when a size is given."""
-    out = np.asarray(matrix, dtype=np.float64)
+    """The one gate for a (k*d) x (k*d) matrix a caller hands in (j_c, a
+    chord, an adjoint inverse), as float64: a ShapeError unless it is 2-D,
+    square, and size x size when a size is given (a ragged list is not), and
+    a NumericsError if an entry is not finite. Each message names `what`."""
+    try:
+        out = np.asarray(matrix, dtype=np.float64)
+    except ValueError:
+        raise ShapeError(f"{what} must be square, got a ragged array") from None
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ShapeError(f"{what} must be square, got {out.shape}")
     if size is not None and len(out) != size:
         raise ShapeError(f"{what} is {out.shape}, expected {(size, size)}")
-    return out
+    return _finite(out, what)
 
 
 def _as_locked_f64(arr) -> np.ndarray:

@@ -46,7 +46,7 @@ from .errors import AdjointSingular, ParamError, require_positive_finite
 from .gradients import adjoint_inverse
 # attention stays a name of this module: perfbench traces it as solver.attention.
 from .pq import (  # noqa: F401
-    Codebook, SoftAssignment, WeightMatrix, _finite, assignment_at, attention,
+    Codebook, SoftAssignment, WeightMatrix, assignment_at, attention,
     require_same_dim, soft_assign, square_matrix,
 )
 
@@ -195,14 +195,14 @@ def solve_fixed_point(
 
     `chord` is a (k*d) x (k*d) (I - dF/dC)^-1 taken at an earlier fixed
     point. The first update is then c0 + chord (F(c0) - c0) if the gap
-    there is below half the gap at c0, else the plain F(c0); a chord of
-    another size is a ShapeError, and one not finite a NumericsError. With
-    `newton`, every update tries that step with adjoint_inverse of its own
-    evaluation's dF/dC instead, until the first rejected step, or the first
-    evaluation whose dF/dC has spectral radius 1 or more or is refused as
-    singular; each update after that is plain. A guarded step is no update
-    of F, so a recorded trace cannot hold one: a trace excludes both, and
-    they exclude each other.
+    there is below half the gap at c0, else the plain F(c0); a ragged chord
+    or one of another size is a ShapeError, one not finite a NumericsError.
+    With `newton`, every update tries that step with adjoint_inverse of its
+    own evaluation's dF/dC instead, until the first rejected step, or the
+    first evaluation whose dF/dC has spectral radius 1 or more or is refused
+    as singular; each update after that is plain. A guarded step is no
+    update of F, so a recorded trace cannot hold one: a trace excludes both,
+    and they exclude each other.
     """
     require_positive_finite("tau", tau)
     require_positive_finite("eps", eps)
@@ -216,7 +216,7 @@ def solve_fixed_point(
     if chord is not None:
         if newton:
             raise ParamError("a solve takes a chord or its own Newton steps, not both")
-        chord = _finite(square_matrix(chord, "chord", c0.data.size), "chord")
+        chord = square_matrix(chord, "chord", c0.data.size)
 
     asg = soft_assign(w.data, c0.data, tau)
     inverse, kept, rejected = chord, 0, False

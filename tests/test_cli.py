@@ -1,6 +1,8 @@
 """Config parsing and the command-line entry point, end to end on blobs."""
 
 import dataclasses
+import hashlib
+import io
 import json
 import re
 import urllib.error
@@ -145,6 +147,28 @@ FLAG_OVERRIDES = [
     (["--fallback-jfb"], {"fallback_jfb": True}),
     (["--seed", "9"], {"seed": 9, "init": InitStrategy(seed=9)}),
 ]
+
+
+# Each refusal of a config file: the edit of TINY_INI that provokes it (None
+# deletes the file), and what the message must name.
+CONFIG_REFUSALS = {
+    "int": (lambda text: text.replace("k = 4", "k = four"),
+            "[quantize] k = 'four' is not a valid int"),
+    "float": (lambda text: text.replace("tau = 0.001", "tau = fast"),
+              "[quantize] tau = 'fast' is not a valid float"),
+    "bool": (lambda text: text + "fallback_jfb = maybe\n",
+             "[quantize] fallback_jfb = 'maybe' is not a valid bool"),
+    "no-layers": (lambda text: re.sub(r"\[layer\.\d\][^[]*", "", text),
+                  "no [layer.N] sections"),
+    "layer-name": (lambda text: text.replace("[layer.2]", "[layer.x]"),
+                   "bad layer section name [layer.x]"),
+    "no-kind": (lambda text: text.replace("[layer.1]\nkind = relu", "[layer.1]"),
+                "[layer.1] is missing 'kind'"),
+    "layer-spec": (lambda text: text.replace("in_features = 6", "in_features = 0"),
+                   "[layer.0]: dense layer needs in_features"),
+    "missing-file": (lambda text: None, "config file not found: {path}"),
+    "unparseable": (lambda text: text + "a line with no delimiter\n", "{path}: "),
+}
 
 
 @pytest.fixture
@@ -293,6 +317,22 @@ class TestParseConfig:
         assert main(argv) == EXIT_CONFIG
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", list(CONFIG_REFUSALS))
+    def test_every_refusal_of_a_config_file_exits_three(
+        self, tiny_config, capsys, case
+    ):
+        edit, named = CONFIG_REFUSALS[case]
+        path = tiny_config()
+        text = edit(path.read_text())
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        assert main(["pretrain", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert named.format(path=path) in err
+
 
 class TestPipeline:
     def test_pretrain_quantize_eval_roundtrip(self, tiny_config, tmp_path, capsys):
@@ -323,6 +363,21 @@ class TestPipeline:
         shown = capsys.readouterr().out
         assert "mode hard" in shown
         assert "2 bits/weight" in shown
+
+    def test_seed_flag_overrides_the_run_seed(self, tiny_config, tmp_path):
+        cfg_path = str(tiny_config(floor=0.0))
+        weights = {}
+        for seed in (5, 0):
+            out = tmp_path / f"seed{seed}"
+            argv = ["pretrain", "--config", cfg_path, "--epochs", "1",
+                    "--seed", str(seed), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            config = read_jsonl(out / "pretrain.jsonl")[0]
+            assert config["type"] == "config" and config["seed"] == seed
+            weights[seed] = load_checkpoint(out / "pretrained.ckpt").weights
+        assert weights[5].keys() == weights[0].keys()
+        assert any(not np.array_equal(weights[5][key], weights[0][key])
+                   for key in weights[0])
 
     @pytest.mark.parametrize("dataset", ["blobs", "mnist"])
     def test_eval_builds_only_its_eval_split(self, tiny_config, monkeypatch, dataset):
@@ -654,13 +709,42 @@ class TestBenchCommand:
         assert "config error: k=1 d=1 t=5 jfb:" in err
         assert "the longest at update 1" in err
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_the_seed_reaches_the_k_means_plus_plus_draw(self, monkeypatch, seed):
+        # The seed draws the warm-up's first codebooks, as a run's seed
+        # does; TrainConfig.seed, the batch order, is read by no timed step.
+        seen = []
+        real = bench_mod.solve_codebooks
+
+        def recording(net, weights, cfg):
+            seen.append(cfg.init.seed)
+            return real(net, weights, cfg)
+
+        monkeypatch.setattr(bench_mod, "solve_codebooks", recording)
+        net, weights, x, y = bench_mod.timing_instance(seed, batch_size=4)
+        bench_mod.run_cell(net, weights, x, y, ["jfb"], k=4, d=1, t=2,
+                           repeats=1, seed=seed)
+        assert seen == [seed]
+
     def test_times_the_paper_net_of_the_mnist_config(self):
         # The acceptance criteria time timing_instance's net as the paper's.
         net = bench_mod.timing_instance()[0]
         assert net.layers == parse_config("configs/mnist.ini").layers
 
 
+def _serve(blobs):
+    """A urlopen that serves blobs[file name] from every mirror, and no
+    other file."""
+    def urlopen(url, timeout=0):
+        name = url.rsplit("/", 1)[-1]
+        if name not in blobs:
+            raise urllib.error.URLError("not served")
+        return io.BytesIO(blobs[name])
+    return urlopen
+
+
 class TestFetchMnist:
+    # urllib.request.urlopen is patched in every test: none reaches a mirror.
     def test_unreachable_mirrors_exit_two(self, tmp_path, monkeypatch, capsys):
         def refuse(url, timeout=0):
             raise urllib.error.URLError("no route to host")
@@ -668,7 +752,51 @@ class TestFetchMnist:
         monkeypatch.setattr("urllib.request.urlopen", refuse)
         code = main(["fetch-mnist", "--data-dir", str(tmp_path / "mnist")])
         assert code == EXIT_DATA
-        assert "could not fetch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        name = mnist_paths(tmp_path / "mnist")["train_images"].name
+        assert f"could not fetch {name} from any mirror" in err
+        for mirror in cli.MNIST_MIRRORS:
+            assert f"{mirror}{name}: <urlopen error no route to host>" in err
+
+    def test_a_mirror_with_the_wrong_digest_is_skipped(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("urllib.request.urlopen",
+                            _serve({name: b"tampered" for name in cli.MNIST_SHA256}))
+        code = main(["fetch-mnist", "--data-dir", str(tmp_path / "mnist")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("does not match published value, trying next mirror") == 2
+        assert not any((tmp_path / "mnist").iterdir())
+
+    def test_a_file_on_disk_with_the_wrong_digest_is_refetched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        dest = mnist_paths(tmp_path / "mnist")["train_images"]
+        dest.parent.mkdir(parents=True)
+        dest.write_bytes(b"truncated")
+        monkeypatch.setattr("urllib.request.urlopen", _serve({}))
+        assert main(["fetch-mnist", "--data-dir", str(dest.parent)]) == EXIT_DATA
+        shown = capsys.readouterr().out
+        assert f"{dest.name}: digest mismatch on existing file, refetching" in shown
+
+    def test_fetched_files_are_written_and_then_kept(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        blobs = {name: f"fake {name}".encode() for name in cli.MNIST_SHA256}
+        monkeypatch.setattr(cli, "MNIST_SHA256", {
+            name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()})
+        monkeypatch.setattr("urllib.request.urlopen", _serve(blobs))
+        argv = ["fetch-mnist", "--data-dir", str(tmp_path / "mnist")]
+        assert main(argv) == EXIT_OK
+        paths = mnist_paths(tmp_path / "mnist").values()
+        assert {p.name: p.read_bytes() for p in paths} == blobs
+        assert capsys.readouterr().out.count("digest ok") == 4
+
+        monkeypatch.setattr("urllib.request.urlopen", _serve({}))
+        assert main(argv) == EXIT_OK
+        shown = capsys.readouterr().out
+        assert shown.count("already present, digest ok") == 4
 
     def test_files_go_where_the_readers_look(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IDKM_DATA_DIR", str(tmp_path / "mnist"))

@@ -102,6 +102,40 @@ def test_every_export_is_reached_by_a_package_module():
     assert unreached == [], f"exports that only tests reach: {unreached}"
 
 
+# Underscore names a module of idkm may take from another, each with its
+# reason: (importing module, name).
+PRIVATE_IMPORTS = {
+    # The dense dF/dW oracle refuses a non-finite Jacobian as pq's own
+    # Jacobians are refused.
+    ("gradcheck.py", "_finite"),
+}
+
+
+def test_no_module_takes_another_modules_underscore_name():
+    # A module's underscore names are its own: another module that needs
+    # one reaches a public function of it instead (pq.square_matrix, not
+    # pq._finite). Both `from .pq import _name` and `pq._name`, with pq
+    # imported as a module, count.
+    taken = set()
+    for module, tree in _package_trees().items():
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        taken.add((module, alias.name))
+        taken |= {
+            (module, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        }
+    unlisted = sorted(taken - PRIVATE_IMPORTS)
+    assert unlisted == [], f"underscore names taken from another module: {unlisted}"
+
+
 def _loads(tree) -> set:
     """Every name and attribute the code under `tree` reads."""
     used = set()

@@ -713,6 +713,44 @@ class TestAdjointInverse:
             )
 
 
+# Each caller of pq.square_matrix: the name its refusals give the matrix,
+# and a call handing it a 3 x 3 matrix (k*d = 3 on the instance).
+GATED = {
+    "adjoint_inverse": ("j_c", lambda inst, mat: adjoint_inverse(mat)),
+    "neumann_inverse": (
+        "j_c", lambda inst, mat: neumann_inverse(mat, AveragedAdjoint())),
+    "vjp_dC_dW": ("adjoint inverse", lambda inst, mat: vjp_dC_dW(
+        np.ones(3), inst.w, inst.c_star, inst.tau, inverse=mat)),
+    "solve_fixed_point": ("chord", lambda inst, mat: solve_fixed_point(
+        inst.w, inst.c_star, inst.tau, 1e-6, 5, chord=mat)),
+}
+
+
+@pytest.mark.parametrize("caller", list(GATED))
+class TestSquareMatrixGate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_matrix_is_a_numerics_error_naming_it(self, caller, bad):
+        # Not AdjointSingular ("condition number nan"), which --fallback-jfb
+        # would take for a singular adjoint, nor neumann_inverse's
+        # AdjointDivergence after six attempts.
+        what, call = GATED[caller]
+        mat = 0.1 * np.eye(3)
+        mat[0, 1] = bad
+        inst = _converged_instance(6, m=12, k=3, d=1)
+        with pytest.raises(NumericsError,
+                           match=f"^{what} contains non-finite values$") as info:
+            call(inst, mat)
+        assert info.type is NumericsError
+
+    def test_a_ragged_matrix_is_a_shape_error_naming_it(self, caller):
+        # Not NumPy's ValueError from the float64 conversion.
+        what, call = GATED[caller]
+        ragged = [[0.1, 0.0, 0.0], [0.0, 0.1], [0.0, 0.0, 0.1]]
+        inst = _converged_instance(6, m=12, k=3, d=1)
+        with pytest.raises(ShapeError, match=f"^{what} must be square"):
+            call(inst, ragged)
+
+
 def test_implicit_and_jfb_need_no_trace():
     # The forward solve retains a single codebook and both one-shot backends
     # work from it alone; only the recorded trace enables the unrolled sweep.
