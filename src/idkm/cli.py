@@ -40,22 +40,11 @@ from .data import (
     save_checkpoint,
     synthetic_blobs,
 )
-from .errors import (
-    ConfigError,
-    FormatError,
-    NumericsError,
-    ParamError,
-    ShapeError,
-)
+from .errors import ConfigError, FormatError, NumericsError, ParamError, ShapeError
 from .gradcheck import run_suite
 from .nn import Network
 from .pq import bits_per_weight
-from .training import (
-    TrainConfig,
-    evaluate,
-    train,
-    train_float,
-)
+from .training import TrainConfig, evaluate, train, train_float
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -80,7 +69,7 @@ def _config_with_overrides(args) -> RunConfig:
     cfg = parse_config(args.config)
     if _seed_flag(args) is not None:
         cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.out = args.out
     return cfg
 
@@ -140,12 +129,12 @@ def _fresh_report(out: Path, name: str, echo: dict) -> Path:
 
 def cmd_pretrain(args) -> int:
     cfg = _config_with_overrides(args)
-    net = cfg.network()
+    net = Network(layers=cfg.layers)
     train_set, eval_set = _dataset(cfg, "train"), _dataset(cfg, "eval")
     out = Path(cfg.out)
     report = _fresh_report(out, "pretrain.jsonl",
                            {"command": "pretrain", **cfg.echo()})
-    params = pretrain_params(cfg, {"epochs": args.epochs})
+    params = pretrain_params(cfg, vars(args))
     floor = params.pop("accuracy_floor", 0.0)
     if not math.isfinite(floor):
         raise ConfigError(f"[pretrain] accuracy_floor must be finite, got {floor}")
@@ -176,7 +165,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_quantize(args) -> int:
     cfg = _config_with_overrides(args)
-    net = cfg.network()
+    net = Network(layers=cfg.layers)
     tcfg = build_train_config(cfg, vars(args))
     ckpt_path, ckpt = _checkpoint(args, cfg, net)
     train_set, eval_set = _dataset(cfg, "train"), _dataset(cfg, "eval")
@@ -218,7 +207,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config_with_overrides(args)
-    net = cfg.network()
+    net = Network(layers=cfg.layers)
     _, ckpt = _checkpoint(args, cfg, net)
     eval_set = _dataset(cfg, "eval")
     mode = args.mode or ("hard" if ckpt.codebooks else "float")
@@ -367,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pretrain", help="train the float baseline")
     _add_run_flags(sp)
+    # As for quantize: --epochs and --seed override their [pretrain] keys.
     _add_key_flags(sp, "pretrain", ("epochs",))
     sp.set_defaults(func=cmd_pretrain)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import configparser
 import typing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, ParamError
 from .gradients import BACKEND_KINDS, GradBackend
-from .nn import LAYER_KINDS, LOSS_KINDS, LayerSpec, Network
+from .nn import LAYER_KINDS, LOSS_KINDS, LayerSpec
 from .solver import InitStrategy
 from .training import TrainConfig
 
@@ -80,25 +80,12 @@ class RunConfig:
     pretrain: dict = field(default_factory=dict)
     quantize: dict = field(default_factory=dict)
 
-    def network(self) -> Network:
-        if not self.layers:
-            raise ConfigError("config defines no [layer.N] sections")
-        return Network(layers=self.layers)
-
     def echo(self) -> dict:
-        """Flat JSON-friendly snapshot written into every report."""
-        return {
-            "dataset": self.dataset,
-            "out": self.out,
-            "seed": self.seed,
-            "loss": self.loss,
-            "data": dict(self.data),
-            "layers": [
-                {k: v for k, v in vars(spec).items()} for spec in self.layers
-            ],
-            "pretrain": dict(self.pretrain),
-            "quantize": dict(self.quantize),
-        }
+        """Every field but data_dir, as JSON-friendly values: the snapshot
+        written into every report and checkpoint."""
+        snapshot = asdict(self)
+        del snapshot["data_dir"]
+        return snapshot
 
 
 def _typed(section: str, key: str, raw: str, kind):
@@ -141,8 +128,6 @@ def _layer_sections(parser) -> tuple[LayerSpec, ...]:
         if not suffix.isdigit():
             raise ConfigError(f"bad layer section name [{section}]")
         indices.append(int(suffix))
-    if not indices:
-        return ()
     indices.sort()
     if indices != list(range(len(indices))):
         raise ConfigError(
@@ -162,7 +147,8 @@ def _layer_sections(parser) -> tuple[LayerSpec, ...]:
 
 
 def parse_config(path) -> RunConfig:
-    """Load and validate an INI run configuration."""
+    """Load and validate an INI run configuration; a file with no
+    [layer.N] section is refused."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -186,6 +172,8 @@ def parse_config(path) -> RunConfig:
         else:
             setattr(cfg, section, values)
     cfg.layers = _layer_sections(parser)
+    if not cfg.layers:
+        raise ConfigError(f"{path}: defines no [layer.N] sections")
     return cfg
 
 

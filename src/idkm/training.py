@@ -12,7 +12,8 @@ its chord, or cold, from cfg.init's k-means++ draw. One rule holds for
 every cold solve: it takes guarded Newton steps (solver.solve_fixed_point)
 unless it records a trace for unrolled, which cannot hold one. train()
 takes its first codebooks from cold solves, and its record 0 counts those
-that stop uncertified.
+that stop uncertified. An error of this package raised by either per-layer
+function is raised again, of its own type, as "<tensor key>: <error>".
 
 A layer's backward is one call, _layer_backward: the soft quantizer's VJP,
 then, for implicit, the adjoint inverse (gradients.adjoint_inverse) or its
@@ -34,13 +35,20 @@ and so are the bytes of the sums an unrolled solve keeps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import AdjointSingular, ParamError, ShapeError, require_positive_finite
+from .errors import (
+    AdjointSingular,
+    IdkmError,
+    ParamError,
+    ShapeError,
+    require_positive_finite,
+)
 from .gradients import GradBackend, adjoint_inverse, vjp_dC_dW, vjp_through_trace
 from .nn import LOSS_KINDS, Network, loss_and_grad
 from .pq import (
@@ -136,6 +144,20 @@ class TrainState:
     step: int = 0
 
 
+def _names_its_layer(layer_step):
+    """`layer_step`, whose errors name the tensor key it is called with."""
+
+    @functools.wraps(layer_step)
+    def named(key, *args, **kwargs):
+        try:
+            return layer_step(key, *args, **kwargs)
+        except IdkmError as exc:
+            raise type(exc)(f"{key}: {exc}") from exc
+
+    return named
+
+
+@_names_its_layer
 def _solve_layer(
     key: str,
     index: int,
@@ -157,9 +179,7 @@ def _solve_layer(
         strategy = dataclasses.replace(cfg.init, seed=cfg.init.seed + index)
         c0 = init_codebook(wm, cfg.k, strategy)
     elif c0.data.shape != (cfg.k, cfg.d):
-        raise ShapeError(
-            f"{key}: warm codebook is {c0.k}x{c0.d}, expected {cfg.k}x{cfg.d}"
-        )
+        raise ShapeError(f"warm codebook is {c0.k}x{c0.d}, expected {cfg.k}x{cfg.d}")
     result = solve_fixed_point(
         wm, c0, cfg.tau, cfg.eps, cfg.max_cluster_iters, record_trace=record,
         chord=None if cold else state.chords.get(key),
@@ -168,6 +188,7 @@ def _solve_layer(
     return wm, result
 
 
+@_names_its_layer
 def _layer_backward(
     name: str,
     tensor: np.ndarray,
@@ -198,10 +219,10 @@ def _layer_backward(
         try:
             inverse = adjoint_inverse(result.assignment.j_c)
             stats["adjoint"] = "solved"
-        except AdjointSingular as exc:
+        except AdjointSingular:
             stats["adjoint"] = "singular"
             if not cfg.fallback_jfb:
-                raise AdjointSingular(f"{name}: {exc}") from exc
+                raise
             stats["fallback"] = True
     if cfg.backend.kind == "unrolled":
         flat_grad = vjp_through_trace(u_vec, wm, result, cfg.tau)

@@ -28,6 +28,7 @@ from idkm.config import ConfigError, build_train_config, parse_config
 from idkm.data import load_checkpoint, mnist_paths, read_jsonl, save_checkpoint
 from idkm.errors import AdjointDivergence, AdjointSingular
 from idkm.gradients import GradBackend
+from idkm.nn import Network
 from idkm.solver import InitStrategy
 from idkm.training import TrainConfig
 
@@ -159,7 +160,7 @@ CONFIG_REFUSALS = {
     "bool": (lambda text: text + "fallback_jfb = maybe\n",
              "[quantize] fallback_jfb = 'maybe' is not a valid bool"),
     "no-layers": (lambda text: re.sub(r"\[layer\.\d\][^[]*", "", text),
-                  "no [layer.N] sections"),
+                  "{path}: defines no [layer.N] sections"),
     "layer-name": (lambda text: text.replace("[layer.2]", "[layer.x]"),
                    "bad layer section name [layer.x]"),
     "no-kind": (lambda text: text.replace("[layer.1]\nkind = relu", "[layer.1]"),
@@ -190,7 +191,7 @@ class TestParseConfig:
         assert cfg.dataset == "blobs"
         assert cfg.seed == 0
         assert cfg.loss == "cross_entropy"
-        net = cfg.network()
+        net = Network(layers=cfg.layers)
         assert net.quantized_keys() == ("layer0.w", "layer2.w")
         assert cfg.quantize["backend"] == "implicit"
         assert cfg.quantize["tau"] == 5e-4
@@ -268,7 +269,7 @@ class TestParseConfig:
 
     def test_empty_quantize_section_keeps_the_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
-        path.write_text("[run]\nseed = 7\n\n[quantize]\n")
+        path.write_text("[run]\nseed = 7\n\n[layer.0]\nkind = relu\n\n[quantize]\n")
         assert build_train_config(parse_config(path)) == dataclasses.replace(
             TrainConfig(), seed=7, init=InitStrategy(seed=7)
         )
@@ -332,6 +333,18 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert named.format(path=path) in err
+        # Every refusal names the file or a section of it.
+        sections = re.findall(r"^\[(.+)\]$", text or "", re.MULTILINE)
+        assert str(path) in err or any(f"[{s}]" in err for s in sections)
+
+    @pytest.mark.parametrize("command", ["pretrain", "quantize", "eval"])
+    def test_every_run_command_refuses_a_file_with_no_layers(
+        self, tiny_config, capsys, command
+    ):
+        path = tiny_config()
+        path.write_text(CONFIG_REFUSALS["no-layers"][0](path.read_text()))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert f"{path}: defines no [layer.N] sections" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -379,6 +392,23 @@ class TestPipeline:
         assert any(not np.array_equal(weights[5][key], weights[0][key])
                    for key in weights[0])
 
+    def test_seed_flag_overrides_the_pretrain_seed(self, tiny_config, tmp_path):
+        # --seed 5 over [pretrain] seed = 3 trains as a file that sets 5 in
+        # both [run] and [pretrain]: the batch order follows the flag too.
+        weights = []
+        for run_seed, pretrain_seed, flag in ((0, 3, ["--seed", "5"]), (5, 5, [])):
+            cfg_path = str(tiny_config(floor=0.0, **{
+                "seed = 0": f"seed = {run_seed}",
+                "accuracy_floor =": f"seed = {pretrain_seed}\naccuracy_floor =",
+            }))
+            out = tmp_path / f"run{run_seed}"
+            argv = ["pretrain", "--config", cfg_path, "--epochs", "2",
+                    "--out", str(out), *flag]
+            assert main(argv) == EXIT_OK
+            weights.append(load_checkpoint(out / "pretrained.ckpt").weights)
+        for key in weights[0]:
+            np.testing.assert_array_equal(weights[0][key], weights[1][key])
+
     @pytest.mark.parametrize("dataset", ["blobs", "mnist"])
     def test_eval_builds_only_its_eval_split(self, tiny_config, monkeypatch, dataset):
         # eval reads the eval split alone; building the training split too
@@ -404,7 +434,7 @@ class TestPipeline:
         cfg_path = tmp_path / "conv.ini"
         cfg_path.write_text(CONV_INI.format(out=tmp_path / "run"))
         out = tmp_path / "run"
-        layers = parse_config(cfg_path).network().layers
+        layers = Network(layers=parse_config(cfg_path).layers).layers
         assert layers[0].padding == "same" and layers[0].stride == 2
 
         assert main(["pretrain", "--config", str(cfg_path)]) == EXIT_OK
@@ -463,6 +493,18 @@ class TestPipeline:
         assert "layer2.w: adjoint: I - dF/dC* is singular" in capsys.readouterr().err
         last = read_jsonl(report)[-1]
         assert last["type"] == "failure" and last["error"] == "AdjointSingular"
+
+    def test_a_layer_solve_error_names_the_layer(self, tmp_path, capsys):
+        # layer2.w holds 64 weights, too few for 100 codewords at d = 1;
+        # layer0.w's 128 are enough.
+        net = Network(layers=parse_config("configs/blobs.ini").layers)
+        ckpt = tmp_path / "untrained.ckpt"
+        save_checkpoint(ckpt, net, net.init_weights(0))
+        argv = ["quantize", "--config", "configs/blobs.ini", "--k", "100",
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: layer2.w: k=100 exceeds the number of sub-vectors" in err
 
     def test_epoch_line_names_the_unconverged_solves(
         self, tiny_config, tmp_path, capsys
@@ -574,7 +616,7 @@ class TestPipeline:
         self, tiny_config, tmp_path, capsys, command
     ):
         cfg_path = str(tiny_config())
-        net = parse_config(cfg_path).network()
+        net = Network(layers=parse_config(cfg_path).layers)
         weights = net.init_weights(0)
         weights["layer0.w"][0, 0] = np.nan
         ckpt = tmp_path / "nan.ckpt"
@@ -700,6 +742,14 @@ class TestBenchCommand:
 
     def test_no_cells_is_an_ordering_violation(self):
         assert bench_mod.ordering_violations([]) == ["no cells were timed"]
+
+    def test_a_misordered_cell_is_named_with_its_times(self):
+        cells = [bench_mod.CellResult(backend, 4, 1, 2, 0.0, backward_s, 1)
+                 for backend, backward_s in
+                 (("jfb", 0.3), ("implicit", 0.2), ("unrolled", 0.1))]
+        assert bench_mod.ordering_violations(cells) == [
+            "k=4 d=1 t=2: jfb=0.300000 implicit=0.200000 unrolled=0.100000"
+        ]
 
     def test_a_cell_whose_solves_stop_short_of_t_exits_three(self, capsys):
         # With one codeword every solve is at an exact fixed point after

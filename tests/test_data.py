@@ -125,7 +125,7 @@ class TestIdx:
         config = tmp_path / "mnist.ini"
         config.write_text((REPO / "configs" / "mnist.ini").read_text().replace(
             "[run]\n", f"[run]\ndata_dir = {tmp_path}\n"))
-        net = parse_config(config).network()
+        net = Network(layers=parse_config(config).layers)
         ckpt = tmp_path / "untrained.ckpt"
         save_checkpoint(ckpt, net, net.init_weights(0))
         code = main(["eval", "--config", str(config), "--checkpoint", str(ckpt)])
@@ -165,6 +165,28 @@ class TestDataset:
     def test_no_rows_rejected(self):
         with pytest.raises(FormatError, match="no rows"):
             Dataset(inputs=np.zeros((0, 8)), labels=np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda tmp: Dataset(inputs=np.zeros((2, 2)),
+                                 labels=np.zeros((2, 1), dtype=int)),
+             ShapeError, r"labels must be 1-D, got shape \(2, 1\)"),
+            (lambda tmp: Dataset(inputs=np.array([[0.0], [np.inf]]),
+                                 labels=np.zeros(2, dtype=int)),
+             FormatError, "non-finite input values"),
+            (lambda tmp: load_mnist(tmp, split="val"),
+             ParamError, "split must be train or test, got 'val'"),
+            # Magic says three dimensions; the header holds two.
+            (lambda tmp: load_idx(*write_fixture(
+                tmp, images=struct.pack(">III", 0x803, 2, 2))),
+             FormatError, r"truncated in dimension header \(offset 4\)"),
+        ],
+        ids=["2-d-labels", "non-finite-input", "val-split", "idx-dims"],
+    )
+    def test_every_refusal_names_its_fault(self, tmp_path, make, error, match):
+        with pytest.raises(error, match=match):
+            make(tmp_path)
 
     def test_batches_cover_everything_once(self):
         ds = Dataset(inputs=np.arange(10.0)[:, None],
@@ -221,6 +243,19 @@ class TestBlobs:
         test = synthetic_blobs(1, classes=4, points_per_class=50, dim=8,
                                separation=6.0)
         assert lstsq_probe(train, test) >= 0.95
+
+    def test_fewer_dims_than_classes_puts_centers_at_the_separation(self):
+        # dim < classes leaves no orthonormal set: the centers are unit
+        # random directions, still drawn from the geometry alone.
+        means = []
+        for seed in (0, 1):
+            ds = synthetic_blobs(seed, classes=5, points_per_class=2000, dim=2,
+                                 separation=20.0)
+            means.append(np.stack([ds.inputs[ds.labels == c].mean(axis=0)
+                                   for c in range(5)]))
+        np.testing.assert_allclose(np.linalg.norm(means[0], axis=1), 20.0,
+                                   atol=0.1)
+        np.testing.assert_allclose(means[0], means[1], atol=0.15)
 
     def test_parameter_validation(self):
         with pytest.raises(ParamError):

@@ -346,6 +346,10 @@ class TestNeumannInverse:
         with pytest.raises(ParamError):
             AveragedAdjoint(max_restarts=-1)
 
+    def test_an_adjoint_loop_of_no_steps_is_refused(self):
+        with pytest.raises(ParamError, match="max_adjoint_iters must be >= 1"):
+            AveragedAdjoint(max_adjoint_iters=0)
+
 
 # Upstream and j_c for which the residual, at alpha 1, grows 1.5-fold from
 # 1.5e7 a step and passes the cap at step 5, before ten rises.

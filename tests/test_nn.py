@@ -155,6 +155,21 @@ class TestForward:
                 np.zeros((1, 3)),
             )
 
+    @pytest.mark.parametrize(
+        "spec, shape, match",
+        [
+            (dict(in_channels=1, out_channels=1, kernel=5), (1, 1, 3, 3),
+             "kernel 5 exceeds padded input 3x3"),
+            (dict(in_channels=2, out_channels=1, kernel=3), (1, 1, 4, 4),
+             r"layer0: conv2d expects \(n, 2, h, w\), got \(1, 1, 4, 4\)"),
+        ],
+        ids=["kernel-past-input", "channels"],
+    )
+    def test_every_refusal_of_a_conv_input_names_its_fault(self, spec, shape, match):
+        net = Network(layers=(LayerSpec(kind="conv2d", **spec),))
+        with pytest.raises(ShapeError, match=match):
+            net.forward(net.init_weights(0), np.zeros(shape))
+
     def test_empty_network_rejected(self):
         with pytest.raises(ParamError):
             Network(layers=())

@@ -73,6 +73,22 @@ class TestPartition:
         with pytest.raises(ShapeError):
             WeightMatrix(data=np.zeros((2, 3)), n=4, pad_count=2)
 
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: WeightMatrix(data=np.zeros(3), n=3, pad_count=0),
+             ShapeError, "weight matrix must be 2-D, got 1-D"),
+            (lambda: Codebook(np.zeros((2, 1, 1))),
+             ShapeError, "codebook must be 2-D, got 3-D"),
+            (lambda: Codebook(np.zeros((0, 2))),
+             ParamError, "codebook needs at least one codeword"),
+        ],
+        ids=["1-d-weights", "3-d-codebook", "no-codewords"],
+    )
+    def test_every_refusal_of_a_layout_names_its_fault(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
     def test_data_is_locked_against_mutation(self):
         w = partition_weights([1.0, 2.0], 1)
         with pytest.raises(ValueError):

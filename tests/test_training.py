@@ -86,6 +86,21 @@ class TestTrainConfig:
             small_cfg(loss_kind="hinge")
 
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: small_cfg(max_cluster_iters=0),
+             "max_cluster_iters must be >= 1"),
+            (lambda: train_float(*blob_task(13, points=5), epochs=-1),
+             "bad pretraining hyperparameters"),
+        ],
+        ids=["max-cluster-iters", "pretrain-epochs"],
+    )
+    def test_every_refusal_names_its_fault(self, make, match):
+        with pytest.raises(ParamError, match=match):
+            make()
+
+
 class TestQuantizedStep:
     def test_unmarked_layers_get_plain_sgd(self):
         net = Network(layers=(
