@@ -2,9 +2,7 @@
 solve, with implicit, Jacobian-free, and unrolled gradient backends."""
 
 from .errors import (
-    AdjointDivergence,
     AdjointSingular,
-    AdjointStalled,
     ConfigError,
     FormatError,
     IdkmError,
@@ -49,9 +47,7 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointDivergence",
     "AdjointSingular",
-    "AdjointStalled",
     "Codebook",
     "ConfigError",
     "FixedPointResult",

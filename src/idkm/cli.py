@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import math
 import sys
 import urllib.error
@@ -27,6 +28,7 @@ from .config import (
     build_train_config,
     parse_config,
     pretrain_params,
+    section_params,
 )
 from .data import (
     MNIST_SHA256,
@@ -51,6 +53,10 @@ EXIT_CHECK = 1
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+
+# synthetic_blobs' parameters, read before anything can wrap it: the [data]
+# keys it takes, and their defaults.
+BLOB_PARAMS = inspect.signature(synthetic_blobs).parameters
 
 MNIST_MIRRORS = (
     "https://ossci-datasets.s3.amazonaws.com/mnist/",
@@ -86,11 +92,11 @@ def _dataset(cfg: RunConfig, split: str):
             )
         return load_mnist(cfg.data_dir, part)
     data = cfg.data
-    seed, points = cfg.seed, data.get("points_per_class", 200)
+    seed, blobs = cfg.seed, {k: v for k, v in data.items() if k in BLOB_PARAMS}
     if split == "eval":
-        seed, points = seed + 1, max(points // 4, 1)
-    dataset = synthetic_blobs(seed, data.get("classes", 4), points,
-                              data.get("dim", 8), data.get("separation", 6.0))
+        points = blobs.get("points_per_class", BLOB_PARAMS["points_per_class"].default)
+        seed, blobs["points_per_class"] = seed + 1, max(points // 4, 1)
+    dataset = synthetic_blobs(seed, **blobs)
     if "image_height" in data:
         dataset = as_images(
             dataset,
@@ -217,11 +223,9 @@ def cmd_eval(args) -> int:
             f"checkpoint codebooks {sorted(ckpt.codebooks)} do not match the "
             f"layers the config marks for quantization {sorted(marked)}"
         )
-    tau = args.tau if args.tau is not None else (
-        cfg.quantize.get("tau", TrainConfig.tau)
-    )
-    acc = evaluate(net, ckpt.weights, eval_set,
-                   codebooks=ckpt.codebooks or None, mode=mode, tau=tau)
+    quantize = section_params("quantize", cfg.quantize, vars(args))
+    acc = evaluate(net, ckpt.weights, eval_set, codebooks=ckpt.codebooks or None,
+                   mode=mode, tau=quantize.get("tau", TrainConfig.tau))
     print(f"top1 {acc:.4f}  mode {mode}")
     for layer, bits in sorted(ckpt.bits_per_weight().items()):
         print(f"{layer}: {bits:g} bits/weight")

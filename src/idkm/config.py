@@ -177,7 +177,7 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
-def _params(section: str, values: dict, overrides: dict | None) -> dict:
+def section_params(section: str, values: dict, overrides: dict | None) -> dict:
     """A section's values, with the set overrides laid over them.
 
     Only the section's keys are read from `overrides`, and a None value is
@@ -197,7 +197,7 @@ def pretrain_params(cfg: RunConfig, overrides: dict | None = None) -> dict:
     The run seed is the default seed. accuracy_floor, which train_float does
     not take, is passed on when set, for the caller to take out.
     """
-    params = _params("pretrain", cfg.pretrain, overrides)
+    params = section_params("pretrain", cfg.pretrain, overrides)
     params.setdefault("seed", cfg.seed)
     return {**params, "loss_kind": cfg.loss}
 
@@ -209,7 +209,7 @@ def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainCo
     the kind of GradBackend, and the run seed is the default seed of both
     the run and its init.
     """
-    params = _params("quantize", cfg.quantize, overrides)
+    params = section_params("quantize", cfg.quantize, overrides)
     seed = params.setdefault("seed", cfg.seed)
     backend = {"kind": params.pop("backend")} if "backend" in params else {}
     try:

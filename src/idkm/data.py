@@ -159,10 +159,10 @@ def load_mnist(data_dir=None, split: str = "train") -> Dataset:
 
 def synthetic_blobs(
     seed: int,
-    classes: int,
-    points_per_class: int,
-    dim: int,
-    separation: float,
+    classes: int = 4,
+    points_per_class: int = 200,
+    dim: int = 8,
+    separation: float = 6.0,
 ) -> Dataset:
     """Gaussian blobs at deterministic centers, unit noise, shuffled.
 

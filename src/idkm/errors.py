@@ -30,19 +30,6 @@ class AdjointSingular(NumericsError):
     cannot be trusted."""
 
 
-class AdjointDivergence(NumericsError):
-    """Every attempt of gradcheck's averaged adjoint loop diverged: its
-    residual passed the cap, was not finite, or rose ten steps in a row, at
-    each alpha of the halving restarts. Also the base of AdjointStalled, so
-    one except clause takes both."""
-
-
-class AdjointStalled(AdjointDivergence):
-    """An attempt of gradcheck's averaged adjoint loop ran max_adjoint_iters
-    steps without diverging and without its residual getting below the
-    tolerance."""
-
-
 class FormatError(IdkmError):
     """A file does not match its expected on-disk format."""
 

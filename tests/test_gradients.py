@@ -4,23 +4,18 @@ import numpy as np
 import pytest
 
 from idkm.errors import (
-    AdjointDivergence,
     AdjointSingular,
-    AdjointStalled,
     NumericsError,
     ParamError,
     ShapeError,
 )
 from idkm.gradcheck import (
-    ADJOINT_EPS,
     FORWARD_EPS,
     FORWARD_MAX_ITERS,
     TOL_FD_BLOCKS,
     TOL_FD_SOLVE,
     TOL_JFB_BLOCK,
-    AveragedAdjoint,
     GradInstance,
-    _averaged_solve,
     central_differences,
     check_jfb_block,
     check_oracle_equivalence,
@@ -29,11 +24,12 @@ from idkm.gradcheck import (
     dense_weight_jacobian,
     fd_solve_jacobian,
     make_instance,
-    neumann_inverse,
     rel_err,
     run_suite,
 )
 from idkm.gradients import (
+    ADJOINT_EPS,
+    BACKEND_KINDS,
     COND_LIMIT,
     GradBackend,
     adjoint_inverse,
@@ -254,208 +250,6 @@ def test_soft_assignment_vjp_matches_central_differences(d):
     _assert_vjp_matches_dense(asg, seed=40 + d)
 
 
-def _spectral(seed, n, radius):
-    mat = np.random.default_rng(seed).normal(size=(n, n))
-    return mat * (radius / max(abs(np.linalg.eigvals(mat))))
-
-
-class TestNeumannInverse:
-    def test_zero_matrix_returns_identity_exactly(self):
-        out = neumann_inverse(np.zeros((3, 3)), AveragedAdjoint())
-        np.testing.assert_array_equal(out, np.eye(3))
-
-    def test_half_identity_doubles(self):
-        out = neumann_inverse(0.5 * np.eye(4), AveragedAdjoint())
-        np.testing.assert_allclose(out, 2.0 * np.eye(4), atol=1e-6, rtol=0)
-
-    def test_matches_dense_solve_at_spectral_radius_08(self):
-        rng = np.random.default_rng(21)
-        mat = rng.normal(size=(6, 6))
-        mat *= 0.8 / max(abs(np.linalg.eigvals(mat)))
-        direct = np.linalg.solve(np.eye(6) - mat, np.eye(6))
-        out = neumann_inverse(mat, AveragedAdjoint(max_adjoint_iters=4000))
-        assert rel_err(out, direct) <= 1e-6
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            neumann_inverse(np.zeros((2, 3)), AveragedAdjoint())
-
-    def test_restarts_recover_from_a_bad_alpha(self):
-        # Plain iteration diverges on the -1.5 eigenvalue; halving alpha once
-        # brings the averaged map inside the unit disc.
-        spiky = np.diag([-1.5, 0.3, 0.2])
-        direct = np.linalg.solve(np.eye(3) - spiky, np.eye(3))
-        out = neumann_inverse(
-            spiky, AveragedAdjoint(alpha0=1.0, max_adjoint_iters=4000)
-        )
-        assert rel_err(out, direct) <= 1e-6
-
-    def test_divergence_without_restarts_raises(self):
-        spiky = np.diag([-1.5, 0.3, 0.2])
-        with pytest.raises(AdjointDivergence):
-            neumann_inverse(spiky, AveragedAdjoint(alpha0=1.0, max_restarts=0))
-
-    def test_unit_circle_crossing_raises_cleanly(self):
-        with pytest.raises(AdjointDivergence):
-            neumann_inverse(10.0 * np.eye(2), AveragedAdjoint(max_restarts=1))
-
-    def test_slow_convergence_raises_instead_of_stalling(self):
-        nearly_one = (1.0 - 1e-9) * np.eye(3)
-        with pytest.raises(AdjointDivergence):
-            neumann_inverse(nearly_one, AveragedAdjoint(max_adjoint_iters=50))
-
-    def test_alpha_one_near_critical_radius_never_returns_nan(self):
-        rng = np.random.default_rng(33)
-        mat = rng.normal(size=(5, 5))
-        mat *= 0.95 / max(abs(np.linalg.eigvals(mat)))
-        backend = AveragedAdjoint(alpha0=1.0, max_adjoint_iters=4000)
-        try:
-            out = neumann_inverse(mat, backend)
-        except AdjointDivergence:
-            return
-        assert np.all(np.isfinite(out))
-
-    @pytest.mark.parametrize("limit", [26, 27])
-    def test_stalls_at_exactly_the_iteration_limit(self, limit):
-        # At alpha 1 the residual of step n is 0.5^(n+1), so step 26 is the
-        # first below the tolerance: 26 steps stall, 27 return.
-        assert 0.5**27 < ADJOINT_EPS < 0.5**26
-        controls = AveragedAdjoint(alpha0=1.0, max_adjoint_iters=limit)
-        if limit == 26:
-            with pytest.raises(AdjointStalled, match="after 26 iterations at alpha=1"):
-                neumann_inverse(np.array([[0.5]]), controls)
-        else:
-            out = neumann_inverse(np.array([[0.5]]), controls)
-            np.testing.assert_allclose(out, [[2.0]], atol=1e-7, rtol=0)
-
-    def test_ten_rises_on_every_attempt_diverge_rather_than_stall(self):
-        # The 1.05 eigenvalue makes the averaged step grow at every alpha.
-        with pytest.raises(AdjointDivergence) as got:
-            _averaged_solve(np.ones(2), np.diag([1.05, 0.5]),
-                            AveragedAdjoint(alpha0=1.0))
-        assert type(got.value) is AdjointDivergence
-        assert "diverged on all 6 attempts (final alpha=0.03125)" in str(got.value)
-
-    def test_backend_validation(self):
-        with pytest.raises(ParamError):
-            GradBackend(kind="neumann")
-        with pytest.raises(ParamError):
-            AveragedAdjoint(alpha0=0.0)
-        with pytest.raises(ParamError):
-            AveragedAdjoint(alpha0=1.5)
-        with pytest.raises(ParamError):
-            AveragedAdjoint(max_restarts=-1)
-
-    def test_an_adjoint_loop_of_no_steps_is_refused(self):
-        with pytest.raises(ParamError, match="max_adjoint_iters must be >= 1"):
-            AveragedAdjoint(max_adjoint_iters=0)
-
-
-# Upstream and j_c for which the residual, at alpha 1, grows 1.5-fold from
-# 1.5e7 a step and passes the cap at step 5, before ten rises.
-CAP_FIRST = (1e7 * np.ones(3), np.diag([-1.5, 0.3, 0.2]))
-# Upstream and j_c for which the residual, at alpha 1, falls until step 60
-# and then rises, ending ten rises in a row at step 70.
-LATE_GROWTH = (np.array([3e-3, 1.0]), np.diag([1.01, 0.9]))
-
-
-def _assert_solved(out, upstream, j_c):
-    assert np.linalg.norm(upstream + out @ j_c - out) < ADJOINT_EPS
-    assert rel_err(out, np.linalg.solve(np.eye(len(j_c)) - j_c.T, upstream)) <= 1e-6
-
-
-class TestBlockedAdjointMatchesTheLoop:
-    """Outcomes of the averaged adjoint's step loop, each rule's deciding
-    step pinned by the iteration limit at which the outcome changes. (The
-    class name dates from when a blocked solve was checked against the loop;
-    the solve is now the loop itself.)"""
-
-    def test_zero_matrix(self):
-        # Decided at step 0: one step is enough, and x is upstream unchanged.
-        upstream = np.array([0.3, -1.0, 2.0])
-        out = _averaged_solve(upstream, np.zeros((3, 3)),
-                              AveragedAdjoint(max_adjoint_iters=1))
-        np.testing.assert_array_equal(out, upstream)
-
-    @pytest.mark.parametrize("radius", [0.8, 0.95])
-    def test_contractions(self, radius):
-        j_c = _spectral(int(radius * 100), 6, radius)
-        upstream = np.random.default_rng(5).normal(size=6)
-        with pytest.raises(AdjointStalled):
-            _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=64))
-        out = _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=4000))
-        _assert_solved(out, upstream, j_c)
-
-    @pytest.mark.parametrize("limit", [50, 500])
-    def test_stall_at_the_iteration_limit(self, limit):
-        # The first attempt, at alpha 1/4, stalls: no restart is taken.
-        upstream = np.random.default_rng(6).normal(size=5)
-        with pytest.raises(AdjointStalled,
-                           match=f"after {limit} iterations at alpha=0.25"):
-            _averaged_solve(upstream, _spectral(6, 5, 0.99),
-                            AveragedAdjoint(max_adjoint_iters=limit))
-
-    def test_cap_divergence_recovered_by_a_restart(self):
-        # With one attempt, a limit of 5 stalls and 6 diverges: the cap is
-        # passed at step 5. Alpha 1/2 contracts.
-        def solve(**kwargs):
-            return _averaged_solve(*CAP_FIRST, AveragedAdjoint(alpha0=1.0, **kwargs))
-
-        with pytest.raises(AdjointStalled):
-            solve(max_restarts=0, max_adjoint_iters=5)
-        with pytest.raises(AdjointDivergence) as got:
-            solve(max_restarts=0, max_adjoint_iters=6)
-        assert type(got.value) is AdjointDivergence
-        _assert_solved(solve(max_restarts=1), *CAP_FIRST)
-
-    @pytest.mark.parametrize("case, limit, reason", [
-        ("cap", 6, "cap"),
-        ("late-growth", 71, "growth"),
-        ("late-growth", 70, "stalled"),
-    ])
-    def test_the_deciding_step_is_the_loops(self, case, limit, reason):
-        # With one attempt and the limit just past (or at) the deciding
-        # step, deciding at any other step changes the exception raised.
-        upstream, j_c = CAP_FIRST if case == "cap" else LATE_GROWTH
-        controls = AveragedAdjoint(alpha0=1.0, max_restarts=0, max_adjoint_iters=limit)
-        with pytest.raises(AdjointDivergence) as got:
-            _averaged_solve(upstream, j_c, controls)
-        expected = AdjointStalled if reason == "stalled" else AdjointDivergence
-        assert type(got.value) is expected
-
-    # k*d = 64 is k = 16 codewords of d = 4.
-    def test_contraction_over_many_blocks_at_kd_64(self):
-        upstream = np.random.default_rng(8).normal(size=64)
-        j_c = _spectral(95, 64, 0.95)
-        with pytest.raises(AdjointStalled):
-            _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=256))
-        out = _averaged_solve(upstream, j_c, AveragedAdjoint(max_adjoint_iters=4000))
-        _assert_solved(out, upstream, j_c)
-
-    @pytest.mark.parametrize("limit", [50, 500])
-    def test_stall_at_kd_64(self, limit):
-        upstream = np.random.default_rng(8).normal(size=64)
-        with pytest.raises(AdjointStalled,
-                           match=f"after {limit} iterations at alpha=0.25"):
-            _averaged_solve(upstream, _spectral(99, 64, 0.99),
-                            AveragedAdjoint(max_adjoint_iters=limit))
-
-    def test_divergence_recovered_by_a_restart_at_kd_64(self):
-        # One eigenvalue of -8 makes the averaged step's -1.25 at alpha 1/4
-        # and -0.125 at alpha 1/8; the others lie in [-0.5, 0.5]. The first
-        # attempt ends on ten rises, long before the cap.
-        rng = np.random.default_rng(9)
-        basis, _ = np.linalg.qr(rng.normal(size=(64, 64)))
-        eigs = np.concatenate(([-8.0], np.linspace(-0.5, 0.5, 63)))
-        j_c = (basis * eigs) @ basis.T
-        upstream = rng.normal(size=64)
-        with pytest.raises(AdjointDivergence) as got:
-            _averaged_solve(upstream, j_c, AveragedAdjoint(max_restarts=0))
-        assert type(got.value) is AdjointDivergence
-        _assert_solved(_averaged_solve(upstream, j_c, AveragedAdjoint(max_restarts=1)),
-                       upstream, j_c)
-
-
 class TestImplicit:
     def test_huge_tau_reduces_to_the_weight_block(self):
         inst = _converged_instance(1, m=9, k=2, d=1)
@@ -672,6 +466,21 @@ class TestVjp:
             vjp_dC_dW(np.ones(3), inst.w, inst.c_star, inst.tau, inverse=inverse)
 
 
+def _spectral(seed, n, radius):
+    mat = np.random.default_rng(seed).normal(size=(n, n))
+    return mat * (radius / max(abs(np.linalg.eigvals(mat))))
+
+
+class TestNeumannInverse:
+    """The averaged Neumann adjoint is gone; its backend kind stays refused."""
+
+    def test_backend_validation(self):
+        for kind in BACKEND_KINDS:
+            assert GradBackend(kind=kind).kind == kind
+        with pytest.raises(ParamError, match="unknown gradient backend 'neumann'"):
+            GradBackend(kind="neumann")
+
+
 class TestAdjointInverse:
     def test_matches_a_dense_solve(self):
         j_c = _spectral(5, 6, 0.95)
@@ -721,8 +530,6 @@ class TestAdjointInverse:
 # and a call handing it a 3 x 3 matrix (k*d = 3 on the instance).
 GATED = {
     "adjoint_inverse": ("j_c", lambda inst, mat: adjoint_inverse(mat)),
-    "neumann_inverse": (
-        "j_c", lambda inst, mat: neumann_inverse(mat, AveragedAdjoint())),
     "vjp_dC_dW": ("adjoint inverse", lambda inst, mat: vjp_dC_dW(
         np.ones(3), inst.w, inst.c_star, inst.tau, inverse=mat)),
     "solve_fixed_point": ("chord", lambda inst, mat: solve_fixed_point(
@@ -735,8 +542,7 @@ class TestSquareMatrixGate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_matrix_is_a_numerics_error_naming_it(self, caller, bad):
         # Not AdjointSingular ("condition number nan"), which --fallback-jfb
-        # would take for a singular adjoint, nor neumann_inverse's
-        # AdjointDivergence after six attempts.
+        # would take for a singular adjoint.
         what, call = GATED[caller]
         mat = 0.1 * np.eye(3)
         mat[0, 1] = bad
