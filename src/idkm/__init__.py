@@ -11,7 +11,7 @@ from .errors import (
     ShapeError,
 )
 from .gradients import GradBackend, vjp_dC_dW, vjp_through_trace
-from .nn import LayerSpec, Network, loss_and_grad, softmax_cross_entropy, squared_error
+from .nn import LayerSpec, Network, loss_and_grad, softmax_cross_entropy
 from .pq import (
     Codebook,
     SoftAssignment,
@@ -82,7 +82,6 @@ __all__ = [
     "softmax_cross_entropy",
     "solve_codebooks",
     "solve_fixed_point",
-    "squared_error",
     "train",
     "train_float",
     "vjp_dC_dW",

@@ -199,7 +199,7 @@ def pretrain_params(cfg: RunConfig, overrides: dict | None = None) -> dict:
     """
     params = section_params("pretrain", cfg.pretrain, overrides)
     params.setdefault("seed", cfg.seed)
-    return {**params, "loss_kind": cfg.loss}
+    return params
 
 
 def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainConfig:
@@ -216,7 +216,6 @@ def build_train_config(cfg: RunConfig, overrides: dict | None = None) -> TrainCo
         return TrainConfig(
             backend=GradBackend(**backend),
             init=InitStrategy(seed=seed),
-            loss_kind=cfg.loss,
             **params,
         )
     except ParamError as exc:

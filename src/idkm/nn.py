@@ -1,10 +1,10 @@
 """Minimal dense/conv network with hand-written reverse-mode gradients.
 
 Four layer kinds (dense, conv2d, relu, flatten) cover the models trained
-here. Convolution uses the cross-correlation convention with valid or same
+here. Convolution uses the cross-correlation convention with valid
 padding. It gathers the input's windows into one (c·k·k) × (n·out_h·out_w)
 patch matrix and runs as one GEMM each way: the forward pass, the weight
-gradient and the input gradient. The backward sweep forms no gradient for
+gradient and the input gradient. The loss is softmax cross-entropy. The backward sweep forms no gradient for
 the input of the first layer with parameters, since nothing reads it.
 Weights live in a plain dict keyed by layer name so the training loop can
 swap quantized tensors in and out without touching the network.
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericsError, ParamError, ShapeError
 
 LAYER_KINDS = ("dense", "conv2d", "relu", "flatten")
-PADDING_MODES = ("valid", "same")
+PADDING_MODES = ("valid",)
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,10 @@ class LayerSpec:
     """Shape and quantization parameters for one layer.
 
     Dense layers use in_features/out_features; conv2d layers use
-    in_channels/out_channels/kernel/stride/padding. relu and flatten carry
-    no parameters and ignore the shape fields. `quantize` marks the weight
-    tensor (never the bias) for clustering during quantization training.
+    in_channels/out_channels/kernel/stride; padding is valid for every
+    layer. relu and flatten carry no parameters and ignore the shape
+    fields. `quantize` marks the weight tensor (never the bias) for
+    clustering during quantization training.
     """
 
     kind: str
@@ -45,6 +46,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ParamError(f"unknown layer kind {self.kind!r}")
+        if self.padding not in PADDING_MODES:
+            raise ParamError(f"padding must be one of {PADDING_MODES}")
         if self.kind == "dense":
             if self.in_features < 1 or self.out_features < 1:
                 raise ParamError("dense layer needs in_features and out_features >= 1")
@@ -53,8 +56,6 @@ class LayerSpec:
                 raise ParamError("conv2d layer needs channels and kernel >= 1")
             if self.stride < 1:
                 raise ParamError("conv2d stride must be >= 1")
-            if self.padding not in PADDING_MODES:
-                raise ParamError(f"padding must be one of {PADDING_MODES}")
         elif self.quantize:
             raise ParamError(f"{self.kind} layers carry no weights to quantize")
 
@@ -73,62 +74,46 @@ class LayerSpec:
         return {}
 
 
-def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int]:
-    # Pad so output size = ceil(size / stride), split with the extra pixel after.
-    out = -(-size // stride)
-    total = max((out - 1) * stride + kernel - size, 0)
-    return total // 2, total - total // 2
-
-
-def _conv_patches(x: np.ndarray, kernel: int, stride: int, padding: str):
+def _conv_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Gather every kernel window of x into one patch matrix.
 
-    Returns (patches, padded_shape, pads). patches has shape
-    (c·kernel·kernel, n, out_h, out_w), its rows in w.reshape(o, -1)'s order,
-    so a convolution is one GEMM. x is padded only when padding adds pixels.
+    The result has shape (c·kernel·kernel, n, out_h, out_w), its rows in
+    w.reshape(o, -1)'s order, so a convolution is one GEMM.
     """
     n, c, h, w = x.shape
-    ph = pw = (0, 0)
-    if padding == "same":
-        ph, pw = _same_pad(h, kernel, stride), _same_pad(w, kernel, stride)
-    if any(ph + pw):
-        x = np.pad(x, ((0, 0), (0, 0), ph, pw))
-    hp, wp = x.shape[2], x.shape[3]
-    if hp < kernel or wp < kernel:
-        raise ShapeError(f"kernel {kernel} exceeds padded input {hp}x{wp}")
-    out_h, out_w = (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
+    if h < kernel or w < kernel:
+        raise ShapeError(f"kernel {kernel} exceeds input {h}x{w}")
+    out_h, out_w = (h - kernel) // stride + 1, (w - kernel) // stride + 1
     patches = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=x.dtype)
     xc = x.transpose(1, 0, 2, 3)
     for i in range(kernel):
         for j in range(kernel):
             patches[:, i, j] = xc[:, :, i : i + stride * out_h : stride,
                                   j : j + stride * out_w : stride]
-    return patches.reshape(-1, n, out_h, out_w), x.shape, (ph, pw)
+    return patches.reshape(-1, n, out_h, out_w)
 
 
 def _conv_forward(x, w, b, spec: LayerSpec):
-    patches, padded_shape, pads = _conv_patches(x, spec.kernel, spec.stride,
-                                                spec.padding)
+    patches = _conv_patches(x, spec.kernel, spec.stride)
     y = w.reshape(len(w), -1) @ patches.reshape(len(patches), -1)
     y = (y + b[:, None]).reshape(len(w), *patches.shape[1:])
-    return y.transpose(1, 0, 2, 3), (patches, padded_shape, pads, x.shape)
+    return y.transpose(1, 0, 2, 3), (patches, x.shape)
 
 
 def _conv_backward(gy, spec: LayerSpec, cache, w=None):
     """Weight and bias gradients, and the input gradient when w is given."""
-    patches, (_, c, hp, wp), (ph, pw), x_shape = cache
+    patches, (n, c, h, wd) = cache
     k, s, out_h, out_w = spec.kernel, spec.stride, gy.shape[2], gy.shape[3]
     g = gy.transpose(1, 0, 2, 3).reshape(gy.shape[1], -1)
     gw = (g @ patches.reshape(len(patches), -1).T).reshape(-1, c, k, k)
     if w is None:
         return gw, g.sum(axis=1), None
     gpatch = (w.reshape(len(w), -1).T @ g).reshape(c, k, k, *patches.shape[1:])
-    gxp = np.zeros((c, x_shape[0], hp, wp))
+    gx = np.zeros((c, n, h, wd))
     for i in range(k):
         for j in range(k):
-            gxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += gpatch[:, i, j]
-    gx = gxp.transpose(1, 0, 2, 3)[:, :, ph[0] : hp - ph[1], pw[0] : wp - pw[1]]
-    return gw, g.sum(axis=1), gx
+            gx[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += gpatch[:, i, j]
+    return gw, g.sum(axis=1), gx.transpose(1, 0, 2, 3)
 
 
 @dataclass
@@ -288,17 +273,7 @@ def softmax_cross_entropy(
     return loss, probs / n
 
 
-def squared_error(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared 2-norm against one-hot targets, with gradient."""
-    _check_labels(logits, labels)
-    n = logits.shape[0]
-    diff = np.array(logits, dtype=np.float64)
-    diff[np.arange(n), labels] -= 1.0
-    loss = float((diff * diff).sum() / n)
-    return loss, 2.0 * diff / n
-
-
-LOSS_KINDS = ("cross_entropy", "squared_error")
+LOSS_KINDS = ("cross_entropy",)
 
 
 def loss_and_grad(
@@ -306,19 +281,14 @@ def loss_and_grad(
     weights: dict[str, np.ndarray],
     x: np.ndarray,
     labels: np.ndarray,
-    loss_kind: str = "cross_entropy",
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss over one batch and exact gradients for every weight tensor."""
-    if loss_kind not in LOSS_KINDS:
-        raise ParamError(f"unknown loss {loss_kind!r}")
+    """Mean cross-entropy over one batch and exact gradients for every
+    weight tensor."""
     if len(x) == 0:
         raise ParamError("batch is empty")
     caches: list = []
     logits = net.forward(weights, x, caches=caches)
-    if loss_kind == "cross_entropy":
-        loss, grad_out = softmax_cross_entropy(logits, labels)
-    else:
-        loss, grad_out = squared_error(logits, labels)
+    loss, grad_out = softmax_cross_entropy(logits, labels)
     if not np.isfinite(loss):
         raise NumericsError(f"non-finite loss {loss}")
     return loss, net.backward(weights, caches, grad_out)

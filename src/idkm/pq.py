@@ -601,9 +601,10 @@ def attention(dist: np.ndarray, tau: float) -> np.ndarray:
     i is the softmax of -dist[:, i] / tau less its maximum, so a sharp
     temperature saturates to a hard assignment instead of overflowing.
 
-    It is the raw kernel and validates nothing: distances that overflow to
-    inf give nan columns, returned without raising. soft_assign refuses
-    them, naming the attention."""
+    It is the raw kernel and checks only tau, the one tau check that
+    soft_assign, and so soft_quantize given no assignment, reaches.
+    Distances that overflow to inf give nan columns, returned without
+    raising; soft_assign refuses them, naming the attention."""
     require_positive_finite("tau", tau)
     att = np.empty_like(dist)
     _by_columns(_softmax_cols, *dist.shape, (dist, att), tau)

@@ -69,11 +69,10 @@ class FixedPointResult:
     codebook, the gap the loop stopped on, so a converged result satisfies
     the fixed-point condition to within eps by construction. `assignment` is
     the soft assignment of that last evaluation, taken at the returned
-    codebook. `iterations` counts the updates applied, at least one;
-    `newton_kept` of them were kept guarded Newton steps (a chord step or
-    the solve's own). `newton_rejected` says whether a guarded step was
-    rejected: that applies no update but costs an evaluation, so a solve
-    takes iterations + 1 evaluations of F, plus one when `newton_rejected`.
+    codebook. `iterations` counts the updates applied, at least one.
+    `evaluations` counts the evaluations of F the solve made: one at c0,
+    one per update, and one per rejected guarded step, which applies no
+    update.
     `trace` holds the codebook entering each update, in order, and only when
     recording was requested; so do the two fields the unrolled sweep
     reuses: `trace_sums`, the (col_sums, weighted_sums) of the evaluation
@@ -87,12 +86,11 @@ class FixedPointResult:
 
     codebook: Codebook
     iterations: int
+    evaluations: int
     residual: float
     converged: bool
     trace: tuple[Codebook, ...] | None = None
     degenerate_clusters: int = field(default=0)
-    newton_kept: int = 0
-    newton_rejected: bool = False
     assignment: SoftAssignment | None = field(default=None, repr=False, compare=False)
     trace_sums: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
         default=None, repr=False, compare=False
@@ -219,7 +217,7 @@ def solve_fixed_point(
         chord = square_matrix(chord, "chord", c0.data.size)
 
     asg = soft_assign(w.data, c0.data, tau)
-    inverse, kept, rejected = chord, 0, False
+    inverse, evaluations = chord, 1
     trace: list[Codebook] = []
     sums: list[tuple[np.ndarray, np.ndarray]] = []
     for iterations in range(1, max_iters + 1):
@@ -230,13 +228,14 @@ def solve_fixed_point(
         if newton:
             inverse = _newton_inverse(asg.j_c)
         trial = None if inverse is None else _guarded_step(w, asg, inverse, tau)
+        evaluations += inverse is not None
         if trial is not None:
-            asg, kept = trial, kept + 1
+            asg = trial
         else:
             # A step failed or not tried ends the guarded steps.
-            rejected = rejected or inverse is not None
             newton = False
             asg = soft_assign(w.data, asg.update, tau)
+            evaluations += 1
         inverse = None
         residual = _gap(asg)
         if residual < eps:
@@ -245,12 +244,11 @@ def solve_fixed_point(
     return FixedPointResult(
         codebook=Codebook(asg.c),
         iterations=iterations,
+        evaluations=evaluations,
         residual=residual,
         converged=residual < eps,
         trace=tuple(trace) if record_trace else None,
         degenerate_clusters=int(asg.degenerate.sum()),
-        newton_kept=kept,
-        newton_rejected=rejected,
         assignment=asg,
         trace_sums=tuple(sums) if record_trace else None,
         trace_assignment=entering if record_trace else None,

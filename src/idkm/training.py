@@ -50,7 +50,7 @@ from .errors import (
     require_positive_finite,
 )
 from .gradients import GradBackend, adjoint_inverse, vjp_dC_dW, vjp_through_trace
-from .nn import LOSS_KINDS, Network, loss_and_grad
+from .nn import Network, loss_and_grad
 from .pq import (
     Codebook,
     WeightMatrix,
@@ -88,7 +88,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 100
     batch_size: int = 128
-    loss_kind: str = "cross_entropy"
     init: InitStrategy = field(default_factory=InitStrategy)
     seed: int = 0
     fallback_jfb: bool = False
@@ -104,8 +103,6 @@ class TrainConfig:
             raise ParamError("max_cluster_iters must be >= 1")
         if self.batch_size < 1:
             raise ParamError("batch_size must be >= 1")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ParamError(f"unknown loss {self.loss_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,11 @@ class StepMetrics:
     """Per-step instrumentation; scalar fields are maxima over layers.
 
     per_layer maps each quantized tensor to its solve's iterations,
-    residual, converged flag, retained codebooks and clusters degenerate at
-    C* ("degenerate", SoftAssignment.degenerate at the returned codebook),
-    whether its gradient fell back to jfb, and, for the implicit backend,
-    how its adjoint solve ended ("adjoint": solved, or singular when
-    adjoint_inverse refused I - dF/dC*).
+    evaluations of F, residual, converged flag, retained codebooks and
+    clusters degenerate at C* ("degenerate", SoftAssignment.degenerate at
+    the returned codebook), whether its gradient fell back to jfb, and, for
+    the implicit backend, how its adjoint solve ended ("adjoint": solved, or
+    singular when adjoint_inverse refused I - dF/dC*).
     """
 
     loss: float
@@ -203,6 +200,7 @@ def _layer_backward(
     and chord in `state`, and returns the stepped tensor and its stats."""
     stats = {
         "iters": result.iterations,
+        "evaluations": result.evaluations,
         "residual": result.residual,
         "converged": result.converged,
         "retained": result.retained_codebooks,
@@ -264,7 +262,7 @@ def quantized_train_step(
         solved[key] = (wm, result)
         soft = soft_quantize(wm, result.codebook, cfg.tau, assignment=result.assignment)
         run_weights[key] = flatten_weights(soft).reshape(state.weights[key].shape)
-    loss, grads = loss_and_grad(net, run_weights, x, y, cfg.loss_kind)
+    loss, grads = loss_and_grad(net, run_weights, x, y)
     t_forward = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -451,7 +449,6 @@ def train_float(
     learning_rate: float = 0.1,
     epochs: int = 20,
     batch_size: int = 128,
-    loss_kind: str = "cross_entropy",
     seed: int = 0,
     on_epoch: Callable[[dict], None] | None = None,
 ) -> tuple[list[dict], dict[str, np.ndarray]]:
@@ -466,7 +463,7 @@ def train_float(
     for epoch in range(1, epochs + 1):
         losses = []
         for bx, by in train_set.batches(batch_size, rng=rng):
-            loss, grads = loss_and_grad(net, weights, bx, by, loss_kind)
+            loss, grads = loss_and_grad(net, weights, bx, by)
             for name in weights:
                 weights[name] = weights[name] - learning_rate * grads[name]
             losses.append(loss)

@@ -80,8 +80,8 @@ eps = 1e-7
 backend = implicit
 """
 
-# Image-shaped blobs through a strided, padded conv layer: the layer kind
-# and [data] keys the paper's MNIST net runs on.
+# Image-shaped blobs through a strided conv layer: the layer kind and
+# [data] keys the paper's MNIST net runs on.
 CONV_INI = """\
 [run]
 dataset = blobs
@@ -103,7 +103,7 @@ in_channels = 1
 out_channels = 3
 kernel = 3
 stride = 2
-padding = same
+padding = valid
 quantize = true
 
 [layer.1]
@@ -114,7 +114,7 @@ kind = flatten
 
 [layer.3]
 kind = dense
-in_features = 27
+in_features = 12
 out_features = 3
 quantize = true
 
@@ -167,6 +167,10 @@ CONFIG_REFUSALS = {
                 "[layer.1] is missing 'kind'"),
     "layer-spec": (lambda text: text.replace("in_features = 6", "in_features = 0"),
                    "[layer.0]: dense layer needs in_features"),
+    "loss": (lambda text: text.replace("loss = cross_entropy", "loss = squared_error"),
+             "[model] loss = 'squared_error', expected one of ('cross_entropy',)"),
+    "padding": (lambda text: text.replace("[layer.0]\n", "[layer.0]\npadding = same\n"),
+                "[layer.0]: padding must be one of ('valid',)"),
     "missing-file": (lambda text: None, "config file not found: {path}"),
     "unparseable": (lambda text: text + "a line with no delimiter\n", "{path}: "),
 }
@@ -451,7 +455,7 @@ class TestPipeline:
         cfg_path.write_text(CONV_INI.format(out=tmp_path / "run"))
         out = tmp_path / "run"
         layers = Network(layers=parse_config(cfg_path).layers).layers
-        assert layers[0].padding == "same" and layers[0].stride == 2
+        assert layers[0].padding == "valid" and layers[0].stride == 2
 
         assert main(["pretrain", "--config", str(cfg_path)]) == EXIT_OK
         assert load_checkpoint(out / "pretrained.ckpt").layers == layers

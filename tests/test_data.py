@@ -465,6 +465,10 @@ class TestCheckpoint:
          "'architecture' is not a list"),
         (_set_architecture([{"kind": "relu", "quantize": False, "in_features": 3}]),
          "'architecture' is not a list"),
+        (_set_architecture([{"kind": "conv2d", "quantize": False, "in_channels": 1,
+                             "out_channels": 2, "kernel": 3, "stride": 1,
+                             "padding": "same"}]),
+         "'architecture' is not a list"),
         (_edit(lambda m: [m.pop(k) for k in list(m) if k.startswith("tensor/")]),
          "stored architecture"),
         (_edit(lambda m: m.update(extra=np.zeros(2, dtype="<f4"))),
@@ -476,7 +480,7 @@ class TestCheckpoint:
             "deflated", "oversized", "short-member", "no-manifest",
             "manifest-not-object", "manifest-not-json", "wrong-version",
             "no-architecture", "empty-architecture", "unknown-layer-kind",
-            "stray-layer-field", "no-tensors", "unknown-member", "float64-member"])
+            "stray-layer-field", "same-padded-conv", "no-tensors", "unknown-member", "float64-member"])
     def test_malformed_file_is_a_format_error(self, tmp_path, capsys, tamper, error):
         path = tmp_path / "h.ckpt"
         net = small_net()

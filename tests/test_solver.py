@@ -291,10 +291,18 @@ class TestSolve:
 
     def test_result_fields_round_trip(self):
         result = FixedPointResult(
-            codebook=_book([1.0]), iterations=3, residual=0.5, converged=False
+            codebook=_book([1.0]), iterations=3, evaluations=4, residual=0.5,
+            converged=False,
         )
-        assert result.retained_codebooks == 1
-        assert (result.newton_kept, result.newton_rejected) == (0, False)
+        assert (result.retained_codebooks, result.evaluations) == (1, 4)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["plain", "recorded"])
+    def test_evaluations_count_every_soft_assign_call(self, monkeypatch, record):
+        inst = make_instance(6)
+        calls = _counting(monkeypatch)
+        result = solve_fixed_point(inst.w, inst.c0, inst.tau, 1e-6, 5000,
+                                   record_trace=record)
+        assert result.evaluations == len(calls) == result.iterations + 1
 
 
 def _moved_instance(seed):
@@ -337,12 +345,11 @@ class TestChordStep:
                 w, inst.c_star, inst.tau, self.EPS, 5000, chord=inverse
             )
             assert plain.converged and warm.converged
-            assert warm.newton_kept + warm.newton_rejected == 1
             bound = 2 * self.EPS * np.linalg.norm(inverse, 2)
             gap = np.linalg.norm(warm.codebook.data - plain.codebook.data)
             assert gap <= bound, (seed, gap, bound)
-            plain_evals += plain.iterations + 1
-            chord_evals += warm.iterations + 1 + warm.newton_rejected
+            plain_evals += plain.evaluations
+            chord_evals += warm.evaluations
         assert chord_evals < 0.6 * plain_evals
 
     @pytest.mark.parametrize("kept", [True, False])
@@ -357,8 +364,7 @@ class TestChordStep:
         warm = solve_fixed_point(
             w, inst.c_star, inst.tau, self.EPS, 5000, chord=chord
         )
-        assert (warm.newton_kept, warm.newton_rejected) == (kept, not kept)
-        assert len(calls) == warm.iterations + 1 + (not kept)
+        assert warm.evaluations == len(calls) == warm.iterations + 1 + (not kept)
         np.testing.assert_array_equal(calls[-1], warm.codebook.data)
         if kept:
             assert warm.iterations < plain.iterations
@@ -366,13 +372,14 @@ class TestChordStep:
             assert warm.iterations == plain.iterations
             np.testing.assert_array_equal(warm.codebook.data, plain.codebook.data)
 
-    def test_rejected_chord_step_still_applies_one_update(self):
+    def test_rejected_chord_step_still_applies_one_update(self, monkeypatch):
         inst, w, j_c = _moved_instance(6)
         plain = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 1)
+        calls = _counting(monkeypatch)
         warm = solve_fixed_point(
             w, inst.c_star, inst.tau, self.EPS, 1, chord=100.0 * np.eye(len(j_c))
         )
-        assert (warm.newton_kept, warm.newton_rejected, warm.iterations) == (0, True, 1)
+        assert (warm.evaluations, len(calls), warm.iterations) == (3, 3, 1)
         np.testing.assert_array_equal(warm.codebook.data, plain.codebook.data)
 
     def test_chord_is_checked(self):
@@ -399,7 +406,7 @@ class TestChordStep:
                                      chord=chord)
         as_list = solve_fixed_point(w, inst.c_star, inst.tau, self.EPS, 5000,
                                     chord=chord.tolist())
-        assert as_list.newton_kept == as_array.newton_kept == 1
+        assert as_list.evaluations == as_array.evaluations == as_array.iterations + 1
         np.testing.assert_array_equal(as_list.codebook.data, as_array.codebook.data)
 
 
@@ -426,8 +433,8 @@ class TestNewtonColdSolve:
             bound = 2 * self.EPS * np.linalg.norm(inverse, 2)
             if np.linalg.norm(cold.codebook.data - plain.codebook.data) > bound:
                 elsewhere.append(seed)
-            plain_evals += plain.iterations + 1
-            newton_evals += cold.iterations + 1 + cold.newton_rejected
+            plain_evals += plain.evaluations
+            newton_evals += cold.evaluations
         assert elsewhere == [5]
         assert newton_evals < plain_evals
 
@@ -455,19 +462,21 @@ class TestNewtonColdSolve:
             inst.w, inst.c0, inst.tau, self.EPS, 5000, newton=True
         )
         rejected = planted == "rejected"
-        assert (cold.newton_kept, cold.newton_rejected) == (0, rejected)
         assert len(inverses) == (planted != "repelling")
-        assert len(calls) == plain.iterations + 1 + rejected
+        assert cold.evaluations == len(calls) == plain.iterations + 1 + rejected
         assert cold.iterations == plain.iterations
         np.testing.assert_array_equal(cold.codebook.data, plain.codebook.data)
 
-    def test_converges_where_plain_iteration_stops_at_the_cap(self):
-        # Instance 97 needs 61 plain updates; five Newton steps do.
+    def test_converges_where_plain_iteration_stops_at_the_cap(self, monkeypatch):
+        # Instance 97 needs 61 plain updates; five kept Newton steps do, at
+        # one evaluation each.
         inst = make_instance(97)
         plain = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 30)
+        calls = _counting(monkeypatch)
         cold = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 30, newton=True)
         assert not plain.converged and plain.iterations == 30
-        assert cold.converged and cold.iterations == cold.newton_kept == 5
+        assert cold.converged and cold.iterations == 5
+        assert cold.evaluations == len(calls) == 6
         converged = solve_fixed_point(inst.w, inst.c0, inst.tau, self.EPS, 5000)
         assert np.linalg.norm(cold.codebook.data - converged.codebook.data) < 1e-5
 

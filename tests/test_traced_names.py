@@ -1,11 +1,14 @@
-"""The names perfbench wraps in idkm, held in tier-1.
+"""The names perfbench wraps in idkm, and the config it derives, held in
+tier-1.
 
 perfbench/ lies outside tier-1's testpaths; its own self-test fails when a
-name its tracer wraps is gone. This test reaches that failure from tier-1,
-and pins the wrapped names that exist only for the benchmark to one-line
-aliases of pq's functions. It reads perfbench and changes nothing under it.
+name its tracer wraps is gone, or when the conv workload's derived config
+no longer parses. These tests reach those failures from tier-1, and pin the
+wrapped names that exist only for the benchmark to one-line aliases of pq's
+functions. They read perfbench and change nothing under it.
 """
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -66,3 +69,12 @@ def test_names_kept_only_for_the_benchmark_are_aliases():
     assert solver.attention is pq.attention
     assert gradients.attention is pq.attention
     assert gradients.jacobians_of_F is pq.assignment_at
+
+
+def test_the_conv_workloads_derived_config_round_trips(workloads, tmp_path):
+    # It writes [model] loss and every LayerSpec field, padding included.
+    spec = dataclasses.replace(workloads.WORKLOADS["conv-pipeline"],
+                               points_per_class=4)
+    workload = spec.make(0, tmp_path)
+    workload.setup()
+    assert workload.checks() == []
